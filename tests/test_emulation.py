@@ -1,5 +1,6 @@
 """Emulation tests: scheduling, conservation, channel effects, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -354,3 +355,40 @@ class TestSimulatedChannel:
             ChannelSpec(reorder_rate=-0.1)
         with pytest.raises(ValueError):
             ChannelSpec(delay_us=-5.0)
+
+
+class TestGoldenReports:
+    """Fixed-seed report bytes: any refactor of the emulator must keep them.
+
+    The digest covers exactly what EmulationReport.save writes, report.csv
+    followed by summary.json. A legitimate change of the modelled output
+    updates these digests in the same commit and says why.
+    """
+
+    CASES = [
+        # preset, goodput_bps, packet_size, subframes, channel, max_datagram, seed
+        ("lte10", 30e6, 1400, 200, ChannelSpec(0.02, 0.05, 30.0), 1472, 11,
+         "dacd7dfe8cc885ddf3eec11534787304dcc0ecc18424770efdaea08b2d6c81b9"),
+        ("lte10", 2e6, 200, 300, ChannelSpec(0.01, 0.05, 50.0), 1472, 1,
+         "1c4e6f075c987d33136f2d20081c41b3bcd0400cf66ef52d6b32bbe7d526d862"),
+        ("lte20", 200e6, 1400, 10, ChannelSpec(), 256, 1,
+         "231ff8493f45f7c2470eb680a96470bca5ed125f0aec2eefc3c25845128a6562"),
+        ("worst100", 3e9, 1400, 2, ChannelSpec(), 1472, 1,
+         "2845b646d2c6bbb660d2c76cd3fb7fabd64924cd5f65c25c2a2b3023b394c505"),
+        ("lte10", 0.0, 1400, 50, ChannelSpec(1.0, 0, 0), 1472, 5,
+         "f950e7d0ea31e264220785ca00cb227c9d623742451611ef1f79296f9e7812ce"),
+    ]
+
+    @pytest.mark.parametrize(
+        "name,goodput,packet,subframes,spec,max_datagram,seed,digest",
+        CASES,
+        ids=[f"{c[0]}-{c[1]:g}-seed{c[6]}" for c in CASES],
+    )
+    def test_report_bytes(self, name, goodput, packet, subframes, spec,
+                          max_datagram, seed, digest):
+        report = run_emulation(
+            preset(name), TrafficProfile(goodput, packet, subframes), spec, seed,
+            max_datagram=max_datagram,
+        )
+        saved = report.csv_text() + json.dumps(report.summary(), indent=2) + "\n"
+        assert hashlib.sha256(saved.encode()).hexdigest() == digest
