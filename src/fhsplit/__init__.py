@@ -16,7 +16,7 @@ from .cell import (
     SplitOption,
     preset,
 )
-from .channel import ChannelSpec, SimulatedChannel, simulated_channel
+from .channel import ChannelSpec, SimulatedChannel
 from .configio import Scenario, load_cell_config, load_scenario
 from .emulation import (
     EmulationReport,
@@ -70,7 +70,6 @@ __all__ = [
     "preset",
     "ChannelSpec",
     "SimulatedChannel",
-    "simulated_channel",
     "Scenario",
     "load_cell_config",
     "load_scenario",

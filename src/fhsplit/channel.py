@@ -72,16 +72,6 @@ class SimulatedChannel:
         return len(self._pending)
 
 
-def simulated_channel(
-    loss_rate: float = 0.0,
-    reorder_rate: float = 0.0,
-    delay_us: float = 0.0,
-    seed=0,
-) -> SimulatedChannel:
-    """Build a one-directional impaired channel from bare parameters."""
-    return SimulatedChannel(ChannelSpec(loss_rate, reorder_rate, delay_us), seed)
-
-
 def parse_addr(addr: str) -> Tuple[str, int]:
     """Parse 'host:port' into a socket address tuple."""
     host, sep, port = addr.rpartition(":")

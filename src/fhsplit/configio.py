@@ -114,6 +114,8 @@ class Scenario:
             raise ValueError(f"mode must be 'sim' or 'socket', got {self.mode!r}")
         if self.mode == "socket" and not (self.du_addr and self.ru_addr):
             raise ValueError("socket mode needs du_addr and ru_addr")
+        if self.mode == "socket" and self.channel != ChannelSpec():
+            raise ValueError("socket mode cannot apply channel impairments")
 
 
 def scenario_from_dict(data: Dict[str, Any]) -> Scenario:

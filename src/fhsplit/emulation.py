@@ -16,8 +16,8 @@ function of their parameters and the seed.
 Three logical actors - DU endpoint, RU endpoint, channel - communicate
 only by datagrams; the meter aggregates records from both endpoints. The
 in-process mode drives all three from one deterministic virtual-time
-loop; socket mode runs each endpoint's send and receive paths as threads
-and merges their records after they quiesce.
+loop; socket mode runs each endpoint's send and receive paths as threads.
+Both modes send one traffic schedule, computed before the run starts.
 """
 
 from __future__ import annotations
@@ -54,6 +54,8 @@ from .messages import (
 )
 from .rates import rate_73_dl, rate_73_ul
 from .wire import (
+    DEFAULT_TIMEOUT_NS,
+    HEADER_LEN,
     Chunk,
     Complete,
     HeaderError,
@@ -98,15 +100,6 @@ def subframe_capacity_bits(cfg: CellConfig, direction: Direction = Direction.DL)
     if direction is Direction.DL:
         return rate_73_dl(cfg) // 1000
     return rate_73_ul(cfg) // 1000
-
-
-def schedule_subframe(
-    offered_bits: int, cfg: CellConfig, direction: Direction = Direction.DL
-) -> int:
-    """Memoryless clamp of one subframe's offered bits to cell capacity."""
-    if offered_bits < 0:
-        raise ValueError("offered_bits must be >= 0")
-    return min(offered_bits, subframe_capacity_bits(cfg, direction))
 
 
 class TrafficScheduler:
@@ -160,11 +153,25 @@ class _PacketArrivals:
         return packets * self._packet_bits
 
 
+def _traffic_schedule(
+    cfg: CellConfig, profile: TrafficProfile
+) -> Tuple[List[int], List[int], int]:
+    """Offered and scheduled downlink bits of every subframe, and the bits dropped.
+
+    Both run modes read this one schedule; the uplink answers each
+    scheduled downlink bit with one soft-bit code.
+    """
+    arrivals = _PacketArrivals(profile)
+    scheduler = TrafficScheduler.for_cell(cfg, Direction.DL)
+    offered = [arrivals.next_subframe() for _ in range(profile.duration_subframes)]
+    scheduled = [scheduler.schedule_subframe(bits) for bits in offered]
+    return offered, scheduled, scheduler.dropped_bits
+
+
 class SubframeReceiver:
     """Receive-side demultiplexer: one reassembly buffer per content type."""
 
-    def __init__(self, timeout_ns: int, strict_order: bool = False):
-        self.timeout_ns = timeout_ns
+    def __init__(self, strict_order: bool = False):
         self.strict_order = strict_order
         self.malformed_headers = 0
         self._buffers: Dict[int, ReassemblyBuffer] = {}
@@ -184,7 +191,7 @@ class SubframeReceiver:
         buf = self._buffers.get(ctype)
         if buf is None:
             buf = self._buffers[ctype] = ReassemblyBuffer(
-                self.timeout_ns, self.strict_order
+                strict_order=self.strict_order
             )
         events: List[Tuple[int, ReassemblyEvent]] = []
         expired = buf.poll_timeout(now_ns)
@@ -207,7 +214,11 @@ class SubframeReceiver:
 
 
 class _DirMeter:
-    """Sender- and receiver-side accounting for one link direction."""
+    """Sender- and receiver-side accounting for one link direction.
+
+    record_emission and record_event write disjoint fields, so one sender
+    thread and one receiver thread may record into the same meter at once.
+    """
 
     def __init__(self, duration: int):
         self.wire_bits = [0] * duration
@@ -222,7 +233,7 @@ class _DirMeter:
                         chunks: List[Chunk]) -> None:
         self.emitted[(ctype, ts)] = payload_len
         for chunk in chunks:
-            self.wire_bits[ts] += (len(chunk.payload) + 22) * 8
+            self.wire_bits[ts] += (len(chunk.payload) + HEADER_LEN) * 8
             p = len(chunk.payload)
             if self.min_chunk_payload is None or p < self.min_chunk_payload:
                 self.min_chunk_payload = p
@@ -397,15 +408,15 @@ def _ul_messages(t, scheduled_bits, cfg, quantizer, llr_rng) -> List[Tuple[int, 
 
 
 def _finalize(
-    duration: int,
     offered: List[int],
     dl: _DirMeter,
     ul: _DirMeter,
-    scheduler: TrafficScheduler,
+    dropped_bits: int,
     seed: int,
     goodput_bps: float,
     incomplete: bool,
 ) -> EmulationReport:
+    duration = len(offered)
     completes = [0] * duration
     timeouts = [0] * duration
     jumbled = [0] * duration
@@ -458,12 +469,27 @@ def _finalize(
         rows=rows,
         dl=stats[0],
         ul=stats[1],
-        offered_dropped_bits=scheduler.dropped_bits,
+        offered_dropped_bits=dropped_bits,
         seed=seed,
         goodput_bps=goodput_bps,
         duration_subframes=duration,
         incomplete=incomplete,
     )
+
+
+def _pump(
+    channel: SimulatedChannel,
+    rx: SubframeReceiver,
+    meter: _DirMeter,
+    deliver_ns: int,
+    poll_ns: int,
+) -> None:
+    """Feed one direction's datagrams due by deliver_ns, then expire by poll_ns."""
+    for recv_ns, datagram in channel.deliver_until(deliver_ns):
+        for ctype, event in rx.feed(datagram, recv_ns):
+            meter.record_event(ctype, event)
+    for ctype, event in rx.poll(poll_ns):
+        meter.record_event(ctype, event)
 
 
 def run_emulation(
@@ -473,78 +499,50 @@ def run_emulation(
     seed: int = 0,
     *,
     max_datagram: int = 1472,
-    reassembly_timeout_subframes: int = 2,
     strict_order: bool = False,
-    llr_clip: float = 8.0,
 ) -> EmulationReport:
     """Deterministic in-process DU-RU run over a simulated channel.
 
-    The reassembly timeout defaults to two subframe periods so that, under
-    continuous traffic, an incomplete subframe is displaced by its
-    successor (Jumbled) rather than racing the deadline; pure timeouts
-    then mark subframes whose traffic never arrived at all.
+    Each direction has its own channel, receiver, meter and random stream,
+    so the two are pumped one after the other without changing a result.
     """
-    duration = profile.duration_subframes
-    ss = np.random.SeedSequence(seed)
-    s_payload, s_llr, s_dl, s_ul = ss.spawn(4)
+    offered, scheduled, dropped_bits = _traffic_schedule(cfg, profile)
+    duration = len(offered)
+    s_payload, s_llr, s_dl, s_ul = np.random.SeedSequence(seed).spawn(4)
     payload_rng = np.random.Generator(np.random.PCG64(s_payload))
     llr_rng = np.random.Generator(np.random.PCG64(s_llr))
+    quantizer = LlrQuantizer(cfg.soft_bit_width)
     dl_channel = SimulatedChannel(channel, s_dl)
     ul_channel = SimulatedChannel(channel, s_ul)
-    scheduler = TrafficScheduler.for_cell(cfg, Direction.DL)
-    arrivals = _PacketArrivals(profile)
-    quantizer = LlrQuantizer(cfg.soft_bit_width, llr_clip)
-    timeout_ns = reassembly_timeout_subframes * SUBFRAME_NS
-    ru_rx = SubframeReceiver(timeout_ns, strict_order)
-    du_rx = SubframeReceiver(timeout_ns, strict_order)
     dl_meter = _DirMeter(duration)
     ul_meter = _DirMeter(duration)
-    offered_series = [0] * duration
+    links = (
+        (dl_channel, SubframeReceiver(strict_order), dl_meter),
+        (ul_channel, SubframeReceiver(strict_order), ul_meter),
+    )
 
     for t in range(duration):
         base_ns = t * SUBFRAME_NS
-        offered = arrivals.next_subframe()
-        offered_series[t] = offered
-        scheduled = scheduler.schedule_subframe(offered)
-
         _emit(dl_meter, dl_channel.send,
-              _dl_messages(t, scheduled, cfg, payload_rng), t, base_ns, max_datagram)
+              _dl_messages(t, scheduled[t], cfg, payload_rng), t, base_ns, max_datagram)
         _emit(ul_meter, ul_channel.send,
-              _ul_messages(t, scheduled, cfg, quantizer, llr_rng), t, base_ns,
+              _ul_messages(t, scheduled[t], cfg, quantizer, llr_rng), t, base_ns,
               max_datagram)
-
-        end_ns = base_ns + SUBFRAME_NS - 1
-        for recv_ns, datagram in dl_channel.deliver_until(end_ns):
-            for ctype, event in ru_rx.feed(datagram, recv_ns):
-                dl_meter.record_event(ctype, event)
-        for recv_ns, datagram in ul_channel.deliver_until(end_ns):
-            for ctype, event in du_rx.feed(datagram, recv_ns):
-                ul_meter.record_event(ctype, event)
-        for ctype, event in ru_rx.poll(base_ns + SUBFRAME_NS):
-            dl_meter.record_event(ctype, event)
-        for ctype, event in du_rx.poll(base_ns + SUBFRAME_NS):
-            ul_meter.record_event(ctype, event)
+        for link in links:
+            _pump(*link, base_ns + SUBFRAME_NS - 1, base_ns + SUBFRAME_NS)
 
     # Let in-flight datagrams land and pending assemblies expire.
     settle_ns = (
         duration * SUBFRAME_NS
-        + timeout_ns
+        + DEFAULT_TIMEOUT_NS
         + int(channel.delay_us * 1000)
         + 2 * SUBFRAME_NS
     )
-    for recv_ns, datagram in dl_channel.deliver_until(settle_ns):
-        for ctype, event in ru_rx.feed(datagram, recv_ns):
-            dl_meter.record_event(ctype, event)
-    for recv_ns, datagram in ul_channel.deliver_until(settle_ns):
-        for ctype, event in du_rx.feed(datagram, recv_ns):
-            ul_meter.record_event(ctype, event)
-    for ctype, event in ru_rx.poll(settle_ns):
-        dl_meter.record_event(ctype, event)
-    for ctype, event in du_rx.poll(settle_ns):
-        ul_meter.record_event(ctype, event)
+    for link in links:
+        _pump(*link, settle_ns, settle_ns)
 
     return _finalize(
-        duration, offered_series, dl_meter, ul_meter, scheduler,
+        offered, dl_meter, ul_meter, dropped_bits,
         seed, profile.goodput_bps, incomplete=False,
     )
 
@@ -557,26 +555,21 @@ def run_socket_emulation(
     seed: int = 0,
     *,
     max_datagram: int = 1472,
-    reassembly_timeout_subframes: int = 2,
-    subframe_period_s: float = 0.001,
-    llr_clip: float = 8.0,
 ) -> EmulationReport:
     """Real-time DU-RU run over UDP sockets (loopback friendly).
 
-    Both endpoints pace their own subframe clocks and derive the same
-    deterministic traffic schedule from the seed, so no coordination
-    channel is needed. Wall-clock timing makes the event outcomes
-    non-deterministic, unlike the simulated mode. Raises OSError when an
-    address cannot be bound; mid-run endpoint failures mark the report
-    incomplete instead of aborting.
+    Both endpoints send the shared traffic schedule on their own 1 ms
+    wall clocks, so no coordination channel is needed. Wall-clock timing
+    makes the event outcomes non-deterministic, unlike the simulated mode.
+    Raises OSError when an address cannot be bound; mid-run endpoint
+    failures mark the report incomplete instead of aborting.
     """
-    duration = profile.duration_subframes
-    ss = np.random.SeedSequence(seed)
-    s_payload, s_llr = ss.spawn(2)
+    offered, scheduled, dropped_bits = _traffic_schedule(cfg, profile)
+    duration = len(offered)
+    s_payload, s_llr = np.random.SeedSequence(seed).spawn(2)
     payload_rng = np.random.Generator(np.random.PCG64(s_payload))
     llr_rng = np.random.Generator(np.random.PCG64(s_llr))
-    quantizer = LlrQuantizer(cfg.soft_bit_width, llr_clip)
-    timeout_ns = int(reassembly_timeout_subframes * subframe_period_s * 1e9)
+    quantizer = LlrQuantizer(cfg.soft_bit_width)
 
     du = UdpEndpoint(du_addr)
     try:
@@ -584,110 +577,73 @@ def run_socket_emulation(
     except OSError:
         du.close()
         raise
-    du_peer = parse_addr(ru.address)
-    ru_peer = parse_addr(du.address)
 
     dl_meter = _DirMeter(duration)
     ul_meter = _DirMeter(duration)
-    offered_series = [0] * duration
-    dl_events: List[Tuple[int, ReassemblyEvent]] = []
-    ul_events: List[Tuple[int, ReassemblyEvent]] = []
-    ru_rx = SubframeReceiver(timeout_ns)
-    du_rx = SubframeReceiver(timeout_ns)
     stop = threading.Event()
     errors: List[BaseException] = []
-    # The DU sender also drives offered-traffic accounting and the
-    # backlog scheduler used for the report.
-    du_scheduler = TrafficScheduler.for_cell(cfg, Direction.DL)
 
-    def du_send() -> None:
-        arrivals = _PacketArrivals(profile)
-        start = time.monotonic()
-        for t in range(duration):
-            _pace(start, t, subframe_period_s)
-            offered = arrivals.next_subframe()
-            offered_series[t] = offered
-            scheduled = du_scheduler.schedule_subframe(offered)
-            base_ns = time.monotonic_ns()
-            _emit(
-                dl_meter,
-                lambda d, _ns: du.send_to(d, du_peer),
-                _dl_messages(t, scheduled, cfg, payload_rng),
-                t, base_ns, max_datagram,
-            )
+    def send_loop(endpoint: UdpEndpoint, peer: Tuple[str, int], meter: _DirMeter,
+                  messages) -> None:
+        """Emit the t-th message list t subframe periods after the start."""
+        start_ns = time.monotonic_ns()
+        for t, msgs in enumerate(messages):
+            delay_ns = start_ns + t * SUBFRAME_NS - time.monotonic_ns()
+            if delay_ns > 0:
+                time.sleep(delay_ns / 1e9)
+            _emit(meter, lambda d, _ns: endpoint.send_to(d, peer), msgs, t,
+                  time.monotonic_ns(), max_datagram)
 
-    def ru_send() -> None:
-        # Mirror of the DU schedule: same profile, same deterministic
-        # arrival process, independent instances.
-        arrivals = _PacketArrivals(profile)
-        scheduler = TrafficScheduler.for_cell(cfg, Direction.DL)
-        start = time.monotonic()
-        for t in range(duration):
-            _pace(start, t, subframe_period_s)
-            scheduled = scheduler.schedule_subframe(arrivals.next_subframe())
-            base_ns = time.monotonic_ns()
-            _emit(
-                ul_meter,
-                lambda d, _ns: ru.send_to(d, ru_peer),
-                _ul_messages(t, scheduled, cfg, quantizer, llr_rng),
-                t, base_ns, max_datagram,
-            )
-
-    def recv_loop(endpoint: UdpEndpoint, rx: SubframeReceiver, sink) -> None:
+    def recv_loop(endpoint: UdpEndpoint, meter: _DirMeter) -> None:
+        rx = SubframeReceiver()
         while not stop.is_set():
             datagram = endpoint.recv()
             now = time.monotonic_ns()
-            if datagram is not None:
-                sink.extend(rx.feed(datagram, now))
-            sink.extend(rx.poll(now))
+            events = rx.feed(datagram, now) if datagram is not None else []
+            for ctype, event in events + rx.poll(now):
+                meter.record_event(ctype, event)
 
-    def guarded(fn):
+    def guarded(fn, *args):
         def wrapper():
             try:
-                fn()
+                fn(*args)
             except BaseException as exc:  # noqa: BLE001 - reported via flag
                 errors.append(exc)
                 stop.set()
 
         return wrapper
 
-    threads = [
-        threading.Thread(target=guarded(du_send), name="du-send"),
-        threading.Thread(target=guarded(ru_send), name="ru-send"),
-        threading.Thread(target=guarded(lambda: recv_loop(ru, ru_rx, dl_events)),
-                         name="ru-recv"),
-        threading.Thread(target=guarded(lambda: recv_loop(du, du_rx, ul_events)),
-                         name="du-recv"),
+    dl_messages = (_dl_messages(t, scheduled[t], cfg, payload_rng)
+                   for t in range(duration))
+    ul_messages = (_ul_messages(t, scheduled[t], cfg, quantizer, llr_rng)
+                   for t in range(duration))
+    senders = [
+        threading.Thread(target=guarded(send_loop, du, parse_addr(ru.address),
+                                        dl_meter, dl_messages), name="du-send"),
+        threading.Thread(target=guarded(send_loop, ru, parse_addr(du.address),
+                                        ul_meter, ul_messages), name="ru-send"),
+    ]
+    receivers = [
+        threading.Thread(target=guarded(recv_loop, ru, dl_meter), name="ru-recv"),
+        threading.Thread(target=guarded(recv_loop, du, ul_meter), name="du-recv"),
     ]
     try:
-        for th in threads:
+        for th in senders + receivers:
             th.start()
-        threads[0].join()
-        threads[1].join()
-        time.sleep(max(0.05, 2 * reassembly_timeout_subframes * subframe_period_s))
+        for th in senders:
+            th.join()
+        # Let stragglers land: 50 ms is 25 reassembly timeouts.
+        time.sleep(0.05)
         stop.set()
-        threads[2].join()
-        threads[3].join()
+        for th in receivers:
+            th.join()
     finally:
         stop.set()
         du.close()
         ru.close()
 
-    flush_ns = time.monotonic_ns() + timeout_ns
-    dl_events.extend(ru_rx.poll(flush_ns))
-    ul_events.extend(du_rx.poll(flush_ns))
-    for ctype, event in dl_events:
-        dl_meter.record_event(ctype, event)
-    for ctype, event in ul_events:
-        ul_meter.record_event(ctype, event)
-
+    # Assemblies still open count as timeouts: _finalize finds no record.
     return _finalize(
-        duration, offered_series, dl_meter, ul_meter, du_scheduler,
+        offered, dl_meter, ul_meter, dropped_bits,
         seed, profile.goodput_bps, incomplete=bool(errors),
     )
-
-
-def _pace(start: float, t: int, period_s: float) -> None:
-    delay = start + t * period_s - time.monotonic()
-    if delay > 0:
-        time.sleep(delay)

@@ -30,8 +30,11 @@ _HEADER = struct.Struct(">QHHHQ")
 _U16 = 1 << 16
 _U64 = 1 << 64
 
-#: Reassembly timeout: one subframe period.
-DEFAULT_TIMEOUT_NS = 1_000_000
+#: Reassembly timeout: two subframe periods, so that under continuous
+#: traffic an incomplete subframe is displaced by its successor (Jumbled)
+#: rather than racing the deadline; pure timeouts then mark subframes
+#: whose traffic never arrived at all.
+DEFAULT_TIMEOUT_NS = 2_000_000
 
 
 class HeaderError(ValueError):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import fhsplit.emulation
 from fhsplit.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -266,6 +267,19 @@ class TestEmulate:
         )
         assert code == 2
         assert "loss_rate" in err
+
+    def test_socket_mode_rejects_impairments_before_binding(self, capsys,
+                                                             monkeypatch):
+        opened = []
+        monkeypatch.setattr(fhsplit.emulation, "UdpEndpoint",
+                            lambda addr: opened.append(addr))
+        code, _, err = run_cli(
+            capsys, "emulate", "--mode", "socket", "--loss", "0.1",
+            "--du-addr", "127.0.0.1:0", "--ru-addr", "127.0.0.1:0",
+        )
+        assert code == 2
+        assert "impairments" in err
+        assert opened == []
 
 
 class TestParser:

@@ -134,6 +134,15 @@ class TestScenario:
         s = self.make(mode="socket", du_addr="127.0.0.1:1", ru_addr="127.0.0.1:2")
         assert s.mode == "socket"
 
+    def test_socket_mode_rejects_impairments(self):
+        addrs = {"du_addr": "127.0.0.1:1", "ru_addr": "127.0.0.1:2"}
+        for channel in ({"loss_rate": 0.1}, {"reorder_rate": 0.1},
+                        {"delay_us": 5.0}):
+            with pytest.raises(ValueError, match="impairments"):
+                self.make(mode="socket", channel=channel, **addrs)
+        s = self.make(mode="socket", channel={"loss_rate": 0.0}, **addrs)
+        assert s.channel == ChannelSpec()
+
     def test_bad_mode(self):
         with pytest.raises(ValueError, match="mode"):
             self.make(mode="banana")
