@@ -7,6 +7,7 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,14 +15,17 @@ from hypothesis import strategies as st
 import fhsplit
 from fhsplit.cell import CellConfig, Direction, preset
 from fhsplit.channel import ChannelSpec, SimulatedChannel
+from fhsplit.llr import LlrQuantizer
 from fhsplit.wire import Complete, Malformed, chunk_subframe
 from fhsplit.emulation import (
+    CONTENT_UL_SOFT,
     CQI_PERIOD,
     EmulationReport,
     TrafficProfile,
     TrafficScheduler,
     _DirMeter,
     _PacketArrivals,
+    _ul_messages,
     make_control,
     run_emulation,
     subframe_capacity_bits,
@@ -435,6 +439,40 @@ class TestGoldenReports:
         )
         saved = report.csv_text() + json.dumps(report.summary(), indent=2) + "\n"
         assert hashlib.sha256(saved.encode()).hexdigest() == digest
+
+
+class TestGoldenPayloads:
+    """Fixed-seed uplink soft-bit payload bytes from `_ul_messages`.
+
+    The report digests above see only payload sizes and outcomes, so a
+    wrong LLR quantize or pack would still pass them; these pin the bytes.
+    The code counts include ones that are not a multiple of 8, which end
+    in a zero-padded byte at w=5.
+    """
+
+    COUNTS = (1, 7, 8, 13, 64, 1001, 30_000)
+    CASES = [
+        # preset (soft_bit_width), seed of the LLR stream, sha256 of the payloads
+        ("worst100", 1, "a7120b150fe45b83eac9b415924093ea29cec59d051bf3050d6d543c2e30454a"),
+        ("worst100", 7, "22f026acd90c4913c78201e697c1765a92fd4b9dc9e3464bfb91714392167375"),
+        ("lte10", 1, "699d03002377c2dd2801e660a9230a5cab5304c2eda14b5d21116c70b721878d"),
+        ("lte10", 7, "98ab34345c0404c3de8e12dfd8679350a5873da6d083f43c4d480be94e82cb51"),
+    ]
+
+    @pytest.mark.parametrize("name,seed,digest", CASES,
+                             ids=[f"{c[0]}-seed{c[1]}" for c in CASES])
+    def test_soft_bit_bytes(self, name, seed, digest):
+        cfg = preset(name)
+        quantizer = LlrQuantizer(cfg.soft_bit_width)
+        llr_rng = np.random.Generator(np.random.PCG64(seed))
+        h = hashlib.sha256()
+        for n in self.COUNTS:
+            # t=1 is not a CQI subframe, so the soft bits are the only message
+            [(ctype, payload)] = _ul_messages(1, n, cfg, quantizer, llr_rng)
+            assert ctype == CONTENT_UL_SOFT
+            assert len(payload) == -(-n * cfg.soft_bit_width // 8)
+            h.update(payload)
+        assert h.hexdigest() == digest
 
 
 class TestBenchmarkHooks:
