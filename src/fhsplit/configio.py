@@ -116,6 +116,9 @@ class Scenario:
             raise ValueError("socket mode needs du_addr and ru_addr")
         if self.mode == "socket" and self.channel != ChannelSpec():
             raise ValueError("socket mode cannot apply channel impairments")
+        if not 2 <= self.cell.soft_bit_width <= 16:
+            raise ValueError("the emulator packs soft_bit_width from 2 to 16 bits, "
+                             f"got {self.cell.soft_bit_width}")
 
 
 def scenario_from_dict(data: Dict[str, Any]) -> Scenario:

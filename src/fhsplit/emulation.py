@@ -399,7 +399,8 @@ def _dl_messages(t, scheduled_bits, cfg, payload_rng) -> List[Tuple[int, bytes]]
 def _ul_messages(t, scheduled_bits, cfg, quantizer, llr_rng) -> List[Tuple[int, bytes]]:
     msgs = []
     if scheduled_bits:
-        llrs = llr_rng.standard_normal(scheduled_bits) * LLR_SCALE
+        llrs = llr_rng.standard_normal(scheduled_bits)
+        llrs *= LLR_SCALE
         codes = quantize_llr(llrs, quantizer)
         msgs.append((CONTENT_UL_SOFT, pack_codes(codes, cfg.soft_bit_width)))
     if t % CQI_PERIOD == 0:

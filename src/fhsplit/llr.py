@@ -9,7 +9,9 @@ round-trip error is at most half a step.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -37,10 +39,14 @@ class LlrQuantizer:
 def quantize_llr(values, q: LlrQuantizer) -> np.ndarray:
     """Map real LLRs to signed integer codes (uniform, symmetric)."""
     arr = np.asarray(values, dtype=np.float64)
-    if np.isnan(arr).any():
+    # out= keeps a scalar input an array, so the in-place steps below work
+    clamped = np.clip(arr, -q.clip, q.clip, out=np.empty_like(arr))
+    # clip keeps NaN and maps +-inf to +-clip, so only a NaN makes the sum NaN
+    if np.isnan(clamped.sum()):
         raise ValueError("LLR input contains NaN")
-    clamped = np.clip(arr, -q.clip, q.clip)
-    return np.rint(clamped / q.step).astype(np.int32)
+    np.divide(clamped, q.step, out=clamped)
+    np.rint(clamped, out=clamped)
+    return clamped.astype(np.int32)
 
 
 def dequantize_llr(codes, q: LlrQuantizer) -> np.ndarray:
@@ -51,22 +57,51 @@ def dequantize_llr(codes, q: LlrQuantizer) -> np.ndarray:
     return arr.astype(np.float64) * q.step
 
 
+@functools.lru_cache(maxsize=None)
+def _column_shifts(bit_width: int) -> Tuple[Tuple[int, int, int], ...]:
+    """(byte, code, shift) for every code bit range that overlaps a byte.
+
+    Eight codes pack MSB first into exactly bit_width bytes: code j holds
+    bits [j*w, (j+1)*w) of the group and byte k bits [8k, 8k+8). Shifting
+    code j left by 8(k+1) - (j+1)w (right when negative) lines its bits up
+    with byte k.
+    """
+    return tuple(
+        (k, j, 8 * (k + 1) - (j + 1) * bit_width)
+        for k in range(bit_width)
+        for j in range(8)
+        if j * bit_width < 8 * (k + 1) and (j + 1) * bit_width > 8 * k
+    )
+
+
+def _shift(column: np.ndarray, shift: int) -> np.ndarray:
+    return column << shift if shift >= 0 else column >> -shift
+
+
 def pack_codes(codes, bit_width: int) -> bytes:
     """Pack signed codes two's-complement, bit_width bits each, MSB first.
 
-    The last byte is zero-padded; the caller must remember the code count
-    to unpack.
+    Every 8 codes fill exactly bit_width bytes. The last byte is
+    zero-padded; the caller must remember the code count to unpack.
     """
     if not 2 <= bit_width <= 16:
         raise ValueError("bit_width must be in [2, 16]")
-    arr = np.asarray(codes, dtype=np.int64)
-    mask = (1 << bit_width) - 1
-    unsigned = (arr & mask).astype(np.uint16)
+    arr = np.asarray(codes).ravel()
+    if arr.dtype.kind not in "iu":  # e.g. an empty list converts to float64
+        arr = arr.astype(np.int64)
     if bit_width == 8:
-        return unsigned.astype(np.uint8).tobytes()
-    shifts = np.arange(bit_width - 1, -1, -1, dtype=np.uint16)
-    bits = ((unsigned[:, None] >> shifts) & 1).astype(np.uint8)
-    return np.packbits(bits.ravel()).tobytes()
+        return arr.astype(np.uint8).tobytes()
+    n = arr.size
+    # one row per group of 8 codes, masked to bit_width bits, zero-padded
+    groups = np.zeros((-(-n // 8), 8), dtype=np.uint16)
+    np.bitwise_and(arr, (1 << bit_width) - 1, out=groups.reshape(-1)[:n],
+                   casting="unsafe")
+    acc = [0] * bit_width
+    for k, j, shift in _column_shifts(bit_width):
+        acc[k] |= _shift(groups[:, j], shift)
+    # the cast keeps the low 8 bits of each byte column
+    out = np.stack(acc, axis=1, dtype=np.uint8, casting="unsafe")
+    return out.reshape(-1)[: -(-n * bit_width // 8)].tobytes()
 
 
 def unpack_codes(data: bytes, bit_width: int, count: int) -> np.ndarray:
@@ -78,12 +113,18 @@ def unpack_codes(data: bytes, bit_width: int, count: int) -> np.ndarray:
     needed = -(-count * bit_width // 8)
     if len(data) < needed:
         raise ValueError(f"need {needed} bytes for {count} codes, got {len(data)}")
+    raw = np.frombuffer(data, dtype=np.uint8, count=needed)
     if bit_width == 8:
-        unsigned = np.frombuffer(data, dtype=np.uint8, count=count).astype(np.int64)
+        unsigned = raw.astype(np.int32)
     else:
-        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-        bits = bits[: count * bit_width].reshape(count, bit_width).astype(np.int64)
-        weights = 1 << np.arange(bit_width - 1, -1, -1, dtype=np.int64)
-        unsigned = bits @ weights
+        # one row per group of bit_width bytes, zero-padded
+        groups = np.zeros((-(-count // 8), bit_width), dtype=np.uint16)
+        groups.reshape(-1)[:needed] = raw
+        acc = [0] * 8
+        for k, j, shift in _column_shifts(bit_width):
+            acc[j] |= _shift(groups[:, k], -shift)
+        unsigned = np.stack(acc, axis=1, dtype=np.int32).reshape(-1)[:count]
+        # drop the bits of neighbouring codes that the shifts kept
+        unsigned &= (1 << bit_width) - 1
     sign_bit = 1 << (bit_width - 1)
-    return (unsigned - ((unsigned & sign_bit) << 1)).astype(np.int32)
+    return unsigned - ((unsigned & sign_bit) << 1)

@@ -260,6 +260,18 @@ class TestEmulate:
         assert code == 2
         assert "bad scenario" in err
 
+    @pytest.mark.parametrize("width", [1, 17])
+    def test_unpackable_soft_bit_width_exits_2(self, capsys, tmp_path, width):
+        scn = tmp_path / "s.cfg"
+        scn.write_text(
+            "cell.n_sc = 600\ncell.n_layers = 2\ncell.n_ant = 4\n"
+            f"cell.mod_order = 4\ncell.soft_bit_width = {width}\n"
+            "profile.goodput_bps = 4e6\nprofile.duration_subframes = 5\n"
+        )
+        code, _, err = run_cli(capsys, "emulate", "--scenario", str(scn))
+        assert code == 2
+        assert "bad scenario" in err and "soft_bit_width" in err
+
     def test_bad_channel_rate_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys, "emulate", "--preset", "lte10", "--loss", "1.5",

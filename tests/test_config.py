@@ -134,6 +134,17 @@ class TestScenario:
         s = self.make(mode="socket", du_addr="127.0.0.1:1", ru_addr="127.0.0.1:2")
         assert s.mode == "socket"
 
+    def test_soft_bit_width_must_be_packable(self):
+        cell = {"n_sc": 600, "n_layers": 2, "n_ant": 4, "mod_order": 4}
+        # the rate models take any width >= 1; only the emulator packs codes
+        assert cell_config_from_dict({**cell, "soft_bit_width": 1}).soft_bit_width == 1
+        for width in (1, 17):
+            with pytest.raises(ValueError, match="soft_bit_width"):
+                self.make(cell={**cell, "soft_bit_width": width})
+        for width in (2, 16):
+            s = self.make(cell={**cell, "soft_bit_width": width})
+            assert s.cell.soft_bit_width == width
+
     def test_socket_mode_rejects_impairments(self):
         addrs = {"du_addr": "127.0.0.1:1", "ru_addr": "127.0.0.1:2"}
         for channel in ({"loss_rate": 0.1}, {"reorder_rate": 0.1},

@@ -15,6 +15,42 @@ from fhsplit.llr import (
 )
 
 
+def reference_pack(codes, bit_width):
+    """Bit-matrix packer: one row of bit_width bits per code, then packbits.
+
+    Slow and memory hungry, but plainly correct; pack_codes must match it
+    byte for byte.
+    """
+    arr = np.asarray(codes, dtype=np.int64)
+    unsigned = (arr & ((1 << bit_width) - 1)).astype(np.uint16)
+    shifts = np.arange(bit_width - 1, -1, -1, dtype=np.uint16)
+    bits = ((unsigned[:, None] >> shifts) & 1).astype(np.uint8)
+    return np.packbits(bits.ravel()).tobytes()
+
+
+def reference_unpack(data, bit_width, count):
+    """Inverse of reference_pack: weigh each row of bits, then sign-extend."""
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+    bits = bits[: count * bit_width].reshape(count, bit_width).astype(np.int64)
+    weights = 1 << np.arange(bit_width - 1, -1, -1, dtype=np.int64)
+    unsigned = bits @ weights
+    sign_bit = 1 << (bit_width - 1)
+    return unsigned - ((unsigned & sign_bit) << 1)
+
+
+def reference_quantize(values, q):
+    return np.rint(np.clip(values, -q.clip, q.clip) / q.step).astype(np.int32)
+
+
+@st.composite
+def width_and_codes(draw):
+    """A width in 2..16 and 0..80 codes over its full two's-complement range."""
+    width = draw(st.integers(2, 16))
+    n = draw(st.integers(0, 80))
+    lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
+    return width, draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n))
+
+
 class TestQuantizer:
     def test_zero_maps_to_zero(self):
         for width in (2, 4, 5, 8, 12):
@@ -51,6 +87,60 @@ class TestQuantizer:
     def test_infinities_clamp(self):
         q = LlrQuantizer(6)
         assert quantize_llr([float("inf"), float("-inf")], q).tolist() == [31, -31]
+        for width in (2, 5, 8, 16):
+            q = LlrQuantizer(width)
+            codes = quantize_llr([np.inf, -np.inf], q)
+            assert codes.tolist() == [q.max_code, -q.max_code]
+
+    @pytest.mark.parametrize("values", [[np.nan, np.inf], [-np.inf, np.nan],
+                                        [np.inf, -np.inf, np.nan, 0.0]])
+    def test_nan_beside_infinity_rejected(self, values):
+        with pytest.raises(ValueError, match="NaN"):
+            quantize_llr(np.array(values), LlrQuantizer(5))
+
+    def test_caller_array_untouched(self):
+        values = np.array([-20.0, -3.3, 0.0, 0.7, 9.9, np.inf])
+        before = values.copy()
+        quantize_llr(values, LlrQuantizer(5))
+        assert np.array_equal(values, before)
+
+    def test_scalar_input(self):
+        q = LlrQuantizer(5)
+        assert quantize_llr(3.0, q) == quantize_llr([3.0], q)[0] == 6
+
+    def test_half_step_ties_round_to_even(self):
+        q = LlrQuantizer(5, clip=3.75)  # step = 0.25, so k/8 is an exact tie
+        values = np.arange(-31, 32) / 8.0
+        codes = quantize_llr(values, q)
+        assert np.array_equal(codes, reference_quantize(values, q))
+        assert codes[values == 0.125][0] == 0 and codes[values == 0.375][0] == 2
+
+    @given(
+        values=hnp.arrays(
+            np.float64,
+            st.integers(0, 200),
+            elements=st.floats(allow_nan=False),
+        ),
+        width=st.integers(2, 16),
+        clip=st.sampled_from([0.5, 1.0, 3.75, 8.0, 20.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_formula(self, values, width, clip):
+        q = LlrQuantizer(width, clip)
+        codes = quantize_llr(values, q)
+        assert codes.dtype == np.int32
+        assert np.array_equal(codes, reference_quantize(values, q))
+
+    @given(
+        ticks=st.lists(st.integers(-200, 200), max_size=50),
+        width=st.integers(2, 16),
+        clip=st.sampled_from([1.0, 8.0, 20.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_on_half_step_ties(self, ticks, width, clip):
+        q = LlrQuantizer(width, clip)
+        values = (np.array(ticks, dtype=np.float64) + 0.5) * q.step
+        assert np.array_equal(quantize_llr(values, q), reference_quantize(values, q))
 
     def test_dequantize_range_check(self):
         q = LlrQuantizer(4)
@@ -158,6 +248,38 @@ class TestPacking:
         assert np.array_equal(
             unpack_codes(pack_codes(codes, width), width, n), codes
         )
+
+    @pytest.mark.parametrize("width", list(range(2, 17)))
+    def test_every_count_mod_8_matches_reference(self, width):
+        lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
+        rng = np.random.default_rng(width)
+        for n in range(81):
+            codes = rng.integers(lo, hi + 1, size=n)
+            codes[::5], codes[2::5] = lo, hi
+            expected = reference_pack(codes, width)
+            assert pack_codes(codes.tolist(), width) == expected
+            assert pack_codes(codes.astype(np.int32), width) == expected
+            assert pack_codes(codes.astype(np.int64), width) == expected
+            assert np.array_equal(unpack_codes(expected + b"\xa5", width, n), codes)
+
+    @given(case=width_and_codes())
+    @settings(max_examples=300, deadline=None)
+    def test_pack_matches_reference(self, case):
+        width, codes = case
+        expected = reference_pack(codes, width)
+        assert pack_codes(codes, width) == expected
+        assert pack_codes(np.array(codes, dtype=np.int32), width) == expected
+        assert pack_codes(np.array(codes, dtype=np.int64), width) == expected
+
+    @given(case=width_and_codes(), extra=st.binary(max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_unpack_matches_reference(self, case, extra):
+        width, codes = case
+        data = reference_pack(codes, width) + extra
+        got = unpack_codes(data, width, len(codes))
+        assert got.dtype == np.int32
+        assert np.array_equal(got, reference_unpack(data, width, len(codes)))
+        assert np.array_equal(got, codes)
 
     def test_quantize_pack_pipeline(self):
         """End to end: LLRs -> codes -> bytes -> codes -> LLR estimates."""
