@@ -173,6 +173,100 @@ class TestChunking:
             chunk_from_datagram(raw[:-1])
 
 
+class TestChunkingBoundary:
+    """chunk_subframe rejects every header field the constructors reject."""
+
+    @pytest.mark.parametrize("timestamp", [-1, 1 << 64, (1 << 64) + 5])
+    def test_rejects_timestamp_out_of_range(self, timestamp):
+        with pytest.raises(ValueError, match="timestamp"):
+            chunk_subframe(timestamp, 0, b"x" * 3000)
+
+    @pytest.mark.parametrize("content_type", [-1, 1 << 16])
+    def test_rejects_content_type_out_of_range(self, content_type):
+        with pytest.raises(ValueError, match="content_type"):
+            chunk_subframe(0, content_type, b"x" * 3000)
+
+    def test_rejects_negative_sender_clock(self):
+        # the last chunk's clock (-1 + 2) is in range; the first is not
+        with pytest.raises(ValueError, match="sender_clock"):
+            chunk_subframe(0, 0, b"x" * 3000, sender_clock=-1)
+
+    def test_rejects_last_sender_clock_reaching_2_64(self):
+        # three chunks stamped 2^64 - 2, 2^64 - 1, 2^64: only the last overflows
+        with pytest.raises(ValueError, match="sender_clock"):
+            chunk_subframe(0, 0, b"x" * 3000, sender_clock=(1 << 64) - 2)
+
+    def test_last_sender_clock_may_be_2_64_minus_1(self):
+        chunks = chunk_subframe(0, 0, b"x" * 3000, sender_clock=(1 << 64) - 3)
+        assert chunks[-1].header.sender_clock == (1 << 64) - 1
+        assert chunks[-1].to_datagram()[14:22] == b"\xff" * 8
+
+    @pytest.mark.parametrize("timestamp", [0, (1 << 64) - 1])
+    def test_timestamp_range_ends_accepted(self, timestamp):
+        chunks = chunk_subframe(timestamp, (1 << 16) - 1, b"x" * 3000)
+        assert all(c.header.timestamp == timestamp for c in chunks)
+        assert all(c.header.content_type == (1 << 16) - 1 for c in chunks)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        payload=st.binary(min_size=1, max_size=4000),
+        max_datagram=st.one_of(
+            st.integers(HEADER_LEN + 1, HEADER_LEN + 64),
+            st.integers(HEADER_LEN + 1, MAX_DATAGRAM),
+        ),
+        timestamp=st.integers(0, (1 << 64) - 1),
+        content_type=st.integers(0, (1 << 16) - 1),
+        sender_clock=st.integers(0, (1 << 64) - 4001),
+    )
+    def test_every_chunk_matches_the_validated_constructors(
+        self, payload, max_datagram, timestamp, content_type, sender_clock
+    ):
+        chunks = chunk_subframe(timestamp, content_type, payload, max_datagram,
+                                sender_clock=sender_clock)
+        assert b"".join(c.payload for c in chunks) == payload
+        for i, chunk in enumerate(chunks):
+            h = chunk.header
+            strict = SplitHeader(h.timestamp, h.num_blocks, h.content_type,
+                                 h.size, h.sender_clock)
+            assert h == strict
+            assert (h.timestamp, h.content_type, h.num_blocks) == (
+                timestamp, content_type, len(chunks))
+            assert h.sender_clock == sender_clock + i
+            assert h.size == HEADER_LEN + len(chunk.payload) <= max_datagram
+            assert encode_header(h) == encode_header(strict)
+            assert chunk == Chunk(strict, chunk.payload)
+            datagram = chunk.to_datagram()
+            assert datagram == encode_header(strict) + chunk.payload
+            again = chunk_from_datagram(datagram)
+            assert again == chunk
+            assert again.header == strict
+            assert decode_header(datagram) == strict
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        fields=st.tuples(
+            st.integers(0, (1 << 64) - 1),
+            st.one_of(st.integers(0, 2), st.integers(0, (1 << 16) - 1)),
+            st.integers(0, (1 << 16) - 1),
+            st.one_of(st.integers(HEADER_LEN - 2, HEADER_LEN + 40),
+                      st.integers(0, (1 << 16) - 1)),
+            st.integers(0, (1 << 64) - 1),
+        ),
+        payload=st.binary(min_size=0, max_size=40),
+    )
+    def test_decode_rejects_exactly_what_the_constructors_reject(
+        self, fields, payload
+    ):
+        datagram = struct.pack(">QHHHQ", *fields) + payload
+        try:
+            strict = Chunk(SplitHeader(*fields), payload)
+        except ValueError:
+            with pytest.raises(HeaderError):
+                chunk_from_datagram(datagram)
+        else:
+            assert chunk_from_datagram(datagram) == strict
+
+
 def feed_all(buf, chunks, now_ns=0):
     return [buf.accept(c, now_ns) for c in chunks]
 
