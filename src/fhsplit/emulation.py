@@ -61,6 +61,7 @@ from .wire import (
     HeaderError,
     Jumbled,
     Malformed,
+    Progress,
     ReassemblyBuffer,
     ReassemblyEvent,
     chunk_from_datagram,
@@ -177,10 +178,13 @@ class SubframeReceiver:
         self._buffers: Dict[int, ReassemblyBuffer] = {}
 
     def feed(self, datagram: bytes, now_ns: int) -> List[Tuple[int, ReassemblyEvent]]:
-        """Decode and accept one datagram; returns (content_type, event) pairs.
+        """Decode and accept one datagram; returns its (content_type, event) outcomes.
 
-        Jumble discards are reported from the buffer's displaced records so
-        that a discard paired with an instant Complete still surfaces.
+        Outcomes are Complete, Jumbled, Timeout and Malformed; a chunk that
+        only advances its assembly returns []. An assembly whose deadline
+        passed before this datagram arrived times out first. Jumble
+        discards are reported from the buffer's displaced records so that
+        a discard paired with an instant Complete still surfaces.
         """
         try:
             chunk = chunk_from_datagram(datagram)
@@ -194,13 +198,15 @@ class SubframeReceiver:
                 strict_order=self.strict_order
             )
         events: List[Tuple[int, ReassemblyEvent]] = []
-        expired = buf.poll_timeout(now_ns)
-        if expired is not None:
-            events.append((ctype, expired))
+        if buf.in_progress:
+            expired = buf.poll_timeout(now_ns)
+            if expired is not None:
+                events.append((ctype, expired))
         event = buf.accept(chunk, now_ns)
-        for old, new in buf.drain_displaced():
-            events.append((ctype, Jumbled(old, new)))
-        if not isinstance(event, Jumbled):
+        if buf.displaced:
+            for old, new in buf.drain_displaced():
+                events.append((ctype, Jumbled(old, new)))
+        if not isinstance(event, (Progress, Jumbled)):
             events.append((ctype, event))
         return events
 
@@ -231,12 +237,16 @@ class _DirMeter:
 
     def record_emission(self, ctype: int, ts: int, payload_len: int,
                         chunks: List[Chunk]) -> None:
+        """Record one message: chunks is chunk_subframe's split of its payload.
+
+        Only the last chunk can be shorter than the others, so it holds the
+        message's smallest chunk payload.
+        """
         self.emitted[(ctype, ts)] = payload_len
-        for chunk in chunks:
-            self.wire_bits[ts] += (len(chunk.payload) + HEADER_LEN) * 8
-            p = len(chunk.payload)
-            if self.min_chunk_payload is None or p < self.min_chunk_payload:
-                self.min_chunk_payload = p
+        self.wire_bits[ts] += (payload_len + HEADER_LEN * len(chunks)) * 8
+        p = len(chunks[-1].payload)
+        if self.min_chunk_payload is None or p < self.min_chunk_payload:
+            self.min_chunk_payload = p
 
     def record_event(self, ctype: int, event: ReassemblyEvent) -> None:
         if isinstance(event, Complete):
@@ -248,8 +258,8 @@ class _DirMeter:
                 self.stale_drops += 1
             else:
                 self.malformed_events += 1
-        # Progress needs no record; Timeout outcomes are derived at
-        # finalization from the absence of a complete/jumbled record.
+        # Timeout outcomes are derived at finalization from the absence of
+        # a complete/jumbled record.
 
 
 @dataclass(frozen=True)

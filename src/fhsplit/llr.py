@@ -22,8 +22,9 @@ class LlrQuantizer:
     clip: float = 8.0
 
     def __post_init__(self) -> None:
-        if self.bit_width < 2:
-            raise ValueError("bit_width must be >= 2 for a signed code")
+        # a signed code needs 2 bits; pack_codes packs at most 16
+        if not 2 <= self.bit_width <= 16:
+            raise ValueError(f"bit_width must be in [2, 16], got {self.bit_width}")
         if not self.clip > 0:
             raise ValueError("clip must be positive")
 

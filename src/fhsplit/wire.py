@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 HEADER_LEN = 22
 #: Largest legal value of the size field (65508 is already too big).
@@ -41,68 +41,99 @@ class HeaderError(ValueError):
     """Bytes that cannot be decoded into a valid SplitHeader."""
 
 
-@dataclass(frozen=True)
-class SplitHeader:
+class _HeaderFields(NamedTuple):
     timestamp: int
     num_blocks: int
     content_type: int
     size: int
     sender_clock: int = 0
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.timestamp < _U64:
+
+class SplitHeader(_HeaderFields):
+    """One datagram's header fields, each checked against its wire range.
+
+    Headers are tuples, so they compare equal to a plain tuple of the same
+    fields. The constructor (and _make/_replace) validate every field.
+    Inside this module, decode_header and chunk_subframe check the fields
+    once at the wire boundary and then build headers with tuple.__new__.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, timestamp: int, num_blocks: int, content_type: int,
+                size: int, sender_clock: int = 0) -> "SplitHeader":
+        if not 0 <= timestamp < _U64:
             raise ValueError("timestamp out of unsigned 64-bit range")
-        if not 1 <= self.num_blocks < _U16:
-            raise ValueError(f"num_blocks must be in [1, 65535], got {self.num_blocks}")
-        if not 0 <= self.content_type < _U16:
+        if not 1 <= num_blocks < _U16:
+            raise ValueError(f"num_blocks must be in [1, 65535], got {num_blocks}")
+        if not 0 <= content_type < _U16:
             raise ValueError("content_type out of unsigned 16-bit range")
-        if not HEADER_LEN <= self.size <= MAX_DATAGRAM:
+        if not HEADER_LEN <= size <= MAX_DATAGRAM:
             raise ValueError(
-                f"size must be in [{HEADER_LEN}, {MAX_DATAGRAM}], got {self.size}"
+                f"size must be in [{HEADER_LEN}, {MAX_DATAGRAM}], got {size}"
             )
-        if not 0 <= self.sender_clock < _U64:
+        if not 0 <= sender_clock < _U64:
             raise ValueError("sender_clock out of unsigned 64-bit range")
+        return tuple.__new__(
+            cls, (timestamp, num_blocks, content_type, size, sender_clock)
+        )
+
+    @classmethod
+    def _make(cls, fields) -> "SplitHeader":
+        return cls(*fields)
 
 
 def encode_header(header: SplitHeader) -> bytes:
     """Serialize a header to its fixed 22-byte big-endian form."""
-    return _HEADER.pack(
-        header.timestamp,
-        header.num_blocks,
-        header.content_type,
-        header.size,
-        header.sender_clock,
-    )
+    return _HEADER.pack(*header)
 
 
 def decode_header(data: bytes) -> SplitHeader:
-    """Parse the first 22 bytes of data; raises HeaderError, never crashes."""
+    """Parse the first 22 bytes of data; raises HeaderError, never crashes.
+
+    struct bounds timestamp, content_type and sender_clock; only the two
+    fields with a narrower legal range are checked here.
+    """
     if len(data) < HEADER_LEN:
         raise HeaderError(f"short header: {len(data)} bytes, need {HEADER_LEN}")
-    timestamp, num_blocks, content_type, size, sender_clock = _HEADER.unpack_from(data)
+    fields = _HEADER.unpack_from(data)
+    _, num_blocks, _, size, _ = fields
     if num_blocks == 0:
         raise HeaderError("num_blocks is zero")
     if size < HEADER_LEN or size > MAX_DATAGRAM:
         raise HeaderError(f"size field {size} outside [{HEADER_LEN}, {MAX_DATAGRAM}]")
-    return SplitHeader(timestamp, num_blocks, content_type, size, sender_clock)
+    return tuple.__new__(SplitHeader, fields)
 
 
-@dataclass(frozen=True)
-class Chunk:
-    """One datagram's worth of a subframe: header plus payload slice."""
-
+class _ChunkFields(NamedTuple):
     header: SplitHeader
     payload: bytes
 
-    def __post_init__(self) -> None:
-        if len(self.payload) + HEADER_LEN != self.header.size:
+
+class Chunk(_ChunkFields):
+    """One datagram's worth of a subframe: header plus payload slice.
+
+    The constructor (and _make/_replace) check the size field against the
+    payload length; chunk_from_datagram and chunk_subframe build chunks
+    whose sizes they have already checked.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, header: SplitHeader, payload: bytes) -> "Chunk":
+        if len(payload) + HEADER_LEN != header.size:
             raise ValueError(
-                f"payload length {len(self.payload)} does not match "
-                f"size field {self.header.size}"
+                f"payload length {len(payload)} does not match "
+                f"size field {header.size}"
             )
+        return tuple.__new__(cls, (header, payload))
+
+    @classmethod
+    def _make(cls, fields) -> "Chunk":
+        return cls(*fields)
 
     def to_datagram(self) -> bytes:
-        return encode_header(self.header) + self.payload
+        return _HEADER.pack(*self.header) + self.payload
 
 
 def chunk_from_datagram(data: bytes) -> Chunk:
@@ -112,7 +143,7 @@ def chunk_from_datagram(data: bytes) -> Chunk:
         raise HeaderError(
             f"size field {header.size} does not match datagram length {len(data)}"
         )
-    return Chunk(header, bytes(data[HEADER_LEN:]))
+    return tuple.__new__(Chunk, (header, bytes(data[HEADER_LEN:])))
 
 
 def chunk_subframe(
@@ -142,17 +173,27 @@ def chunk_subframe(
             f"payload of {len(payload)} bytes needs {num_blocks} chunks; "
             f"num_blocks is a 16-bit field"
         )
-    chunks = []
-    for i in range(num_blocks):
-        part = payload[i * budget : (i + 1) * budget]
-        header = SplitHeader(
-            timestamp=timestamp,
-            num_blocks=num_blocks,
-            content_type=content_type,
-            size=HEADER_LEN + len(part),
-            sender_clock=sender_clock + i,
-        )
-        chunks.append(Chunk(header, part))
+    # The validating constructors build the last chunk: it carries every
+    # shared field and the largest sender_clock. Every other chunk is
+    # exactly max_datagram bytes, checked above.
+    tail = payload[(num_blocks - 1) * budget :]
+    last = Chunk(
+        SplitHeader(timestamp, num_blocks, content_type, HEADER_LEN + len(tail),
+                    sender_clock + num_blocks - 1),
+        tail,
+    )
+    if sender_clock < 0:
+        raise ValueError("sender_clock out of unsigned 64-bit range")
+    new = tuple.__new__
+    chunks = [
+        new(Chunk, (
+            new(SplitHeader, (timestamp, num_blocks, content_type, max_datagram,
+                              sender_clock + i)),
+            payload[i * budget : (i + 1) * budget],
+        ))
+        for i in range(num_blocks - 1)
+    ]
+    chunks.append(last)
     return chunks
 
 

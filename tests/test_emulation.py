@@ -3,8 +3,10 @@
 import hashlib
 import importlib.util
 import json
+import random
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,11 +18,21 @@ import fhsplit
 from fhsplit.cell import CellConfig, Direction, preset
 from fhsplit.channel import ChannelSpec, SimulatedChannel
 from fhsplit.llr import LlrQuantizer
-from fhsplit.wire import Complete, Malformed, chunk_subframe
+from fhsplit.wire import (
+    DEFAULT_TIMEOUT_NS,
+    HEADER_LEN,
+    Complete,
+    Jumbled,
+    Malformed,
+    Timeout,
+    chunk_subframe,
+)
 from fhsplit.emulation import (
+    CONTENT_DL_DATA,
     CONTENT_UL_SOFT,
     CQI_PERIOD,
     EmulationReport,
+    SubframeReceiver,
     TrafficProfile,
     TrafficScheduler,
     _DirMeter,
@@ -214,6 +226,18 @@ class TestCleanChannelRuns:
         assert ratio == pytest.approx(2.0, rel=1e-3)
 
 
+    @pytest.mark.parametrize("goodput", [0.0, 4e6])
+    def test_unpackable_soft_bit_width_raises_before_sending(self, goodput,
+                                                             monkeypatch):
+        def no_emit(*args):
+            raise AssertionError("emitted before checking the cell")
+
+        monkeypatch.setattr(fhsplit.emulation, "_emit", no_emit)
+        with pytest.raises(ValueError, match="bit_width"):
+            run_emulation(replace(LTE10, soft_bit_width=17),
+                          TrafficProfile(goodput, 1400, 3))
+
+
 class TestImpairedChannelRuns:
     def test_total_loss_is_all_timeouts(self):
         profile = TrafficProfile(goodput_bps=20e6, duration_subframes=150)
@@ -367,6 +391,91 @@ class TestSimulatedChannel:
             ChannelSpec(delay_us=-5.0)
 
 
+class TestReceiver:
+    """SubframeReceiver.feed returns outcome events only."""
+
+    CT = CONTENT_DL_DATA
+
+    @staticmethod
+    def datagrams(ts, payload):
+        return [c.to_datagram() for c in chunk_subframe(ts, TestReceiver.CT, payload)]
+
+    def test_progress_is_not_reported(self):
+        rx = SubframeReceiver()
+        payload = bytes(range(256)) * 12  # 3072 bytes: 3 chunks
+        out = [rx.feed(d, i) for i, d in enumerate(self.datagrams(4, payload))]
+        assert out == [[], [], [(self.CT, Complete(4, payload))]]
+
+    def test_header_reject_is_counted_not_reported(self):
+        rx = SubframeReceiver()
+        assert rx.feed(b"\x00" * 21, 0) == []
+        assert rx.malformed_headers == 1
+
+    def test_expired_assembly_times_out_before_the_next_datagram(self):
+        rx = SubframeReceiver()
+        old = self.datagrams(1, b"a" * 3000)
+        new = self.datagrams(2, b"b" * 3000)
+        assert rx.feed(old[0], 0) == []
+        # the deadline passed before this datagram came: Timeout first, then
+        # the datagram starts its own assembly
+        assert rx.feed(new[0], DEFAULT_TIMEOUT_NS) == [(self.CT, Timeout(1, 1, 3))]
+        assert rx.feed(new[1], DEFAULT_TIMEOUT_NS + 1) == []
+        assert rx.feed(new[2], DEFAULT_TIMEOUT_NS + 2) == [
+            (self.CT, Complete(2, b"b" * 3000))]
+
+    def test_late_chunk_of_an_expired_assembly_is_stale(self):
+        rx = SubframeReceiver()
+        old = self.datagrams(1, b"a" * 3000)
+        assert rx.feed(old[0], 0) == []
+        assert rx.feed(old[1], DEFAULT_TIMEOUT_NS - 1) == []
+        assert rx.feed(old[2], DEFAULT_TIMEOUT_NS) == [
+            (self.CT, Timeout(1, 2, 3)), (self.CT, Malformed("stale", timestamp=1))]
+        assert rx.poll(10 * DEFAULT_TIMEOUT_NS) == []
+
+    def test_jumble_is_reported_once(self):
+        rx = SubframeReceiver()
+        rx.feed(self.datagrams(1, b"a" * 3000)[0], 0)
+        new = self.datagrams(2, b"b" * 3000)
+        assert rx.feed(new[0], 10) == [(self.CT, Jumbled(1, 2))]
+        assert rx.feed(new[1], 20) == []
+
+    def test_jumble_with_instant_complete_still_reported(self):
+        rx = SubframeReceiver()
+        rx.feed(self.datagrams(1, b"a" * 3000)[0], 0)
+        [single] = self.datagrams(2, b"f")
+        assert rx.feed(single, 10) == [
+            (self.CT, Jumbled(1, 2)), (self.CT, Complete(2, b"f"))]
+
+    def test_content_types_assemble_independently(self):
+        rx = SubframeReceiver()
+        a = chunk_subframe(1, 0, b"a" * 3000)
+        b = chunk_subframe(1, 1, b"b" * 3000)
+        out = []
+        for x, y in zip(a, b):
+            out += rx.feed(x.to_datagram(), 0) + rx.feed(y.to_datagram(), 0)
+        assert out == [(0, Complete(1, b"a" * 3000)), (1, Complete(1, b"b" * 3000))]
+
+
+class TestMeter:
+    def test_emission_matches_per_chunk_sum(self):
+        rng = random.Random(5)
+        for max_datagram in range(HEADER_LEN + 1, 1473):
+            budget = max_datagram - HEADER_LEN
+            meter = _DirMeter(2)
+            bits = [0, 0]
+            smallest = None
+            for ts in (0, 1, 1):
+                n = rng.choice([1, budget, budget + 1, rng.randint(1, 4 * budget)])
+                n = min(n, 3000)
+                chunks = chunk_subframe(ts, ts, bytes(n), max_datagram)
+                meter.record_emission(ts, ts, n, chunks)
+                bits[ts] += sum((len(c.payload) + HEADER_LEN) * 8 for c in chunks)
+                least = min(len(c.payload) for c in chunks)
+                smallest = least if smallest is None else min(smallest, least)
+            assert meter.wire_bits == bits, max_datagram
+            assert meter.min_chunk_payload == smallest, max_datagram
+
+
 class TestSharedMeter:
     def test_sender_and_receiver_threads_record_concurrently(self):
         # Socket mode's shape: per direction one sender thread records
@@ -501,6 +610,27 @@ class TestBenchmarkHooks:
         for part in owner_path.split("."):
             owner = getattr(owner, part)
         return owner
+
+    def test_every_hook_target_fires(self, spans):
+        # An impaired run, so the jumble, stale and timeout paths run too
+        targets = [(self.resolve(owner), attr) for _, owner, attr in spans.SPAN_TARGETS]
+        originals = [vars(owner)[attr] for owner, attr in targets]
+        tracer = spans.Tracer(fhsplit)
+        tracer.install()
+        try:
+            tracer.begin_call()
+            run_emulation(LTE10, TrafficProfile(2e6, 200, 20),
+                          ChannelSpec(0.01, 0.05, 50.0), seed=1)
+        finally:
+            tracer.restore()
+        assert tracer.missing == []
+        fired = {tracer.names[i] for i in set(tracer.name)}
+        silent = [f"{owner}.{attr}" for _, owner, attr in spans.SPAN_TARGETS
+                  if f"{owner}.{attr}" not in fired]
+        assert silent == []
+        assert tracer.counters.datagrams == tracer.counters.sent > 0
+        assert tracer.counters.accepted > 0
+        assert [vars(owner)[attr] for owner, attr in targets] == originals
 
     def test_every_hook_target_resolves(self, spans):
         targets = [(owner, attr) for _, owner, attr in spans.SPAN_TARGETS]

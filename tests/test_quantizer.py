@@ -152,6 +152,9 @@ class TestQuantizer:
     def test_quantizer_validation(self):
         with pytest.raises(ValueError):
             LlrQuantizer(1)
+        with pytest.raises(ValueError, match="bit_width"):
+            LlrQuantizer(17)
+        assert LlrQuantizer(16).max_code == (1 << 15) - 1
         with pytest.raises(ValueError):
             LlrQuantizer(8, clip=0.0)
         with pytest.raises(ValueError):

@@ -5,8 +5,11 @@ the assertions are structural and tolerant: the run must finish, account
 for every emitted message, and deliver the vast majority on loopback.
 """
 
+from dataclasses import replace
+
 import pytest
 
+from fhsplit import emulation
 from fhsplit.cell import preset
 from fhsplit.channel import UdpEndpoint, parse_addr
 from fhsplit.emulation import TrafficProfile, run_socket_emulation
@@ -74,3 +77,13 @@ class TestSocketRun:
                 )
         finally:
             holder.close()
+
+    def test_unpackable_soft_bit_width_raises_before_binding(self, monkeypatch):
+        def no_bind(addr):
+            raise AssertionError(f"bound {addr} before checking the cell")
+
+        monkeypatch.setattr(emulation, "UdpEndpoint", no_bind)
+        profile = TrafficProfile(goodput_bps=4e6, duration_subframes=3)
+        with pytest.raises(ValueError, match="bit_width"):
+            run_socket_emulation(replace(LTE10, soft_bit_width=17), profile,
+                                 "127.0.0.1:0", "127.0.0.1:0", seed=0)

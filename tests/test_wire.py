@@ -109,6 +109,19 @@ class TestHeaderCodec:
         with pytest.raises(ValueError):
             SplitHeader(**kwargs)
 
+    def test_namedtuple_helpers_validate(self):
+        header = SplitHeader(0, 1, 0, 22)
+        assert header._replace(sender_clock=5) == SplitHeader(0, 1, 0, 22, 5)
+        with pytest.raises(ValueError):
+            header._replace(size=21)
+        with pytest.raises(ValueError):
+            SplitHeader._make((0, 0, 0, 22, 0))
+        chunk = Chunk(header, b"")
+        with pytest.raises(ValueError):
+            chunk._replace(payload=b"x")
+        with pytest.raises(ValueError):
+            Chunk._make((header, b"x"))
+
 
 class TestChunking:
     def test_sizes_and_order(self):
