@@ -48,7 +48,6 @@ from .wire import (
     Jumbled,
     MAX_DATAGRAM,
     Malformed,
-    Progress,
     ReassemblyBuffer,
     SplitHeader,
     Timeout,
@@ -102,7 +101,6 @@ __all__ = [
     "Jumbled",
     "MAX_DATAGRAM",
     "Malformed",
-    "Progress",
     "ReassemblyBuffer",
     "SplitHeader",
     "Timeout",

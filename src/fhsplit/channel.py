@@ -85,7 +85,11 @@ class UdpEndpoint:
 
     def __init__(self, bind_addr: str) -> None:
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self.sock.bind(parse_addr(bind_addr))
+        try:
+            self.sock.bind(parse_addr(bind_addr))
+        except BaseException:
+            self.sock.close()
+            raise
         self.sock.settimeout(0.01)
 
     @property

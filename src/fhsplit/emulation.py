@@ -61,7 +61,6 @@ from .wire import (
     HeaderError,
     Jumbled,
     Malformed,
-    Progress,
     ReassemblyBuffer,
     ReassemblyEvent,
     chunk_from_datagram,
@@ -172,8 +171,7 @@ def _traffic_schedule(
 class SubframeReceiver:
     """Receive-side demultiplexer: one reassembly buffer per content type."""
 
-    def __init__(self, strict_order: bool = False):
-        self.strict_order = strict_order
+    def __init__(self) -> None:
         self.malformed_headers = 0
         self._buffers: Dict[int, ReassemblyBuffer] = {}
 
@@ -194,9 +192,7 @@ class SubframeReceiver:
         ctype = chunk.header.content_type
         buf = self._buffers.get(ctype)
         if buf is None:
-            buf = self._buffers[ctype] = ReassemblyBuffer(
-                strict_order=self.strict_order
-            )
+            buf = self._buffers[ctype] = ReassemblyBuffer()
         events: List[Tuple[int, ReassemblyEvent]] = []
         if buf.in_progress:
             expired = buf.poll_timeout(now_ns)
@@ -206,7 +202,7 @@ class SubframeReceiver:
         if buf.displaced:
             for old, new in buf.drain_displaced():
                 events.append((ctype, Jumbled(old, new)))
-        if not isinstance(event, (Progress, Jumbled)):
+        if event is not None and not isinstance(event, Jumbled):
             events.append((ctype, event))
         return events
 
@@ -510,7 +506,6 @@ def run_emulation(
     seed: int = 0,
     *,
     max_datagram: int = 1472,
-    strict_order: bool = False,
 ) -> EmulationReport:
     """Deterministic in-process DU-RU run over a simulated channel.
 
@@ -528,8 +523,8 @@ def run_emulation(
     dl_meter = _DirMeter(duration)
     ul_meter = _DirMeter(duration)
     links = (
-        (dl_channel, SubframeReceiver(strict_order), dl_meter),
-        (ul_channel, SubframeReceiver(strict_order), ul_meter),
+        (dl_channel, SubframeReceiver(), dl_meter),
+        (ul_channel, SubframeReceiver(), ul_meter),
     )
 
     for t in range(duration):

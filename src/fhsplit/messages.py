@@ -1,4 +1,4 @@
-"""Typed fronthaul payloads and their content_type registry.
+"""Fronthaul payload codecs and the content_type registry.
 
 Registered content types:
 
@@ -7,7 +7,8 @@ Registered content types:
     2  downlink control semantics (DCI count/positions, MCS, RB, power)
     3  uplink CQI report
 
-Unknown content types are accepted and surfaced opaquely.
+Reassembly is blind to content_type: any value, registered or not,
+reassembles the same way.
 
 Control payload, fixed 64 bytes big-endian: dci_count u16 | rb_position
 u16 | mcs u8 | power_db i8 | dci_count x position u16 | zero pad.
@@ -18,12 +19,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Tuple, Union
-
-import numpy as np
-
-from .cell import Direction
-from .llr import unpack_codes
+from typing import Tuple
 
 CONTENT_DL_DATA = 0
 CONTENT_UL_SOFT = 1
@@ -36,25 +32,6 @@ CQI_SIZE = 8
 _CONTROL_FIXED = struct.Struct(">HHBb")
 _CQI = struct.Struct(">IB3x")
 _MAX_DCI = (CONTROL_SIZE - _CONTROL_FIXED.size) // 2
-
-
-@dataclass(frozen=True)
-class HardBits:
-    """Downlink user data after channel coding: plain bytes."""
-
-    data: bytes
-
-
-@dataclass(frozen=True)
-class SoftBits:
-    """Uplink LLR codes, kept packed at bit_width bits per code."""
-
-    packed: bytes
-    count: int
-    bit_width: int
-
-    def codes(self) -> np.ndarray:
-        return unpack_codes(self.packed, self.bit_width, self.count)
 
 
 @dataclass(frozen=True)
@@ -95,40 +72,6 @@ class CqiReport:
             raise ValueError("cqi out of range")
 
 
-@dataclass(frozen=True)
-class Opaque:
-    """Payload of an unregistered content type, passed through untouched."""
-
-    content_type: int
-    payload: bytes
-
-
-MessageKind = Union[HardBits, SoftBits, ControlDl, CqiReport, Opaque]
-
-_KIND_DIRECTION = {
-    HardBits: Direction.DL,
-    ControlDl: Direction.DL,
-    SoftBits: Direction.UL,
-    CqiReport: Direction.UL,
-}
-
-
-@dataclass(frozen=True)
-class SubframeMessage:
-    """One fronthaul message: a payload kind bound to a subframe."""
-
-    direction: Direction
-    timestamp: int
-    kind: MessageKind
-
-    def __post_init__(self) -> None:
-        expected = _KIND_DIRECTION.get(type(self.kind))
-        if expected is not None and expected is not self.direction:
-            raise ValueError(
-                f"{type(self.kind).__name__} is a {expected.value}-only payload"
-            )
-
-
 def encode_control(ctrl: ControlDl) -> bytes:
     body = _CONTROL_FIXED.pack(ctrl.dci_count, ctrl.rb_position, ctrl.mcs, ctrl.power_db)
     body += b"".join(struct.pack(">H", p) for p in ctrl.dci_positions)
@@ -155,29 +98,3 @@ def decode_cqi(payload: bytes) -> CqiReport:
         raise ValueError(f"cqi payload must be {CQI_SIZE} bytes")
     subframe, cqi = _CQI.unpack(payload)
     return CqiReport(subframe, cqi)
-
-
-def decode_payload(
-    content_type: int,
-    payload: bytes,
-    soft_bit_width: int = 8,
-    soft_code_count: int | None = None,
-) -> MessageKind:
-    """Decode a reassembled payload by its content type.
-
-    Soft-bit payloads need the code width and, when the packed stream is
-    not byte-aligned, the code count (otherwise trailing pad bits of a
-    full extra code width would be misread as a code).
-    """
-    if content_type == CONTENT_DL_DATA:
-        return HardBits(payload)
-    if content_type == CONTENT_UL_SOFT:
-        count = soft_code_count
-        if count is None:
-            count = len(payload) * 8 // soft_bit_width
-        return SoftBits(payload, count, soft_bit_width)
-    if content_type == CONTENT_DL_CONTROL:
-        return decode_control(payload)
-    if content_type == CONTENT_UL_CQI:
-        return decode_cqi(payload)
-    return Opaque(content_type, payload)

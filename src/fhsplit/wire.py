@@ -11,16 +11,17 @@ integers are big-endian (network order):
     14      8     sender_clock   sender clock at emission, nanoseconds
 
 A datagram must fit a UDP payload, so size < 65508 (2^16 minus UDP and IP
-headers). The header carries no block index: the sender emits chunks in
-payload order and the receiver sequences them by arrival. Reordering is
-detected only across subframes; an optional strict mode orders chunks by
-their (monotonically increasing) sender_clock instead.
+headers). The header carries no block index: the sender stamps the
+chunks of a message with increasing sender_clock values, and the receiver
+joins them in sender_clock order, so reordering within a subframe cannot
+change a reassembled payload.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import List, NamedTuple, Optional, Tuple, Union
 
 HEADER_LEN = 22
@@ -35,6 +36,8 @@ _U64 = 1 << 64
 #: rather than racing the deadline; pure timeouts then mark subframes
 #: whose traffic never arrived at all.
 DEFAULT_TIMEOUT_NS = 2_000_000
+
+_SENDER_CLOCK = attrgetter("header.sender_clock")
 
 
 class HeaderError(ValueError):
@@ -157,7 +160,7 @@ def chunk_subframe(
 
     Each chunk carries at most max_datagram - 22 payload bytes; all chunks
     share timestamp, content_type and num_blocks. Chunk i is stamped with
-    sender_clock + i so strict-order reassembly can restore emission order.
+    sender_clock + i, which is how reassembly restores payload order.
     """
     if not HEADER_LEN + 1 <= max_datagram <= MAX_DATAGRAM:
         raise ValueError(
@@ -197,15 +200,8 @@ def chunk_subframe(
     return chunks
 
 
-# Reassembly outcomes. accept() and poll_timeout() return exactly one of
-# these per call.
-
-
-@dataclass(frozen=True)
-class Progress:
-    timestamp: int
-    received: int
-    num_blocks: int
+# Reassembly outcomes. accept() returns one of these, or None for a chunk
+# that only advances its assembly; poll_timeout() returns a Timeout or None.
 
 
 @dataclass(frozen=True)
@@ -233,17 +229,18 @@ class Malformed:
     timestamp: Optional[int] = None
 
 
-ReassemblyEvent = Union[Progress, Complete, Timeout, Jumbled, Malformed]
+ReassemblyEvent = Union[Complete, Timeout, Jumbled, Malformed]
 
 
 class ReassemblyBuffer:
     """Per-stream receive state machine: collect the chunks of one subframe.
 
     At most one subframe is under assembly. A chunk of the current subframe
-    advances assembly (Progress) or finishes it (Complete); a chunk of a
-    newer subframe discards the partial one (Jumbled) and starts the new
-    assembly; a chunk at or below the newest finished timestamp is rejected
-    as stale. poll_timeout() expires an assembly whose deadline has passed.
+    advances assembly (None) or finishes it (Complete, the chunks joined in
+    sender_clock order); a chunk of a newer subframe discards the partial
+    one (Jumbled) and starts the new assembly; a chunk at or below the
+    newest finished timestamp is rejected as stale. poll_timeout() expires
+    an assembly DEFAULT_TIMEOUT_NS after its first chunk.
 
     All buffered chunks must share timestamp, content_type and the
     announced num_blocks; disagreement rejects the chunk (Malformed)
@@ -256,11 +253,7 @@ class ReassemblyBuffer:
     single-consumer: transferable between threads, never shared.
     """
 
-    def __init__(self, timeout_ns: int = DEFAULT_TIMEOUT_NS, strict_order: bool = False):
-        if timeout_ns <= 0:
-            raise ValueError("timeout_ns must be positive")
-        self.timeout_ns = timeout_ns
-        self.strict_order = strict_order
+    def __init__(self) -> None:
         self.displaced: List[Tuple[int, int]] = []
         self._chunks: List[Chunk] = []
         self._timestamp: Optional[int] = None
@@ -270,15 +263,11 @@ class ReassemblyBuffer:
         self._watermark: Optional[int] = None
 
     @property
-    def current_timestamp(self) -> Optional[int]:
-        return self._timestamp
-
-    @property
     def in_progress(self) -> bool:
         return self._timestamp is not None
 
-    def accept(self, chunk: Chunk, now_ns: int) -> ReassemblyEvent:
-        """Feed one decoded chunk; returns exactly one event."""
+    def accept(self, chunk: Chunk, now_ns: int) -> Optional[ReassemblyEvent]:
+        """Feed one decoded chunk; returns its outcome, or None while assembling."""
         ts = chunk.header.timestamp
         if self._timestamp is None:
             if self._watermark is not None and ts <= self._watermark:
@@ -292,16 +281,13 @@ class ReassemblyBuffer:
             self._chunks.append(chunk)
             if len(self._chunks) == self._num_blocks:
                 return self._finish()
-            return Progress(ts, len(self._chunks), self._num_blocks)
+            return None
         if ts > self._timestamp:
             old = self._timestamp
             self.displaced.append((old, ts))
             self._watermark = old
             self._clear()
-            event = self._start(chunk, now_ns)
-            if isinstance(event, Complete):
-                return event
-            return Jumbled(old, ts)
+            return self._start(chunk, now_ns) or Jumbled(old, ts)
         return Malformed("stale", timestamp=ts)
 
     def poll_timeout(self, now_ns: int) -> Optional[Timeout]:
@@ -318,21 +304,19 @@ class ReassemblyBuffer:
         records, self.displaced = self.displaced, []
         return records
 
-    def _start(self, chunk: Chunk, now_ns: int) -> ReassemblyEvent:
+    def _start(self, chunk: Chunk, now_ns: int) -> Optional[Complete]:
         self._timestamp = chunk.header.timestamp
         self._num_blocks = chunk.header.num_blocks
         self._content_type = chunk.header.content_type
         self._chunks = [chunk]
         if self._num_blocks == 1:
             return self._finish()
-        self._deadline = now_ns + self.timeout_ns
-        return Progress(self._timestamp, 1, self._num_blocks)
+        self._deadline = now_ns + DEFAULT_TIMEOUT_NS
+        return None
 
     def _finish(self) -> Complete:
         ts = self._timestamp
-        chunks = self._chunks
-        if self.strict_order:
-            chunks = sorted(chunks, key=lambda c: c.header.sender_clock)
+        chunks = sorted(self._chunks, key=_SENDER_CLOCK)  # stable: ties keep arrival order
         payload = b"".join(c.payload for c in chunks)
         self._watermark = ts
         self._clear()

@@ -27,6 +27,7 @@ from fhsplit.rates import (
     rate_option8,
 )
 from fhsplit.wire import (
+    DEFAULT_TIMEOUT_NS,
     Complete,
     HEADER_LEN,
     HeaderError,
@@ -158,14 +159,15 @@ def test_criterion_5_wire_protocol():
         assert b"".join(c.payload for c in chunks) == payload
 
     # (d) three deterministic outcome traces
-    buf = ReassemblyBuffer(timeout_ns=1_000_000)
+    buf = ReassemblyBuffer()
     done = chunk_subframe(1, 0, b"ok" * 2000, max_datagram=1472)
     events = [buf.accept(c, 0) for c in done]
     assert events[-1] == Complete(1, b"ok" * 2000)
 
     partial = chunk_subframe(2, 0, b"x" * 4000, max_datagram=1472)
     buf.accept(partial[0], 0)
-    assert buf.poll_timeout(1_000_000) == Timeout(2, 1, 3)
+    assert buf.poll_timeout(DEFAULT_TIMEOUT_NS - 1) is None
+    assert buf.poll_timeout(DEFAULT_TIMEOUT_NS) == Timeout(2, 1, 3)
 
     stalled = chunk_subframe(3, 0, b"y" * 4000, max_datagram=1472)
     buf.accept(stalled[0], 2_000_000)

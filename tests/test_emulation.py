@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import fhsplit
 from fhsplit.cell import CellConfig, Direction, preset
-from fhsplit.channel import ChannelSpec, SimulatedChannel
+from fhsplit.channel import SUBFRAME_NS, ChannelSpec, SimulatedChannel
 from fhsplit.llr import LlrQuantizer
 from fhsplit.wire import (
     DEFAULT_TIMEOUT_NS,
@@ -37,6 +37,7 @@ from fhsplit.emulation import (
     TrafficScheduler,
     _DirMeter,
     _PacketArrivals,
+    _emit,
     _ul_messages,
     make_control,
     run_emulation,
@@ -454,6 +455,42 @@ class TestReceiver:
         for x, y in zip(a, b):
             out += rx.feed(x.to_datagram(), 0) + rx.feed(y.to_datagram(), 0)
         assert out == [(0, Complete(1, b"a" * 3000)), (1, Complete(1, b"b" * 3000))]
+
+
+class TestReorderedChunks:
+    """A chunk held back within its subframe must not corrupt a Complete."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_complete_carries_the_sent_payload(self, seed):
+        rng = random.Random(seed)
+        channel = SimulatedChannel(ChannelSpec(loss_rate=0.01, reorder_rate=0.3), seed)
+        rx = SubframeReceiver()
+        sent = {}
+        completes = []
+
+        def pump(until_ns):
+            for recv_ns, datagram in channel.deliver_until(until_ns):
+                completes.extend((ctype, event) for ctype, event in rx.feed(datagram, recv_ns)
+                                 if isinstance(event, Complete))
+
+        meter = _DirMeter(60)
+        for t in range(60):
+            base_ns = t * SUBFRAME_NS
+            # Each content type sends every third subframe, so a chunk held
+            # back one subframe still lands in its own open assembly.
+            msgs = [(ctype, rng.randbytes(rng.randint(300, 3000)))
+                    for i, ctype in enumerate((CONTENT_DL_DATA, CONTENT_UL_SOFT, 9))
+                    if (t + i) % 3 == 0]
+            sent.update(((ctype, t), payload) for ctype, payload in msgs)
+            _emit(meter, channel.send, msgs, t, base_ns, 256)
+            pump(base_ns + SUBFRAME_NS - 1)
+            rx.poll(base_ns + SUBFRAME_NS)
+        pump(62 * SUBFRAME_NS)
+
+        assert channel.reordered > 0
+        assert len(completes) >= len(sent) // 2
+        for ctype, event in completes:
+            assert event.payload == sent[(ctype, event.timestamp)]
 
 
 class TestMeter:

@@ -1,26 +1,14 @@
-"""Content-type payload codecs: control, CQI, dispatch."""
+"""Content-type payload codecs: control and CQI."""
 
-import numpy as np
 import pytest
 
-from fhsplit.cell import Direction
-from fhsplit.llr import pack_codes
 from fhsplit.messages import (
-    CONTENT_DL_CONTROL,
-    CONTENT_DL_DATA,
-    CONTENT_UL_CQI,
-    CONTENT_UL_SOFT,
     CONTROL_SIZE,
     CQI_SIZE,
     ControlDl,
     CqiReport,
-    HardBits,
-    Opaque,
-    SoftBits,
-    SubframeMessage,
     decode_control,
     decode_cqi,
-    decode_payload,
     encode_control,
     encode_cqi,
 )
@@ -95,52 +83,3 @@ class TestCqi:
     def test_decode_wrong_length(self):
         with pytest.raises(ValueError):
             decode_cqi(b"\x00" * 7)
-
-
-class TestDispatch:
-    def test_hard_bits_identity(self):
-        msg = decode_payload(CONTENT_DL_DATA, b"\x01\x02\x03")
-        assert msg == HardBits(b"\x01\x02\x03")
-
-    def test_soft_bits_count_and_codes(self):
-        codes = np.array([1, -2, 3, -4, 5], dtype=np.int64)
-        packed = pack_codes(codes, 5)
-        msg = decode_payload(CONTENT_UL_SOFT, packed, soft_bit_width=5,
-                             soft_code_count=5)
-        assert isinstance(msg, SoftBits)
-        assert msg.count == 5
-        assert np.array_equal(msg.codes(), codes)
-
-    def test_soft_bits_default_count_byte_aligned(self):
-        codes = np.array([10, -10, 20, -20], dtype=np.int64)
-        msg = decode_payload(CONTENT_UL_SOFT, pack_codes(codes, 8),
-                             soft_bit_width=8)
-        assert msg.count == 4
-        assert np.array_equal(msg.codes(), codes)
-
-    def test_control_dispatch(self):
-        ctrl = ControlDl(1, (4,), 9, 2, 3)
-        msg = decode_payload(CONTENT_DL_CONTROL, encode_control(ctrl))
-        assert msg == ctrl
-
-    def test_cqi_dispatch(self):
-        report = CqiReport(7, 15)
-        assert decode_payload(CONTENT_UL_CQI, encode_cqi(report)) == report
-
-    def test_unknown_type_is_opaque(self):
-        msg = decode_payload(42, b"blob")
-        assert msg == Opaque(42, b"blob")
-
-
-class TestSubframeMessage:
-    def test_direction_pairing_enforced(self):
-        SubframeMessage(Direction.DL, 0, HardBits(b"x"))
-        SubframeMessage(Direction.UL, 0, CqiReport(0, 1))
-        with pytest.raises(ValueError):
-            SubframeMessage(Direction.UL, 0, HardBits(b"x"))
-        with pytest.raises(ValueError):
-            SubframeMessage(Direction.DL, 0, SoftBits(b"", 0, 8))
-
-    def test_opaque_goes_either_way(self):
-        SubframeMessage(Direction.DL, 0, Opaque(9, b""))
-        SubframeMessage(Direction.UL, 0, Opaque(9, b""))

@@ -5,6 +5,7 @@ the assertions are structural and tolerant: the run must finish, account
 for every emitted message, and deliver the vast majority on loopback.
 """
 
+import socket
 from dataclasses import replace
 
 import pytest
@@ -43,6 +44,24 @@ class TestUdpEndpoint:
         finally:
             a.close()
             b.close()
+
+    def test_failed_bind_closes_its_socket(self, monkeypatch):
+        opened = []
+
+        class RecordingSocket(socket.socket):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+        holder = UdpEndpoint("127.0.0.1:0")
+        try:
+            monkeypatch.setattr(socket, "socket", RecordingSocket)
+            with pytest.raises(OSError):
+                UdpEndpoint(holder.address)
+        finally:
+            holder.close()
+        [sock] = opened
+        assert sock.fileno() == -1
 
     def test_recv_times_out_to_none(self):
         a = UdpEndpoint("127.0.0.1:0")

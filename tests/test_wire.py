@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fhsplit.wire import (
+    DEFAULT_TIMEOUT_NS,
     Chunk,
     Complete,
     HEADER_LEN,
@@ -16,7 +17,6 @@ from fhsplit.wire import (
     Jumbled,
     MAX_DATAGRAM,
     Malformed,
-    Progress,
     ReassemblyBuffer,
     SplitHeader,
     Timeout,
@@ -291,8 +291,8 @@ class TestReassemblyTraces:
         payload = b"a" * 3000
         buf = ReassemblyBuffer()
         events = feed_all(buf, chunk_subframe(9, 1, payload, max_datagram=1472))
-        assert events[0] == Progress(9, 1, 3)
-        assert events[1] == Progress(9, 2, 3)
+        assert events[0] is None
+        assert events[1] is None
         assert events[2] == Complete(9, payload)
         assert not buf.in_progress
 
@@ -302,13 +302,13 @@ class TestReassemblyTraces:
         assert buf.accept(chunk, 0) == Complete(4, b"tiny")
 
     def test_timeout_trace(self):
-        buf = ReassemblyBuffer(timeout_ns=1_000_000)
+        buf = ReassemblyBuffer()
         chunks = chunk_subframe(2, 0, b"b" * 3000, max_datagram=1472)
         buf.accept(chunks[0], 500)
-        assert buf.poll_timeout(500 + 999_999) is None
-        event = buf.poll_timeout(500 + 1_000_000)
+        assert buf.poll_timeout(500 + DEFAULT_TIMEOUT_NS - 1) is None
+        event = buf.poll_timeout(500 + DEFAULT_TIMEOUT_NS)
         assert event == Timeout(2, 1, 3)
-        assert buf.poll_timeout(10_000_000) is None  # nothing left to expire
+        assert buf.poll_timeout(10 * DEFAULT_TIMEOUT_NS) is None  # nothing left to expire
 
     def test_jumbled_trace(self):
         buf = ReassemblyBuffer()
@@ -319,7 +319,7 @@ class TestReassemblyTraces:
         assert event == Jumbled(0, 1)
         assert buf.drain_displaced() == [(0, 1)]
         # the new assembly proceeds normally
-        assert buf.accept(new[1], 200) == Progress(1, 2, 3)
+        assert buf.accept(new[1], 200) is None
         assert buf.accept(new[2], 300) == Complete(1, b"d" * 3000)
 
     def test_jumble_with_instant_complete_still_recorded(self):
@@ -343,11 +343,13 @@ class TestReassemblyTraces:
         assert buf.accept(newer, 30) == Complete(6, b"i")
 
     def test_stale_after_timeout(self):
-        buf = ReassemblyBuffer(timeout_ns=100)
+        buf = ReassemblyBuffer()
         chunks = chunk_subframe(3, 0, b"j" * 3000, max_datagram=1472)
         buf.accept(chunks[0], 0)
-        assert buf.poll_timeout(100) == Timeout(3, 1, 3)
-        assert buf.accept(chunks[1], 150) == Malformed("stale", timestamp=3)
+        assert buf.poll_timeout(DEFAULT_TIMEOUT_NS) == Timeout(3, 1, 3)
+        assert buf.accept(chunks[1], DEFAULT_TIMEOUT_NS + 50) == Malformed(
+            "stale", timestamp=3
+        )
 
     def test_stale_while_assembling_older_timestamp(self):
         buf = ReassemblyBuffer()
@@ -355,7 +357,9 @@ class TestReassemblyTraces:
         [late] = chunk_subframe(6, 0, b"l")
         buf.accept(now[0], 0)
         assert buf.accept(late, 10) == Malformed("stale", timestamp=6)
-        assert buf.current_timestamp == 7
+        # the assembly of subframe 7 is untouched and still completes
+        assert buf.accept(now[1], 20) is None
+        assert buf.accept(now[2], 30) == Complete(7, b"k" * 3000)
 
     def test_inconsistent_metadata_rejected_without_reset(self):
         buf = ReassemblyBuffer()
@@ -374,17 +378,17 @@ class TestReassemblyTraces:
         # assembly unharmed
         assert buf.accept(chunks[1], 3) == Complete(8, b"m" * 2900)
 
-    def test_arrival_order_defines_payload_without_strict_mode(self):
+    def test_out_of_order_chunks_give_emission_order_payload(self):
         chunks = chunk_subframe(0, 0, b"A" * 1450 + b"B" * 1450, max_datagram=1472)
         buf = ReassemblyBuffer()
         buf.accept(chunks[1], 0)
         event = buf.accept(chunks[0], 1)
-        assert event == Complete(0, b"B" * 1450 + b"A" * 1450)
+        assert event == Complete(0, b"A" * 1450 + b"B" * 1450)
 
     def test_strict_order_restores_emission_order(self):
         payload = bytes(1000) + bytes(range(256)) * 8  # 3048 bytes, 3 chunks
         chunks = chunk_subframe(0, 0, payload, max_datagram=1472)
-        buf = ReassemblyBuffer(strict_order=True)
+        buf = ReassemblyBuffer()
         buf.accept(chunks[2], 0)
         buf.accept(chunks[0], 1)
         event = buf.accept(chunks[1], 2)
@@ -399,25 +403,26 @@ class TestReassemblyTraces:
         chunks = chunk_subframe(1, 0, data, max_datagram=300)
         order = list(chunks)
         random.Random(seed).shuffle(order)
-        buf = ReassemblyBuffer(strict_order=True)
+        buf = ReassemblyBuffer()
         events = feed_all(buf, order)
         assert events[-1] == Complete(1, data)
-        assert all(isinstance(e, Progress) for e in events[:-1])
+        assert all(e is None for e in events[:-1])
 
     def test_buffer_reusable_after_every_outcome(self):
-        buf = ReassemblyBuffer(timeout_ns=100)
+        buf = ReassemblyBuffer()
         # complete
         [c1] = chunk_subframe(1, 0, b"x")
         assert isinstance(buf.accept(c1, 0), Complete)
         # timeout
         c2 = chunk_subframe(2, 0, b"y" * 3000, max_datagram=1472)
         buf.accept(c2[0], 10)
-        assert isinstance(buf.poll_timeout(110), Timeout)
+        assert isinstance(buf.poll_timeout(10 + DEFAULT_TIMEOUT_NS), Timeout)
         # jumble, then complete the successor
         c3 = chunk_subframe(3, 0, b"z" * 3000, max_datagram=1472)
         c4 = chunk_subframe(4, 0, b"w" * 2)
-        buf.accept(c3[0], 200)
-        assert isinstance(buf.accept(c4[0], 220), Complete)
+        t3 = 20 + DEFAULT_TIMEOUT_NS
+        buf.accept(c3[0], t3)
+        assert isinstance(buf.accept(c4[0], t3 + 20), Complete)
         assert buf.drain_displaced() == [(3, 4)]
 
     def test_poll_with_nothing_in_progress(self):
