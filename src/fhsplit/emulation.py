@@ -7,6 +7,12 @@ code per downlink-equivalent bit, so the uplink volume is the scheduled
 size times the soft-bit width). Per subframe the DU additionally emits a
 64-byte control message and the RU a periodic 8-byte CQI report.
 
+Uplink codes are drawn without a float LLR: each code indexes a
+2^16-entry inverse-CDF table, which quantize_llr builds once per run from
+the quantiles of the N(0, LLR_SCALE^2) Gaussian. Each code's probability
+is within 2^-16 of the quantized Gaussian's; at w = 16 that is the
+sampler's resolution.
+
 The meter counts bytes on the wire per direction (payload plus the
 22-byte header of every chunk) and classifies every emitted subframe
 message as completed, jumbled or timed out; messages that never reach the
@@ -23,6 +29,7 @@ Both modes send one traffic schedule, computed before the run starts.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import threading
@@ -70,6 +77,7 @@ from .wire import (
 CHUNK_SPACING_NS = 1_000
 CQI_PERIOD = 5
 LLR_SCALE = 4.0
+LLR_TABLE_BITS = 16
 
 _MCS_FOR_MOD = {2: 6, 4: 14, 6: 23, 8: 27}
 
@@ -402,12 +410,30 @@ def _dl_messages(t, scheduled_bits, cfg, payload_rng) -> List[Tuple[int, bytes]]
     return msgs
 
 
-def _ul_messages(t, scheduled_bits, cfg, quantizer, llr_rng) -> List[Tuple[int, bytes]]:
+@functools.lru_cache(maxsize=None)
+def _llr_quantiles() -> np.ndarray:
+    """Read-only midpoint quantiles of N(0, LLR_SCALE^2): entry u is at (u + 1/2) / 2^16."""
+    # imported on first use, so that importing fhsplit does not load statistics
+    from statistics import NormalDist
+
+    n = 1 << LLR_TABLE_BITS
+    inv_cdf = NormalDist(0.0, LLR_SCALE).inv_cdf
+    quantiles = np.fromiter((inv_cdf((u + 0.5) / n) for u in range(n)),
+                            dtype=np.float64, count=n)
+    quantiles.flags.writeable = False
+    return quantiles
+
+
+def _llr_code_table(quantizer: LlrQuantizer) -> np.ndarray:
+    """Code of every LLR quantile: indexing it with uniform u draws quantized-Gaussian codes."""
+    return quantize_llr(_llr_quantiles(), quantizer).astype(np.int16)
+
+
+def _ul_messages(t, scheduled_bits, cfg, code_table, llr_rng) -> List[Tuple[int, bytes]]:
     msgs = []
     if scheduled_bits:
-        llrs = llr_rng.standard_normal(scheduled_bits)
-        llrs *= LLR_SCALE
-        codes = quantize_llr(llrs, quantizer)
+        u = llr_rng.integers(0, 1 << LLR_TABLE_BITS, scheduled_bits, dtype=np.uint16)
+        codes = code_table[u]
         msgs.append((CONTENT_UL_SOFT, pack_codes(codes, cfg.soft_bit_width)))
     if t % CQI_PERIOD == 0:
         msgs.append((CONTENT_UL_CQI, encode_cqi(CqiReport(t, _cqi_value(t)))))
@@ -517,7 +543,7 @@ def run_emulation(
     s_payload, s_llr, s_dl, s_ul = np.random.SeedSequence(seed).spawn(4)
     payload_rng = np.random.Generator(np.random.PCG64(s_payload))
     llr_rng = np.random.Generator(np.random.PCG64(s_llr))
-    quantizer = LlrQuantizer(cfg.soft_bit_width)
+    code_table = _llr_code_table(LlrQuantizer(cfg.soft_bit_width))
     dl_channel = SimulatedChannel(channel, s_dl)
     ul_channel = SimulatedChannel(channel, s_ul)
     dl_meter = _DirMeter(duration)
@@ -532,7 +558,7 @@ def run_emulation(
         _emit(dl_meter, dl_channel.send,
               _dl_messages(t, scheduled[t], cfg, payload_rng), t, base_ns, max_datagram)
         _emit(ul_meter, ul_channel.send,
-              _ul_messages(t, scheduled[t], cfg, quantizer, llr_rng), t, base_ns,
+              _ul_messages(t, scheduled[t], cfg, code_table, llr_rng), t, base_ns,
               max_datagram)
         for link in links:
             _pump(*link, base_ns + SUBFRAME_NS - 1, base_ns + SUBFRAME_NS)
@@ -575,7 +601,7 @@ def run_socket_emulation(
     s_payload, s_llr = np.random.SeedSequence(seed).spawn(2)
     payload_rng = np.random.Generator(np.random.PCG64(s_payload))
     llr_rng = np.random.Generator(np.random.PCG64(s_llr))
-    quantizer = LlrQuantizer(cfg.soft_bit_width)
+    code_table = _llr_code_table(LlrQuantizer(cfg.soft_bit_width))
 
     du = UdpEndpoint(du_addr)
     try:
@@ -621,7 +647,7 @@ def run_socket_emulation(
 
     dl_messages = (_dl_messages(t, scheduled[t], cfg, payload_rng)
                    for t in range(duration))
-    ul_messages = (_ul_messages(t, scheduled[t], cfg, quantizer, llr_rng)
+    ul_messages = (_ul_messages(t, scheduled[t], cfg, code_table, llr_rng)
                    for t in range(duration))
     senders = [
         threading.Thread(target=guarded(send_loop, du, parse_addr(ru.address),

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 HEADER_LEN = 22
 #: Largest legal value of the size field (65508 is already too big).
@@ -36,8 +35,6 @@ _U64 = 1 << 64
 #: rather than racing the deadline; pure timeouts then mark subframes
 #: whose traffic never arrived at all.
 DEFAULT_TIMEOUT_NS = 2_000_000
-
-_SENDER_CLOCK = attrgetter("header.sender_clock")
 
 
 class HeaderError(ValueError):
@@ -243,7 +240,8 @@ class ReassemblyBuffer:
     an assembly DEFAULT_TIMEOUT_NS after its first chunk.
 
     All buffered chunks must share timestamp, content_type and the
-    announced num_blocks; disagreement rejects the chunk (Malformed)
+    announced num_blocks, and carry distinct sender_clock values;
+    disagreement or a repeated sender_clock rejects the chunk (Malformed)
     without touching the assembly.
 
     Corner case: a newer-subframe chunk that single-handedly completes its
@@ -255,7 +253,7 @@ class ReassemblyBuffer:
 
     def __init__(self) -> None:
         self.displaced: List[Tuple[int, int]] = []
-        self._chunks: List[Chunk] = []
+        self._payloads: Dict[int, bytes] = {}  # sender_clock -> chunk payload
         self._timestamp: Optional[int] = None
         self._num_blocks = 0
         self._content_type = 0
@@ -278,8 +276,11 @@ class ReassemblyBuffer:
                 return Malformed("inconsistent_blocks", timestamp=ts)
             if chunk.header.content_type != self._content_type:
                 return Malformed("inconsistent_type", timestamp=ts)
-            self._chunks.append(chunk)
-            if len(self._chunks) == self._num_blocks:
+            clock = chunk.header.sender_clock
+            if clock in self._payloads:
+                return Malformed("duplicate", timestamp=ts)
+            self._payloads[clock] = chunk.payload
+            if len(self._payloads) == self._num_blocks:
                 return self._finish()
             return None
         if ts > self._timestamp:
@@ -294,7 +295,7 @@ class ReassemblyBuffer:
         """Expire the assembly in progress once its deadline is reached."""
         if self._timestamp is None or now_ns < self._deadline:
             return None
-        event = Timeout(self._timestamp, len(self._chunks), self._num_blocks)
+        event = Timeout(self._timestamp, len(self._payloads), self._num_blocks)
         self._watermark = self._timestamp
         self._clear()
         return event
@@ -308,7 +309,7 @@ class ReassemblyBuffer:
         self._timestamp = chunk.header.timestamp
         self._num_blocks = chunk.header.num_blocks
         self._content_type = chunk.header.content_type
-        self._chunks = [chunk]
+        self._payloads = {chunk.header.sender_clock: chunk.payload}
         if self._num_blocks == 1:
             return self._finish()
         self._deadline = now_ns + DEFAULT_TIMEOUT_NS
@@ -316,8 +317,8 @@ class ReassemblyBuffer:
 
     def _finish(self) -> Complete:
         ts = self._timestamp
-        chunks = sorted(self._chunks, key=_SENDER_CLOCK)  # stable: ties keep arrival order
-        payload = b"".join(c.payload for c in chunks)
+        payloads = self._payloads
+        payload = b"".join(payloads[clock] for clock in sorted(payloads))
         self._watermark = ts
         self._clear()
         return Complete(ts, payload)
@@ -326,5 +327,5 @@ class ReassemblyBuffer:
         self._timestamp = None
         self._num_blocks = 0
         self._content_type = 0
-        self._chunks = []
+        self._payloads = {}
         self._deadline = 0

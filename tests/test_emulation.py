@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import json
+import math
 import random
 import sys
 import threading
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 import fhsplit
 from fhsplit.cell import CellConfig, Direction, preset
 from fhsplit.channel import SUBFRAME_NS, ChannelSpec, SimulatedChannel
-from fhsplit.llr import LlrQuantizer
+from fhsplit.llr import LlrQuantizer, unpack_codes
 from fhsplit.wire import (
     DEFAULT_TIMEOUT_NS,
     HEADER_LEN,
@@ -31,6 +32,7 @@ from fhsplit.emulation import (
     CONTENT_DL_DATA,
     CONTENT_UL_SOFT,
     CQI_PERIOD,
+    LLR_SCALE,
     EmulationReport,
     SubframeReceiver,
     TrafficProfile,
@@ -38,6 +40,8 @@ from fhsplit.emulation import (
     _DirMeter,
     _PacketArrivals,
     _emit,
+    _llr_code_table,
+    _llr_quantiles,
     _ul_messages,
     make_control,
     run_emulation,
@@ -447,6 +451,16 @@ class TestReceiver:
         assert rx.feed(single, 10) == [
             (self.CT, Jumbled(1, 2)), (self.CT, Complete(2, b"f"))]
 
+    def test_duplicate_is_metered_as_malformed(self):
+        rx = SubframeReceiver()
+        meter = _DirMeter(1)
+        d0, d1, d2 = self.datagrams(0, b"a" * 3000)
+        for i, datagram in enumerate([d0, d0, d1, d2]):
+            for ctype, event in rx.feed(datagram, i):
+                meter.record_event(ctype, event)
+        assert meter.malformed_events == 1
+        assert meter.completed == {(self.CT, 0): 3000}
+
     def test_content_types_assemble_independently(self):
         rx = SubframeReceiver()
         a = chunk_subframe(1, 0, b"a" * 3000)
@@ -591,7 +605,8 @@ class TestGoldenPayloads:
     """Fixed-seed uplink soft-bit payload bytes from `_ul_messages`.
 
     The report digests above see only payload sizes and outcomes, so a
-    wrong LLR quantize or pack would still pass them; these pin the bytes.
+    wrong code table, draw or pack would still pass them; these pin the
+    bytes.
     The code counts include ones that are not a multiple of 8, which end
     in a zero-padded byte at w=5.
     """
@@ -599,26 +614,92 @@ class TestGoldenPayloads:
     COUNTS = (1, 7, 8, 13, 64, 1001, 30_000)
     CASES = [
         # preset (soft_bit_width), seed of the LLR stream, sha256 of the payloads
-        ("worst100", 1, "a7120b150fe45b83eac9b415924093ea29cec59d051bf3050d6d543c2e30454a"),
-        ("worst100", 7, "22f026acd90c4913c78201e697c1765a92fd4b9dc9e3464bfb91714392167375"),
-        ("lte10", 1, "699d03002377c2dd2801e660a9230a5cab5304c2eda14b5d21116c70b721878d"),
-        ("lte10", 7, "98ab34345c0404c3de8e12dfd8679350a5873da6d083f43c4d480be94e82cb51"),
+        ("worst100", 1, "318c4106585760a11e889264ace211c90ab39b499179175fe068ad962d7c8a18"),
+        ("worst100", 7, "9d3d674f9d27d29b200d38418785086a57640467bdb64493c383b7a09f217187"),
+        ("lte10", 1, "57502d95df2ed7449d03bf548866dac687cfcd2e1349c39a0e4d7386e93d72a7"),
+        ("lte10", 7, "4271061286094664f01fac0123eaacab2d95483a55b528c57a7dfcf0b2909b13"),
     ]
 
     @pytest.mark.parametrize("name,seed,digest", CASES,
                              ids=[f"{c[0]}-seed{c[1]}" for c in CASES])
     def test_soft_bit_bytes(self, name, seed, digest):
         cfg = preset(name)
-        quantizer = LlrQuantizer(cfg.soft_bit_width)
+        code_table = _llr_code_table(LlrQuantizer(cfg.soft_bit_width))
         llr_rng = np.random.Generator(np.random.PCG64(seed))
         h = hashlib.sha256()
         for n in self.COUNTS:
             # t=1 is not a CQI subframe, so the soft bits are the only message
-            [(ctype, payload)] = _ul_messages(1, n, cfg, quantizer, llr_rng)
+            [(ctype, payload)] = _ul_messages(1, n, cfg, code_table, llr_rng)
             assert ctype == CONTENT_UL_SOFT
             assert len(payload) == -(-n * cfg.soft_bit_width // 8)
             h.update(payload)
         assert h.hexdigest() == digest
+
+
+def code_probabilities(q):
+    """Probability of every code, -max_code..max_code, for an N(0, LLR_SCALE^2) LLR.
+
+    Code c takes the LLRs in ((c - 1/2) step, (c + 1/2) step); the extreme
+    codes are open to +-inf, because the quantizer clips.
+    """
+    cdf = [0.0]
+    for c in range(-q.max_code, q.max_code):
+        z = (c + 0.5) * q.step / LLR_SCALE
+        cdf.append(0.5 * (1.0 + math.erf(z / math.sqrt(2.0))))
+    cdf.append(1.0)
+    return np.diff(cdf)
+
+
+class TestCodeTable:
+    """The 2^16-entry inverse-CDF table that uplink codes are drawn from."""
+
+    N = 1 << 16
+
+    @staticmethod
+    def counts(q):
+        table = _llr_code_table(q)
+        return np.bincount(table.astype(np.int64) + q.max_code,
+                           minlength=2 * q.max_code + 1)
+
+    @pytest.mark.parametrize("width", [2, 5, 8, 16])
+    def test_code_shares_match_the_quantized_gaussian(self, width):
+        q = LlrQuantizer(width)
+        share = self.counts(q) / self.N
+        assert np.abs(share - code_probabilities(q)).max() <= 2.0**-16
+
+    @pytest.mark.parametrize("width", [2, 5, 8, 16])
+    def test_entries_below_each_edge_round_the_gaussian_cdf(self, width):
+        # Midpoint quantiles put round(N * cdf(edge)) entries below every
+        # code edge; an off-by-one in the midpoint breaks this at some edge.
+        q = LlrQuantizer(width)
+        below = np.cumsum(self.counts(q))
+        expected = np.cumsum(code_probabilities(q)) * self.N
+        assert np.abs(below - expected).max() <= 0.5 + 1e-6
+
+    @pytest.mark.parametrize("width", [2, 5, 16])
+    def test_table_is_sorted_and_in_range(self, width):
+        q = LlrQuantizer(width)
+        table = _llr_code_table(q)
+        assert table.dtype == np.int16 and table.shape == (self.N,)
+        assert np.all(np.diff(table) >= 0)
+        assert np.abs(table).max() <= q.max_code
+
+    def test_quantiles_are_built_once_and_read_only(self):
+        quantiles = _llr_quantiles()
+        assert _llr_quantiles() is quantiles
+        assert not quantiles.flags.writeable
+
+    def test_drawn_codes_follow_the_quantized_gaussian(self):
+        cfg = preset("worst100")
+        assert cfg.soft_bit_width == 5
+        q = LlrQuantizer(5)
+        n = 1 << 20
+        llr_rng = np.random.Generator(np.random.PCG64(3))
+        [(_, payload)] = _ul_messages(1, n, cfg, _llr_code_table(q), llr_rng)
+        codes = unpack_codes(payload, 5, n)
+        freq = np.bincount(codes + q.max_code, minlength=2 * q.max_code + 1) / n
+        p = code_probabilities(q)
+        assert np.all(np.abs(freq - p) <= 5 * np.sqrt(p * (1 - p) / n))
 
 
 class TestBenchmarkHooks:

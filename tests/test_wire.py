@@ -378,6 +378,14 @@ class TestReassemblyTraces:
         # assembly unharmed
         assert buf.accept(chunks[1], 3) == Complete(8, b"m" * 2900)
 
+    def test_duplicate_chunk_rejected_without_reset(self):
+        payload = b"A" * 1450 + b"B" * 1450 + b"C" * 10
+        c0, c1, c2 = chunk_subframe(0, 0, payload, 1472, sender_clock=0)
+        buf = ReassemblyBuffer()
+        events = [buf.accept(c, i) for i, c in enumerate([c0, c0, c1])]
+        assert events == [None, Malformed("duplicate", timestamp=0), None]
+        assert buf.accept(c2, 3) == Complete(0, payload)
+
     def test_out_of_order_chunks_give_emission_order_payload(self):
         chunks = chunk_subframe(0, 0, b"A" * 1450 + b"B" * 1450, max_datagram=1472)
         buf = ReassemblyBuffer()
