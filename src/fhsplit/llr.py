@@ -95,8 +95,11 @@ def pack_codes(codes, bit_width: int) -> bytes:
     n = arr.size
     # one row per group of 8 codes, masked to bit_width bits, zero-padded
     groups = np.zeros((-(-n // 8), 8), dtype=np.uint16)
-    np.bitwise_and(arr, (1 << bit_width) - 1, out=groups.reshape(-1)[:n],
-                   casting="unsafe")
+    # the cast keeps the low 16 bits of any integer dtype; masking in uint16
+    # then works whatever the input dtype (a 16-bit mask overflows int16)
+    flat = groups.reshape(-1)[:n]
+    np.copyto(flat, arr, casting="unsafe")
+    np.bitwise_and(flat, (1 << bit_width) - 1, out=flat)
     acc = [0] * bit_width
     for k, j, shift in _column_shifts(bit_width):
         acc[k] |= _shift(groups[:, j], shift)

@@ -230,6 +230,14 @@ class TestCleanChannelRuns:
         ratio = wide.ul.emitted_payload_bits / narrow.ul.emitted_payload_bits
         assert ratio == pytest.approx(2.0, rel=1e-3)
 
+    def test_widest_soft_bit_width_runs(self):
+        # w=16 is the widest packable width: every code mask is 16 bits wide
+        profile = TrafficProfile(goodput_bps=100e6, duration_subframes=20)
+        report = run_emulation(replace(LTE10, soft_bit_width=16), profile, seed=0)
+        base = run_emulation(LTE10, profile, seed=0)
+        assert report.ul.emitted_payload_bits > base.ul.emitted_payload_bits
+        assert report.ul.completed_messages == report.ul.emitted_messages
+
 
     @pytest.mark.parametrize("goodput", [0.0, 4e6])
     def test_unpackable_soft_bit_width_raises_before_sending(self, goodput,
@@ -688,6 +696,17 @@ class TestCodeTable:
         quantiles = _llr_quantiles()
         assert _llr_quantiles() is quantiles
         assert not quantiles.flags.writeable
+
+    @pytest.mark.parametrize("width", [2, 5, 8, 9, 16])
+    def test_drawn_codes_round_trip_at_every_width(self, width):
+        cfg = replace(LTE10, soft_bit_width=width)
+        table = _llr_code_table(LlrQuantizer(width))
+        n = 1001
+        [(_, payload)] = _ul_messages(1, n, cfg, table,
+                                      np.random.Generator(np.random.PCG64(5)))
+        u = np.random.Generator(np.random.PCG64(5)).integers(
+            0, 1 << 16, n, dtype=np.uint16)
+        assert np.array_equal(unpack_codes(payload, width, n), table[u])
 
     def test_drawn_codes_follow_the_quantized_gaussian(self):
         cfg = preset("worst100")

@@ -263,6 +263,10 @@ class TestPacking:
             assert pack_codes(codes.tolist(), width) == expected
             assert pack_codes(codes.astype(np.int32), width) == expected
             assert pack_codes(codes.astype(np.int64), width) == expected
+            # narrow dtypes, as the emulator's int16 code table yields
+            assert pack_codes(codes.astype(np.int16), width) == expected
+            if width <= 8:
+                assert pack_codes(codes.astype(np.int8), width) == expected
             assert np.array_equal(unpack_codes(expected + b"\xa5", width, n), codes)
 
     @given(case=width_and_codes())
