@@ -616,7 +616,9 @@ class TestGoldenPayloads:
     wrong code table, draw or pack would still pass them; these pin the
     bytes.
     The code counts include ones that are not a multiple of 8, which end
-    in a zero-padded byte at w=5.
+    in a zero-padded byte at w=5. The long counts sit on and around 2^16
+    and span several 2^15- or 2^16-code slabs plus a remainder, so they
+    pin the bytes wherever the synthesis splits a message.
     """
 
     COUNTS = (1, 7, 8, 13, 64, 1001, 30_000)
@@ -627,21 +629,36 @@ class TestGoldenPayloads:
         ("lte10", 1, "57502d95df2ed7449d03bf548866dac687cfcd2e1349c39a0e4d7386e93d72a7"),
         ("lte10", 7, "4271061286094664f01fac0123eaacab2d95483a55b528c57a7dfcf0b2909b13"),
     ]
+    LONG_COUNTS = (65_535, 65_536, 65_537, 200_003)
+    LONG_CASES = [
+        ("worst100", 1, "5c6a2fe5efc07870fbd13ed5d41c71666141882187c5b8b69223042100f8fa32"),
+        ("worst100", 7, "0ea497a0ba3460f6cc041133c73fe2e7dcadd645ed35a19c65d47b2195720dc8"),
+        ("lte10", 1, "d769c90b4f11f50ffa7f4dff968a635797870972ce81f8c66837af93900b35fe"),
+    ]
 
-    @pytest.mark.parametrize("name,seed,digest", CASES,
-                             ids=[f"{c[0]}-seed{c[1]}" for c in CASES])
-    def test_soft_bit_bytes(self, name, seed, digest):
+    @staticmethod
+    def digest(name, seed, counts):
         cfg = preset(name)
         code_table = _llr_code_table(LlrQuantizer(cfg.soft_bit_width))
         llr_rng = np.random.Generator(np.random.PCG64(seed))
         h = hashlib.sha256()
-        for n in self.COUNTS:
+        for n in counts:
             # t=1 is not a CQI subframe, so the soft bits are the only message
             [(ctype, payload)] = _ul_messages(1, n, cfg, code_table, llr_rng)
             assert ctype == CONTENT_UL_SOFT
             assert len(payload) == -(-n * cfg.soft_bit_width // 8)
             h.update(payload)
-        assert h.hexdigest() == digest
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("name,seed,digest", CASES,
+                             ids=[f"{c[0]}-seed{c[1]}" for c in CASES])
+    def test_soft_bit_bytes(self, name, seed, digest):
+        assert self.digest(name, seed, self.COUNTS) == digest
+
+    @pytest.mark.parametrize("name,seed,digest", LONG_CASES,
+                             ids=[f"{c[0]}-seed{c[1]}" for c in LONG_CASES])
+    def test_long_soft_bit_bytes(self, name, seed, digest):
+        assert self.digest(name, seed, self.LONG_COUNTS) == digest
 
 
 def code_probabilities(q):
@@ -701,12 +718,14 @@ class TestCodeTable:
     def test_drawn_codes_round_trip_at_every_width(self, width):
         cfg = replace(LTE10, soft_bit_width=width)
         table = _llr_code_table(LlrQuantizer(width))
-        n = 1001
-        [(_, payload)] = _ul_messages(1, n, cfg, table,
-                                      np.random.Generator(np.random.PCG64(5)))
-        u = np.random.Generator(np.random.PCG64(5)).integers(
-            0, 1 << 16, n, dtype=np.uint16)
-        assert np.array_equal(unpack_codes(payload, width, n), table[u])
+        # 200_003 codes span three 2^16-code slabs (six of 2^15) plus a
+        # remainder; the reference is one draw of the full length
+        for n in (1001, 200_003):
+            [(_, payload)] = _ul_messages(1, n, cfg, table,
+                                          np.random.Generator(np.random.PCG64(5)))
+            u = np.random.Generator(np.random.PCG64(5)).integers(
+                0, 1 << 16, n, dtype=np.uint16)
+            assert np.array_equal(unpack_codes(payload, width, n), table[u])
 
     def test_drawn_codes_follow_the_quantized_gaussian(self):
         cfg = preset("worst100")
