@@ -11,7 +11,9 @@ Uplink codes are drawn without a float LLR: each code indexes a
 2^16-entry inverse-CDF table, which quantize_llr builds once per run from
 the quantiles of the N(0, LLR_SCALE^2) Gaussian. Each code's probability
 is within 2^-16 of the quantized Gaussian's; at w = 16 that is the
-sampler's resolution.
+sampler's resolution. A message's codes are drawn, indexed and packed in
+slabs of SOFT_SLAB_CODES, so no array as long as the message is built;
+the joined slabs are byte-identical to one full-length draw and pack.
 
 The meter counts bytes on the wire per direction (payload plus the
 22-byte header of every chunk) and classifies every emitted subframe
@@ -78,6 +80,11 @@ CHUNK_SPACING_NS = 1_000
 CQI_PERIOD = 5
 LLR_SCALE = 4.0
 LLR_TABLE_BITS = 16
+# Uplink codes are drawn and packed this many at a time. A multiple of 8
+# packs to whole bytes at every width; an even count of uint16 draws uses
+# whole 32-bit generator words. Both keep the joined slabs' bytes equal to
+# one full-length draw and pack.
+SOFT_SLAB_CODES = 1 << 16
 
 _MCS_FOR_MOD = {2: 6, 4: 14, 6: 23, 8: 27}
 
@@ -432,9 +439,12 @@ def _llr_code_table(quantizer: LlrQuantizer) -> np.ndarray:
 def _ul_messages(t, scheduled_bits, cfg, code_table, llr_rng) -> List[Tuple[int, bytes]]:
     msgs = []
     if scheduled_bits:
-        u = llr_rng.integers(0, 1 << LLR_TABLE_BITS, scheduled_bits, dtype=np.uint16)
-        codes = code_table[u]
-        msgs.append((CONTENT_UL_SOFT, pack_codes(codes, cfg.soft_bit_width)))
+        slabs = []
+        for start in range(0, scheduled_bits, SOFT_SLAB_CODES):
+            k = min(SOFT_SLAB_CODES, scheduled_bits - start)
+            u = llr_rng.integers(0, 1 << LLR_TABLE_BITS, k, dtype=np.uint16)
+            slabs.append(pack_codes(code_table[u], cfg.soft_bit_width))
+        msgs.append((CONTENT_UL_SOFT, b"".join(slabs)))
     if t % CQI_PERIOD == 0:
         msgs.append((CONTENT_UL_CQI, encode_cqi(CqiReport(t, _cqi_value(t)))))
     return msgs
