@@ -11,6 +11,7 @@ the seed.
 from __future__ import annotations
 
 import heapq
+import math
 import socket
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -31,8 +32,8 @@ class ChannelSpec:
             raise ValueError("loss_rate must be in [0, 1]")
         if not 0.0 <= self.reorder_rate <= 1.0:
             raise ValueError("reorder_rate must be in [0, 1]")
-        if self.delay_us < 0:
-            raise ValueError("delay_us must be >= 0")
+        if not (math.isfinite(self.delay_us) and self.delay_us >= 0):
+            raise ValueError(f"delay_us must be finite and >= 0, got {self.delay_us}")
 
 
 class SimulatedChannel:

@@ -286,6 +286,8 @@ def cmd_emulate(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"emulation failed: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        raise CliError(f"cannot emulate: {exc}") from exc
     summary = report.summary()
     if args.out:
         csv_path, json_path = report.save(args.out)

@@ -34,6 +34,7 @@ import csv
 import functools
 import io
 import json
+import math
 import threading
 import time
 from dataclasses import asdict, dataclass
@@ -72,6 +73,7 @@ from .wire import (
     Malformed,
     ReassemblyBuffer,
     ReassemblyEvent,
+    chunk_count,
     chunk_from_datagram,
     chunk_subframe,
 )
@@ -98,8 +100,8 @@ class TrafficProfile:
     duration_subframes: int = 1000
 
     def __post_init__(self) -> None:
-        if self.goodput_bps < 0:
-            raise ValueError("goodput_bps must be >= 0")
+        if not (math.isfinite(self.goodput_bps) and self.goodput_bps >= 0):
+            raise ValueError(f"goodput_bps must be finite and >= 0, got {self.goodput_bps}")
         if self.packet_size_bytes < 1:
             raise ValueError("packet_size_bytes must be >= 1")
         if self.duration_subframes < 1:
@@ -181,6 +183,15 @@ def _traffic_schedule(
     offered = [arrivals.next_subframe() for _ in range(profile.duration_subframes)]
     scheduled = [scheduler.schedule_subframe(bits) for bits in offered]
     return offered, scheduled, scheduler.dropped_bits
+
+
+def _check_chunkable(cfg: CellConfig, scheduled: List[int], max_datagram: int) -> None:
+    """Raise ValueError, before any datagram is sent, if a message cannot be chunked.
+
+    The uplink answers each scheduled bit with soft_bit_width >= 2 bits, so
+    the largest soft-bit message is the largest message of the run.
+    """
+    chunk_count(-(-max(scheduled) * cfg.soft_bit_width // 8), max_datagram)
 
 
 class SubframeReceiver:
@@ -549,6 +560,7 @@ def run_emulation(
     so the two are pumped one after the other without changing a result.
     """
     offered, scheduled, dropped_bits = _traffic_schedule(cfg, profile)
+    _check_chunkable(cfg, scheduled, max_datagram)
     duration = len(offered)
     s_payload, s_llr, s_dl, s_ul = np.random.SeedSequence(seed).spawn(4)
     payload_rng = np.random.Generator(np.random.PCG64(s_payload))
@@ -607,6 +619,7 @@ def run_socket_emulation(
     failures mark the report incomplete instead of aborting.
     """
     offered, scheduled, dropped_bits = _traffic_schedule(cfg, profile)
+    _check_chunkable(cfg, scheduled, max_datagram)
     duration = len(offered)
     s_payload, s_llr = np.random.SeedSequence(seed).spawn(2)
     payload_rng = np.random.Generator(np.random.PCG64(s_payload))

@@ -146,6 +146,26 @@ def chunk_from_datagram(data: bytes) -> Chunk:
     return tuple.__new__(Chunk, (header, bytes(data[HEADER_LEN:])))
 
 
+def chunk_count(payload_len: int, max_datagram: int = 1472) -> int:
+    """Number of chunks chunk_subframe splits a payload_len-byte payload into.
+
+    Raises ValueError if max_datagram is out of range or the count does
+    not fit the 16-bit num_blocks field.
+    """
+    if not HEADER_LEN + 1 <= max_datagram <= MAX_DATAGRAM:
+        raise ValueError(
+            f"max_datagram must be in [{HEADER_LEN + 1}, {MAX_DATAGRAM}], "
+            f"got {max_datagram}"
+        )
+    num_blocks = -(-payload_len // (max_datagram - HEADER_LEN))
+    if num_blocks >= _U16:
+        raise ValueError(
+            f"payload of {payload_len} bytes needs {num_blocks} chunks of at most "
+            f"{max_datagram} bytes; num_blocks is a 16-bit field"
+        )
+    return num_blocks
+
+
 def chunk_subframe(
     timestamp: int,
     content_type: int,
@@ -159,20 +179,10 @@ def chunk_subframe(
     share timestamp, content_type and num_blocks. Chunk i is stamped with
     sender_clock + i, which is how reassembly restores payload order.
     """
-    if not HEADER_LEN + 1 <= max_datagram <= MAX_DATAGRAM:
-        raise ValueError(
-            f"max_datagram must be in [{HEADER_LEN + 1}, {MAX_DATAGRAM}], "
-            f"got {max_datagram}"
-        )
+    num_blocks = chunk_count(len(payload), max_datagram)
     if not payload:
         raise ValueError("payload must not be empty")
     budget = max_datagram - HEADER_LEN
-    num_blocks = -(-len(payload) // budget)
-    if num_blocks >= _U16:
-        raise ValueError(
-            f"payload of {len(payload)} bytes needs {num_blocks} chunks; "
-            f"num_blocks is a 16-bit field"
-        )
     # The validating constructors build the last chunk: it carries every
     # shared field and the largest sender_clock. Every other chunk is
     # exactly max_datagram bytes, checked above.

@@ -280,6 +280,32 @@ class TestEmulate:
         assert code == 2
         assert "loss_rate" in err
 
+    @pytest.mark.parametrize("argv,field", [
+        (("--max-datagram", "10"), "max_datagram"),
+        (("--max-datagram", "70000"), "max_datagram"),
+        (("--goodput-mbps", "nan"), "goodput_bps"),
+        (("--goodput-mbps", "inf"), "goodput_bps"),
+        (("--delay-us", "nan"), "delay_us"),
+        (("--delay-us", "inf"), "delay_us"),
+    ])
+    def test_bad_numeric_option_exits_2(self, capsys, argv, field):
+        code, _, err = run_cli(capsys, "emulate", "--subframes", "3", *argv)
+        assert code == 2
+        assert err.startswith("error:") and field in err
+        assert len(err.splitlines()) == 1
+
+    def test_unchunkable_message_exits_2_before_sending(self, capsys, monkeypatch):
+        def no_emit(*args):
+            raise AssertionError("emitted before checking the message sizes")
+
+        monkeypatch.setattr(fhsplit.emulation, "_emit", no_emit)
+        code, _, err = run_cli(
+            capsys, "emulate", "--preset", "worst100", "--goodput-mbps", "3000",
+            "--max-datagram", "24", "--subframes", "3",
+        )
+        assert code == 2
+        assert "16-bit" in err and len(err.splitlines()) == 1
+
     def test_socket_mode_rejects_impairments_before_binding(self, capsys,
                                                              monkeypatch):
         opened = []

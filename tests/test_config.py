@@ -145,6 +145,22 @@ class TestScenario:
             s = self.make(cell={**cell, "soft_bit_width": width})
             assert s.cell.soft_bit_width == width
 
+    def test_max_datagram_range(self):
+        for size in (0, 22, 65_508, 70_000):
+            with pytest.raises(ValueError, match="max_datagram"):
+                self.make(max_datagram=size)
+        for size in (23, 65_507):
+            assert self.make(max_datagram=size).max_datagram == size
+
+    @pytest.mark.parametrize("section,key", [("profile", "goodput_bps"),
+                                             ("channel", "delay_us")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_values_rejected(self, section, key, value):
+        data = {"profile": {"goodput_bps": 1e7}, "channel": {}}
+        data[section][key] = value
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            self.make(**data)
+
     def test_socket_mode_rejects_impairments(self):
         addrs = {"du_addr": "127.0.0.1:1", "ru_addr": "127.0.0.1:2"}
         for channel in ({"loss_rate": 0.1}, {"reorder_rate": 0.1},

@@ -251,6 +251,22 @@ class TestCleanChannelRuns:
                           TrafficProfile(goodput, 1400, 3))
 
 
+    @pytest.mark.parametrize("soft_bit_width,max_datagram", [
+        (8, 23),   # 67 200 one-byte chunks
+        (16, 24),  # 134 400 bytes in 67 200 two-byte chunks
+    ])
+    def test_unchunkable_message_raises_before_sending(
+            self, soft_bit_width, max_datagram, monkeypatch):
+        # a saturated lte10 subframe schedules 67 200 bits
+        def no_emit(*args):
+            raise AssertionError("emitted before checking the message sizes")
+
+        monkeypatch.setattr(fhsplit.emulation, "_emit", no_emit)
+        with pytest.raises(ValueError, match="num_blocks is a 16-bit field"):
+            run_emulation(replace(LTE10, soft_bit_width=soft_bit_width),
+                          TrafficProfile(100e6, 1400, 3), max_datagram=max_datagram)
+
+
 class TestImpairedChannelRuns:
     def test_total_loss_is_all_timeouts(self):
         profile = TrafficProfile(goodput_bps=20e6, duration_subframes=150)
@@ -374,6 +390,17 @@ class TestSimulatedChannel:
         out = chan.deliver_until(10_000)
         assert [d for _, d in out] == [bytes([i]) for i in range(10)]
         assert chan.in_flight == 0
+
+    def test_delivery_follows_time_then_send_order(self):
+        # A long uplink message's tail is stamped after the next subframe's
+        # first sends, so send times need not rise; ties keep send order.
+        chan = SimulatedChannel(ChannelSpec(), seed=0)
+        for now_ns, datagram in [(1000, b"a"), (3000, b"b"), (2000, b"c"),
+                                 (2000, b"d"), (1000, b"e")]:
+            chan.send(datagram, now_ns)
+        assert chan.deliver_until(10_000) == [
+            (1000, b"a"), (1000, b"e"), (2000, b"c"), (2000, b"d"), (3000, b"b"),
+        ]
 
     def test_loss_drops_everything_at_rate_one(self):
         chan = SimulatedChannel(ChannelSpec(loss_rate=1.0), seed=0)

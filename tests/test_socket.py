@@ -97,6 +97,16 @@ class TestSocketRun:
         finally:
             holder.close()
 
+    def test_unchunkable_message_raises_before_binding(self, monkeypatch):
+        def no_bind(addr):
+            raise AssertionError(f"bound {addr} before checking the message sizes")
+
+        monkeypatch.setattr(emulation, "UdpEndpoint", no_bind)
+        profile = TrafficProfile(goodput_bps=100e6, duration_subframes=3)
+        with pytest.raises(ValueError, match="16-bit"):
+            run_socket_emulation(LTE10, profile, "127.0.0.1:0", "127.0.0.1:0",
+                                 seed=0, max_datagram=23)
+
     def test_unpackable_soft_bit_width_raises_before_binding(self, monkeypatch):
         def no_bind(addr):
             raise AssertionError(f"bound {addr} before checking the cell")

@@ -21,6 +21,7 @@ from fhsplit.wire import (
     SplitHeader,
     Timeout,
     chunk_from_datagram,
+    chunk_count,
     chunk_subframe,
     decode_header,
     encode_header,
@@ -171,6 +172,17 @@ class TestChunking:
         # minimum datagram -> 1 payload byte per chunk -> 2^16 chunks needed
         with pytest.raises(ValueError, match="16-bit"):
             chunk_subframe(0, 0, b"x" * 65536, max_datagram=HEADER_LEN + 1)
+
+    @pytest.mark.parametrize("n", [1, 1449, 1450, 1451, 10_240])
+    def test_chunk_count_matches_chunk_subframe(self, n):
+        assert chunk_count(n, 1472) == len(chunk_subframe(0, 0, bytes(n), 1472))
+
+    def test_chunk_count_limits(self):
+        assert chunk_count(65_535, HEADER_LEN + 1) == 65_535
+        with pytest.raises(ValueError, match="16-bit"):
+            chunk_count(65_536, HEADER_LEN + 1)
+        with pytest.raises(ValueError, match="max_datagram"):
+            chunk_count(1, HEADER_LEN)
 
     def test_chunk_size_consistency_enforced(self):
         header = SplitHeader(0, 1, 0, size=30)
