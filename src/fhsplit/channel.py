@@ -4,8 +4,9 @@ The simulated channel runs on a virtual nanosecond clock. Senders stamp
 each datagram with its emission instant; the channel applies loss, a fixed
 propagation delay and optional cross-subframe reordering (a held-back
 datagram is delayed by one extra subframe period), then releases datagrams
-in delivery-time order. Behaviour is a pure function of the parameters and
-the seed.
+in delivery-time order, ties in send order. Send times need not rise: a
+long message's last chunks may be stamped after the next message's first.
+Behaviour is a pure function of the parameters and the seed.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from typing import Any, Dict, Optional, Union
 from .cell import CellConfig
 from .channel import ChannelSpec
 from .emulation import TrafficProfile
-from .wire import HEADER_LEN, MAX_DATAGRAM
+from .wire import chunk_count
 
 
 def _coerce(raw: str) -> Any:
@@ -117,9 +117,7 @@ class Scenario:
             raise ValueError("socket mode needs du_addr and ru_addr")
         if self.mode == "socket" and self.channel != ChannelSpec():
             raise ValueError("socket mode cannot apply channel impairments")
-        if not HEADER_LEN + 1 <= self.max_datagram <= MAX_DATAGRAM:
-            raise ValueError(f"max_datagram must be in [{HEADER_LEN + 1}, "
-                             f"{MAX_DATAGRAM}], got {self.max_datagram}")
+        chunk_count(0, self.max_datagram)  # rejects a max_datagram out of range
         if not 2 <= self.cell.soft_bit_width <= 16:
             raise ValueError("the emulator packs soft_bit_width from 2 to 16 bits, "
                              f"got {self.cell.soft_bit_width}")
