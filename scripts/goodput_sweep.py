@@ -17,7 +17,7 @@ import csv
 import sys
 from pathlib import Path
 
-from fhsplit import ChannelSpec, Direction, TrafficProfile, preset, run_emulation
+from fhsplit import ChannelSpec, TrafficProfile, preset, run_emulation
 from fhsplit.emulation import subframe_capacity_bits
 
 
@@ -43,7 +43,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     cfg = preset(args.preset)
-    capacity_mbps = subframe_capacity_bits(cfg, Direction.DL) / 1000
+    capacity_mbps = subframe_capacity_bits(cfg) / 1000
     ceiling = args.max_mbps if args.max_mbps is not None else 1.3 * capacity_mbps
     spec = ChannelSpec(loss_rate=args.loss, reorder_rate=args.reorder)
 

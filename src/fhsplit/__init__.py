@@ -13,7 +13,6 @@ from .cell import (
     LinkBudget,
     MODULATION_NAMES,
     PRESETS,
-    SplitOption,
     preset,
 )
 from .channel import ChannelSpec, SimulatedChannel
@@ -21,7 +20,6 @@ from .configio import Scenario, load_cell_config, load_scenario
 from .emulation import (
     EmulationReport,
     TrafficProfile,
-    TrafficScheduler,
     run_emulation,
     run_socket_emulation,
     subframe_capacity_bits,
@@ -33,7 +31,6 @@ from .rates import (
     efficiency_ratio,
     expected_efficiency,
     max_fronthaul_distance_km,
-    rate,
     rate_71,
     rate_72,
     rate_73_dl,
@@ -65,7 +62,6 @@ __all__ = [
     "LinkBudget",
     "MODULATION_NAMES",
     "PRESETS",
-    "SplitOption",
     "preset",
     "ChannelSpec",
     "SimulatedChannel",
@@ -74,7 +70,6 @@ __all__ = [
     "load_scenario",
     "EmulationReport",
     "TrafficProfile",
-    "TrafficScheduler",
     "run_emulation",
     "run_socket_emulation",
     "subframe_capacity_bits",
@@ -88,7 +83,6 @@ __all__ = [
     "efficiency_ratio",
     "expected_efficiency",
     "max_fronthaul_distance_km",
-    "rate",
     "rate_71",
     "rate_72",
     "rate_73_dl",

@@ -6,6 +6,7 @@ shared freely between threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -22,14 +23,14 @@ class Direction(Enum):
     UL = "ul"
 
 
-class SplitOption(Enum):
-    """The functional splits this planner models."""
-
-    OPTION_8 = "8"
-    OPTION_7_1 = "7.1"
-    OPTION_7_2 = "7.2"
-    OPTION_7_3_DL = "7.3dl"
-    OPTION_7_3_UL = "7.3ul"
+def require_ints(obj: object, *names: str) -> None:
+    """Raise ValueError unless operator.index accepts every named field of obj."""
+    for name in names:
+        value = getattr(obj, name)
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _as_fraction(value: Union[int, float, str, Fraction]) -> Fraction:
@@ -73,6 +74,10 @@ class CellConfig:
     n_fft: Optional[int] = None
 
     def __post_init__(self) -> None:
+        require_ints(self, "n_sc", "n_layers", "n_ant", "mod_order",
+                     "iq_component_bits", "soft_bit_width", "symbols_per_second")
+        if self.n_fft is not None:
+            require_ints(self, "n_fft")
         if self.n_sc <= 0:
             raise ValueError(f"n_sc must be positive, got {self.n_sc}")
         if self.n_layers < 1:

@@ -32,7 +32,13 @@ from .rates import (
     table_to_csv,
     table_to_json,
 )
-from .wire import HeaderError, SplitHeader, decode_header, encode_header
+from .wire import (
+    DEFAULT_MAX_DATAGRAM,
+    HeaderError,
+    SplitHeader,
+    decode_header,
+    encode_header,
+)
 
 
 class CliError(Exception):
@@ -85,31 +91,16 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    widths = args.soft_bit_width
-    rows = []
-    for mod_order in sorted(MODULATION_NAMES):
-        rows.append(
-            (
-                "dl",
-                mod_order,
-                MODULATION_NAMES[mod_order],
-                "",
-                efficiency_ratio(Direction.DL, mod_order,
-                                 iq_component_bits=args.iq_bits),
-            )
-        )
-    for width in widths:
-        for mod_order in sorted(MODULATION_NAMES):
-            rows.append(
-                (
-                    "ul",
-                    mod_order,
-                    MODULATION_NAMES[mod_order],
-                    width,
-                    efficiency_ratio(Direction.UL, mod_order, width,
-                                     iq_component_bits=args.iq_bits),
-                )
-            )
+    mods = sorted(MODULATION_NAMES)
+    try:
+        rows = [("dl", m, MODULATION_NAMES[m], "",
+                 efficiency_ratio(Direction.DL, m, iq_component_bits=args.iq_bits))
+                for m in mods]
+        rows += [("ul", m, MODULATION_NAMES[m], w,
+                  efficiency_ratio(Direction.UL, m, w, iq_component_bits=args.iq_bits))
+                 for w in args.soft_bit_width for m in mods]
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     if args.format == "json":
         payload = [
             {
@@ -146,6 +137,8 @@ def cmd_budget(args: argparse.Namespace) -> int:
             "dl": max_fronthaul_distance_km(budget, Direction.DL, args.dl_processing_ms),
             "ul": max_fronthaul_distance_km(budget, Direction.UL, args.ul_processing_ms),
         }
+        if args.distance_km is not None:
+            delay_us = budget.propagation_delay_us(args.distance_km)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     payload = {
@@ -162,7 +155,7 @@ def cmd_budget(args: argparse.Namespace) -> int:
         },
     }
     if args.distance_km is not None:
-        payload["propagation_delay_us"] = budget.propagation_delay_us(args.distance_km)
+        payload["propagation_delay_us"] = delay_us
         payload["distance_km"] = args.distance_km
     if args.format == "json":
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
@@ -381,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fixed one-way channel delay")
     p_emu.add_argument("--seed", type=int, default=None,
                        help="RNG seed (default: 0, or the scenario file's)")
-    p_emu.add_argument("--max-datagram", type=int, default=1472)
+    p_emu.add_argument("--max-datagram", type=int, default=DEFAULT_MAX_DATAGRAM)
     p_emu.add_argument("--mode", choices=("sim", "socket"), default=None)
     p_emu.add_argument("--du-addr", default=None, help="DU bind address, host:port")
     p_emu.add_argument("--ru-addr", default=None, help="RU bind address, host:port")

@@ -27,7 +27,7 @@ from typing import Any, Dict, Optional, Union
 from .cell import CellConfig
 from .channel import ChannelSpec
 from .emulation import TrafficProfile
-from .wire import chunk_count
+from .wire import DEFAULT_MAX_DATAGRAM, chunk_count
 
 
 def _coerce(raw: str) -> Any:
@@ -106,7 +106,7 @@ class Scenario:
     channel: ChannelSpec = ChannelSpec()
     mode: str = "sim"
     seed: int = 0
-    max_datagram: int = 1472
+    max_datagram: int = DEFAULT_MAX_DATAGRAM
     du_addr: Optional[str] = None
     ru_addr: Optional[str] = None
 
@@ -142,7 +142,7 @@ def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
         channel=channel,
         mode=data.get("mode", "sim"),
         seed=int(data.get("seed", 0)),
-        max_datagram=int(data.get("max_datagram", 1472)),
+        max_datagram=int(data.get("max_datagram", DEFAULT_MAX_DATAGRAM)),
         du_addr=data.get("du_addr"),
         ru_addr=data.get("ru_addr"),
     )

@@ -39,11 +39,11 @@ import threading
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
-from .cell import CellConfig, Direction
+from .cell import CellConfig, require_ints
 from .channel import (
     SUBFRAME_NS,
     ChannelSpec,
@@ -62,8 +62,9 @@ from .messages import (
     encode_control,
     encode_cqi,
 )
-from .rates import rate_73_dl, rate_73_ul
+from .rates import rate_73_dl
 from .wire import (
+    DEFAULT_MAX_DATAGRAM,
     DEFAULT_TIMEOUT_NS,
     HEADER_LEN,
     Chunk,
@@ -80,6 +81,8 @@ from .wire import (
 
 CHUNK_SPACING_NS = 1_000
 CQI_PERIOD = 5
+# The backlog of offered bits holds at most this many subframes of capacity.
+MAX_BACKLOG_SUBFRAMES = 10
 LLR_SCALE = 4.0
 LLR_TABLE_BITS = 16
 # Uplink codes are drawn and packed this many at a time. A multiple of 8
@@ -100,6 +103,7 @@ class TrafficProfile:
     duration_subframes: int = 1000
 
     def __post_init__(self) -> None:
+        require_ints(self, "packet_size_bytes", "duration_subframes")
         if not (math.isfinite(self.goodput_bps) and self.goodput_bps >= 0):
             raise ValueError(f"goodput_bps must be finite and >= 0, got {self.goodput_bps}")
         if self.packet_size_bytes < 1:
@@ -108,66 +112,13 @@ class TrafficProfile:
             raise ValueError("duration_subframes must be >= 1")
 
 
-def subframe_capacity_bits(cfg: CellConfig, direction: Direction = Direction.DL) -> int:
-    """Payload bits one 1 ms subframe can carry for a direction.
+def subframe_capacity_bits(cfg: CellConfig) -> int:
+    """Downlink payload bits one 1 ms subframe can carry.
 
     Exact whenever the symbol rate is a multiple of 1000 (it is for every
     LTE/NR numerology); otherwise the sub-millisecond remainder is floored.
     """
-    if direction is Direction.DL:
-        return rate_73_dl(cfg) // 1000
-    return rate_73_ul(cfg) // 1000
-
-
-class TrafficScheduler:
-    """Per-subframe scheduler with a bounded carry-over backlog.
-
-    Bits that do not fit a subframe wait in a backlog capped at
-    max_backlog_subframes worth of capacity; anything beyond the cap is
-    counted as offered-but-dropped.
-    """
-
-    def __init__(self, capacity_bits: int, max_backlog_subframes: int = 10):
-        if capacity_bits < 1:
-            raise ValueError("capacity_bits must be >= 1")
-        self.capacity_bits = capacity_bits
-        self.max_backlog_bits = max_backlog_subframes * capacity_bits
-        self.backlog_bits = 0
-        self.dropped_bits = 0
-
-    @classmethod
-    def for_cell(
-        cls, cfg: CellConfig, direction: Direction = Direction.DL
-    ) -> "TrafficScheduler":
-        return cls(subframe_capacity_bits(cfg, direction))
-
-    def schedule_subframe(self, offered_bits: int) -> int:
-        if offered_bits < 0:
-            raise ValueError("offered_bits must be >= 0")
-        self.backlog_bits += offered_bits
-        scheduled = min(self.backlog_bits, self.capacity_bits)
-        self.backlog_bits -= scheduled
-        if self.backlog_bits > self.max_backlog_bits:
-            self.dropped_bits += self.backlog_bits - self.max_backlog_bits
-            self.backlog_bits = self.max_backlog_bits
-        return scheduled
-
-
-class _PacketArrivals:
-    """CBR arrivals quantized to whole packets, exact integer accumulator."""
-
-    def __init__(self, profile: TrafficProfile):
-        self._packet_bits = profile.packet_size_bytes * 8
-        # bits/s accumulated once per 1 ms subframe = millibits
-        self._millibits_per_subframe = int(round(profile.goodput_bps))
-        self._acc = 0
-
-    def next_subframe(self) -> int:
-        self._acc += self._millibits_per_subframe
-        quantum = self._packet_bits * 1000
-        packets = self._acc // quantum
-        self._acc -= packets * quantum
-        return packets * self._packet_bits
+    return rate_73_dl(cfg) // 1000
 
 
 def _traffic_schedule(
@@ -175,23 +126,37 @@ def _traffic_schedule(
 ) -> Tuple[List[int], List[int], int]:
     """Offered and scheduled downlink bits of every subframe, and the bits dropped.
 
-    Both run modes read this one schedule; the uplink answers each
-    scheduled downlink bit with one soft-bit code.
+    Arrivals are the profile's constant bit rate quantized to whole
+    packets by an exact integer accumulator. Bits that do not fit a
+    subframe wait in a backlog capped at MAX_BACKLOG_SUBFRAMES subframes
+    of capacity; anything beyond the cap is offered but dropped. Both run
+    modes read this one schedule; the uplink answers each scheduled
+    downlink bit with one soft-bit code. Raises ValueError for a cell that
+    carries less than one bit per subframe.
     """
-    arrivals = _PacketArrivals(profile)
-    scheduler = TrafficScheduler.for_cell(cfg, Direction.DL)
-    offered = [arrivals.next_subframe() for _ in range(profile.duration_subframes)]
-    scheduled = [scheduler.schedule_subframe(bits) for bits in offered]
-    return offered, scheduled, scheduler.dropped_bits
-
-
-def _check_chunkable(cfg: CellConfig, scheduled: List[int], max_datagram: int) -> None:
-    """Raise ValueError, before any datagram is sent, if a message cannot be chunked.
-
-    The uplink answers each scheduled bit with soft_bit_width >= 2 bits, so
-    the largest soft-bit message is the largest message of the run.
-    """
-    chunk_count(-(-max(scheduled) * cfg.soft_bit_width // 8), max_datagram)
+    capacity = subframe_capacity_bits(cfg)
+    if capacity < 1:
+        raise ValueError(f"the cell carries {capacity} bits per subframe; at least 1 is needed")
+    max_backlog = MAX_BACKLOG_SUBFRAMES * capacity
+    packet_bits = profile.packet_size_bytes * 8
+    # bits/s accumulated once per 1 ms subframe are millibits
+    millibits = int(round(profile.goodput_bps))
+    quantum = packet_bits * 1000
+    acc = backlog = dropped = 0
+    offered, scheduled = [], []
+    for _ in range(profile.duration_subframes):
+        acc += millibits
+        bits = acc // quantum * packet_bits
+        acc %= quantum
+        backlog += bits
+        sent = min(backlog, capacity)
+        backlog -= sent
+        if backlog > max_backlog:
+            dropped += backlog - max_backlog
+            backlog = max_backlog
+        offered.append(bits)
+        scheduled.append(sent)
+    return offered, scheduled, dropped
 
 
 class SubframeReceiver:
@@ -533,15 +498,40 @@ def _finalize(
     )
 
 
+def _prepare(
+    cfg: CellConfig, profile: TrafficProfile, seed: int, max_datagram: int
+) -> Tuple[List[int], int, Iterator, Iterator, List[np.random.SeedSequence]]:
+    """The set-up both run modes share, done before any socket or datagram.
+
+    Returns the offered bits of every subframe, the offered bits dropped,
+    each subframe's downlink and uplink message lists (synthesized one
+    subframe per step) and two seeds for the simulated channels. Raises
+    ValueError when the cell carries no bit per subframe, the soft-bit
+    width cannot be packed or a message cannot be chunked.
+    """
+    offered, scheduled, dropped_bits = _traffic_schedule(cfg, profile)
+    # Every scheduled bit is answered by soft_bit_width >= 2 uplink bits, so
+    # the largest soft-bit message is the largest message of the run.
+    chunk_count(-(-max(scheduled) * cfg.soft_bit_width // 8), max_datagram)
+    s_payload, s_llr, *channel_seeds = np.random.SeedSequence(seed).spawn(4)
+    payload_rng = np.random.Generator(np.random.PCG64(s_payload))
+    llr_rng = np.random.Generator(np.random.PCG64(s_llr))
+    code_table = _llr_code_table(LlrQuantizer(cfg.soft_bit_width))
+    dl_messages = (_dl_messages(t, bits, cfg, payload_rng)
+                   for t, bits in enumerate(scheduled))
+    ul_messages = (_ul_messages(t, bits, cfg, code_table, llr_rng)
+                   for t, bits in enumerate(scheduled))
+    return offered, dropped_bits, dl_messages, ul_messages, channel_seeds
+
+
 def _pump(
-    channel: SimulatedChannel,
+    arrivals: Iterable[Tuple[int, bytes]],
     rx: SubframeReceiver,
     meter: _DirMeter,
-    deliver_ns: int,
     poll_ns: int,
 ) -> None:
-    """Feed one direction's datagrams due by deliver_ns, then expire by poll_ns."""
-    for recv_ns, datagram in channel.deliver_until(deliver_ns):
+    """Feed one direction's (recv_ns, datagram) arrivals, then expire by poll_ns."""
+    for recv_ns, datagram in arrivals:
         for ctype, event in rx.feed(datagram, recv_ns):
             meter.record_event(ctype, event)
     for ctype, event in rx.poll(poll_ns):
@@ -554,22 +544,18 @@ def run_emulation(
     channel: ChannelSpec = ChannelSpec(),
     seed: int = 0,
     *,
-    max_datagram: int = 1472,
+    max_datagram: int = DEFAULT_MAX_DATAGRAM,
 ) -> EmulationReport:
     """Deterministic in-process DU-RU run over a simulated channel.
 
     Each direction has its own channel, receiver, meter and random stream,
     so the two are pumped one after the other without changing a result.
-    Raises ValueError before the first datagram when the soft-bit width
-    cannot be packed or a message cannot be chunked.
+    Raises ValueError before the first datagram for any input _prepare
+    rejects.
     """
-    offered, scheduled, dropped_bits = _traffic_schedule(cfg, profile)
-    _check_chunkable(cfg, scheduled, max_datagram)
+    offered, dropped_bits, dl_messages, ul_messages, (s_dl, s_ul) = _prepare(
+        cfg, profile, seed, max_datagram)
     duration = len(offered)
-    s_payload, s_llr, s_dl, s_ul = np.random.SeedSequence(seed).spawn(4)
-    payload_rng = np.random.Generator(np.random.PCG64(s_payload))
-    llr_rng = np.random.Generator(np.random.PCG64(s_llr))
-    code_table = _llr_code_table(LlrQuantizer(cfg.soft_bit_width))
     dl_channel = SimulatedChannel(channel, s_dl)
     ul_channel = SimulatedChannel(channel, s_ul)
     dl_meter = _DirMeter(duration)
@@ -581,13 +567,11 @@ def run_emulation(
 
     for t in range(duration):
         base_ns = t * SUBFRAME_NS
-        _emit(dl_meter, dl_channel.send,
-              _dl_messages(t, scheduled[t], cfg, payload_rng), t, base_ns, max_datagram)
-        _emit(ul_meter, ul_channel.send,
-              _ul_messages(t, scheduled[t], cfg, code_table, llr_rng), t, base_ns,
-              max_datagram)
-        for link in links:
-            _pump(*link, base_ns + SUBFRAME_NS - 1, base_ns + SUBFRAME_NS)
+        _emit(dl_meter, dl_channel.send, next(dl_messages), t, base_ns, max_datagram)
+        _emit(ul_meter, ul_channel.send, next(ul_messages), t, base_ns, max_datagram)
+        for chan, rx, meter in links:
+            _pump(chan.deliver_until(base_ns + SUBFRAME_NS - 1), rx, meter,
+                  base_ns + SUBFRAME_NS)
 
     # Let in-flight datagrams land and pending assemblies expire.
     settle_ns = (
@@ -596,8 +580,8 @@ def run_emulation(
         + int(channel.delay_us * 1000)
         + 2 * SUBFRAME_NS
     )
-    for link in links:
-        _pump(*link, settle_ns, settle_ns)
+    for chan, rx, meter in links:
+        _pump(chan.deliver_until(settle_ns), rx, meter, settle_ns)
 
     return _finalize(
         offered, dl_meter, ul_meter, dropped_bits,
@@ -612,25 +596,21 @@ def run_socket_emulation(
     ru_addr: str,
     seed: int = 0,
     *,
-    max_datagram: int = 1472,
+    max_datagram: int = DEFAULT_MAX_DATAGRAM,
 ) -> EmulationReport:
     """Real-time DU-RU run over UDP sockets (loopback friendly).
 
     Both endpoints send the shared traffic schedule on their own 1 ms
     wall clocks, so no coordination channel is needed. Wall-clock timing
     makes the event outcomes non-deterministic, unlike the simulated mode.
-    Raises ValueError before binding when the soft-bit width cannot be
-    packed, a message cannot be chunked or an address is malformed, and
-    OSError when an address cannot be bound; mid-run endpoint failures
-    mark the report incomplete instead of aborting.
+    Raises ValueError before binding for any input _prepare rejects or a
+    malformed address, and OSError when an address cannot be bound;
+    mid-run endpoint failures mark the report incomplete instead of
+    aborting.
     """
-    offered, scheduled, dropped_bits = _traffic_schedule(cfg, profile)
-    _check_chunkable(cfg, scheduled, max_datagram)
+    offered, dropped_bits, dl_messages, ul_messages, _ = _prepare(
+        cfg, profile, seed, max_datagram)
     duration = len(offered)
-    s_payload, s_llr = np.random.SeedSequence(seed).spawn(2)
-    payload_rng = np.random.Generator(np.random.PCG64(s_payload))
-    llr_rng = np.random.Generator(np.random.PCG64(s_llr))
-    code_table = _llr_code_table(LlrQuantizer(cfg.soft_bit_width))
 
     du = UdpEndpoint(du_addr)
     try:
@@ -660,9 +640,7 @@ def run_socket_emulation(
         while not stop.is_set():
             datagram = endpoint.recv()
             now = time.monotonic_ns()
-            events = rx.feed(datagram, now) if datagram is not None else []
-            for ctype, event in events + rx.poll(now):
-                meter.record_event(ctype, event)
+            _pump(() if datagram is None else ((now, datagram),), rx, meter, now)
 
     def guarded(fn, *args):
         def wrapper():
@@ -674,10 +652,6 @@ def run_socket_emulation(
 
         return wrapper
 
-    dl_messages = (_dl_messages(t, scheduled[t], cfg, payload_rng)
-                   for t in range(duration))
-    ul_messages = (_ul_messages(t, scheduled[t], cfg, code_table, llr_rng)
-                   for t in range(duration))
     senders = [
         threading.Thread(target=guarded(send_loop, du, parse_addr(ru.address),
                                         dl_meter, dl_messages), name="du-send"),

@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .cell import CellConfig, Direction, LinkBudget, MODULATION_NAMES, SplitOption
+from .cell import CellConfig, Direction, LinkBudget, MODULATION_NAMES
 
 RateBps = Union[int, Fraction]
 
@@ -60,19 +60,6 @@ def rate_73_ul(cfg: CellConfig) -> int:
 def rate_option8(cfg: CellConfig) -> Fraction:
     """Time-domain I/Q rate: option 7.1 times the oversampling factor."""
     return Fraction(rate_71(cfg)) * cfg.oversampling_factor
-
-
-def rate(cfg: CellConfig, option: SplitOption) -> RateBps:
-    """Dispatch a rate model by split option."""
-    if option is SplitOption.OPTION_8:
-        return rate_option8(cfg)
-    if option is SplitOption.OPTION_7_1:
-        return rate_71(cfg)
-    if option is SplitOption.OPTION_7_2:
-        return rate_72(cfg)
-    if option is SplitOption.OPTION_7_3_DL:
-        return rate_73_dl(cfg)
-    return rate_73_ul(cfg)
 
 
 def efficiency_ratio(

@@ -26,6 +26,9 @@ from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 HEADER_LEN = 22
 #: Largest legal value of the size field (65508 is already too big).
 MAX_DATAGRAM = 65_507
+#: Datagram size used unless a caller picks one: a 1500-byte Ethernet MTU
+#: less the 20-byte IPv4 and 8-byte UDP headers.
+DEFAULT_MAX_DATAGRAM = 1472
 _HEADER = struct.Struct(">QHHHQ")
 _U16 = 1 << 16
 _U64 = 1 << 64
@@ -146,7 +149,7 @@ def chunk_from_datagram(data: bytes) -> Chunk:
     return tuple.__new__(Chunk, (header, bytes(data[HEADER_LEN:])))
 
 
-def chunk_count(payload_len: int, max_datagram: int = 1472) -> int:
+def chunk_count(payload_len: int, max_datagram: int = DEFAULT_MAX_DATAGRAM) -> int:
     """Number of chunks chunk_subframe splits a payload_len-byte payload into.
 
     Raises ValueError if max_datagram is out of range or the count does
@@ -170,7 +173,7 @@ def chunk_subframe(
     timestamp: int,
     content_type: int,
     payload: bytes,
-    max_datagram: int = 1472,
+    max_datagram: int = DEFAULT_MAX_DATAGRAM,
     sender_clock: int = 0,
 ) -> List[Chunk]:
     """Split a subframe payload into datagram-sized chunks, in order.

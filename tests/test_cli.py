@@ -99,6 +99,14 @@ class TestPlan:
         assert code == 2
         assert "bad cell config" in err
 
+    def test_non_integer_cell_field_exits_2(self, capsys, tmp_path):
+        # a fractional subcarrier count used to print inexact rates
+        cfg = tmp_path / "cell.cfg"
+        cfg.write_text("n_sc = 600.5\nn_layers = 2\nn_ant = 4\nmod_order = 4\n")
+        code, out, err = run_cli(capsys, "plan", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "bad cell config: n_sc must be an integer" in err
+
 
 class TestCompare:
     def test_csv_grid(self, capsys):
@@ -147,6 +155,21 @@ class TestBudget:
         code, _, err = run_cli(capsys, "budget", "--dl-processing-ms", "2.0")
         assert code == 2
         assert "exceeds" in err
+
+
+class TestInvalidValues:
+    @pytest.mark.parametrize("argv,field", [
+        (("compare", "--soft-bit-width", "0"), "soft_bit_width"),
+        (("compare", "--soft-bit-width", "8", "-2"), "soft_bit_width"),
+        (("compare", "--iq-bits", "0"), "iq_component_bits"),
+        (("budget", "--distance-km", "-1"), "distance_km"),
+    ])
+    def test_rejected_with_exit_2_and_one_line(self, capsys, argv, field):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and field in err
+        assert len(err.splitlines()) == 1
 
 
 class TestHeader:
@@ -271,6 +294,23 @@ class TestEmulate:
         code, _, err = run_cli(capsys, "emulate", "--scenario", str(scn))
         assert code == 2
         assert "bad scenario" in err and "soft_bit_width" in err
+
+    @pytest.mark.parametrize("line,field", [
+        ("profile.duration_subframes = 5.5", "duration_subframes"),
+        ("profile.packet_size_bytes = 100.5", "packet_size_bytes"),
+        ("cell.n_sc = 600.5", "n_sc"),
+    ])
+    def test_non_integer_scenario_field_exits_2(self, capsys, tmp_path, line, field):
+        scn = tmp_path / "s.cfg"
+        scn.write_text(
+            "cell.n_sc = 600\ncell.n_layers = 2\ncell.n_ant = 4\ncell.mod_order = 4\n"
+            "profile.goodput_bps = 4e6\nprofile.duration_subframes = 5\n"
+            f"{line}\n"
+        )
+        code, _, err = run_cli(capsys, "emulate", "--scenario", str(scn))
+        assert code == 2
+        assert "bad scenario" in err and f"{field} must be an integer" in err
+        assert len(err.splitlines()) == 1
 
     def test_bad_channel_rate_exits_2(self, capsys):
         code, _, err = run_cli(

@@ -91,6 +91,23 @@ class TestCellLoading:
     def test_shipped_profiles_match_presets(self, name):
         assert load_cell_config(PROFILES / f"{name}.cfg") == preset(name)
 
+    @pytest.mark.parametrize("path", sorted(PROFILES.iterdir()), ids=lambda p: p.name)
+    def test_every_shipped_file_loads(self, path):
+        data = load_config_file(path)
+        if "profile" in data:
+            assert isinstance(scenario_from_dict(data), Scenario)
+        else:
+            assert isinstance(cell_config_from_dict(data), CellConfig)
+
+    @pytest.mark.parametrize("field", ["n_sc", "n_layers", "n_ant", "mod_order",
+                                       "iq_component_bits", "soft_bit_width",
+                                       "symbols_per_second", "n_fft"])
+    @pytest.mark.parametrize("value", [600.5, 4.0, "4"])
+    def test_integer_fields_reject_non_integers(self, field, value):
+        data = {"n_sc": 600, "n_layers": 2, "n_ant": 4, "mod_order": 4, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            cell_config_from_dict(data)
+
     def test_json_suffix_dispatch(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text('{"a": 1}')

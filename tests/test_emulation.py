@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fhsplit
-from fhsplit.cell import CellConfig, Direction, preset
+from fhsplit.cell import CellConfig, preset
 from fhsplit.channel import SUBFRAME_NS, ChannelSpec, SimulatedChannel
 from fhsplit.llr import LlrQuantizer, unpack_codes
 from fhsplit.wire import (
@@ -33,15 +33,15 @@ from fhsplit.emulation import (
     CONTENT_UL_SOFT,
     CQI_PERIOD,
     LLR_SCALE,
+    MAX_BACKLOG_SUBFRAMES,
     EmulationReport,
     SubframeReceiver,
     TrafficProfile,
-    TrafficScheduler,
     _DirMeter,
-    _PacketArrivals,
     _emit,
     _llr_code_table,
     _llr_quantiles,
+    _traffic_schedule,
     _ul_messages,
     make_control,
     run_emulation,
@@ -62,79 +62,103 @@ SATURATED_UL_BITS = 545_872
 SATURATED_UL_MEAN_BPS = 545_920_000.0
 
 
+def tiny_cell(symbols_per_second=50_000):
+    """A QPSK single-subcarrier cell: 100 bits per subframe at the default rate."""
+    return CellConfig(n_sc=1, n_layers=1, n_ant=1, mod_order=2,
+                      symbols_per_second=symbols_per_second)
+
+
+TINY = tiny_cell()
+
+
 class TestCapacityAndScheduling:
     def test_subframe_capacity(self):
-        assert subframe_capacity_bits(LTE10, Direction.DL) == 67_200
-        assert subframe_capacity_bits(LTE10, Direction.UL) == 537_600
+        assert subframe_capacity_bits(LTE10) == 67_200
+        assert subframe_capacity_bits(TINY) == 100
 
     def test_scheduler_passthrough_below_capacity(self):
-        sched = TrafficScheduler.for_cell(LTE10)
-        assert sched.schedule_subframe(10_000) == 10_000
-        assert sched.backlog_bits == 0
+        # 10 080 bits per subframe, well below lte10's 67 200
+        offered, scheduled, dropped = _traffic_schedule(LTE10, TrafficProfile(10.08e6, 1260, 50))
+        assert offered == scheduled == [10_080] * 50
+        assert dropped == 0
 
     def test_scheduler_backlog_carries_over(self):
-        sched = TrafficScheduler(capacity_bits=100)
-        assert sched.schedule_subframe(250) == 100
-        assert sched.backlog_bits == 150
-        assert sched.schedule_subframe(0) == 100
-        assert sched.schedule_subframe(0) == 50
-        assert sched.schedule_subframe(0) == 0
-        assert sched.dropped_bits == 0
-
-    def test_scheduler_rejects_negative_offer(self):
-        sched = TrafficScheduler.for_cell(LTE10)
-        with pytest.raises(ValueError):
-            sched.schedule_subframe(-1)
-        assert sched.backlog_bits == 0
+        # one 200-bit packet every 4th subframe into 100 bits of capacity
+        offered, scheduled, dropped = _traffic_schedule(TINY, TrafficProfile(50_000, 25, 8))
+        assert offered == [0, 0, 0, 200, 0, 0, 0, 200]
+        assert scheduled == [0, 0, 0, 100, 100, 0, 0, 100]
+        assert dropped == 0
 
     def test_scheduler_drops_beyond_backlog_cap(self):
-        sched = TrafficScheduler(capacity_bits=100, max_backlog_subframes=2)
-        assert sched.schedule_subframe(1000) == 100
-        # 900 left, cap is 200 -> 700 dropped
-        assert sched.backlog_bits == 200
-        assert sched.dropped_bits == 700
+        # 200 bits offered, 100 carried: the backlog grows by 100 a subframe
+        # until it holds 10 subframes of capacity, then 100 a subframe drop
+        assert MAX_BACKLOG_SUBFRAMES == 10
+        offered, scheduled, dropped = _traffic_schedule(TINY, TrafficProfile(200_000, 25, 15))
+        assert offered == [200] * 15
+        assert scheduled == [100] * 15
+        assert dropped == 5 * 100
 
     @given(
-        offered=st.lists(st.integers(0, 500_000), min_size=1, max_size=300),
-        capacity=st.integers(1, 100_000),
-        cap_subframes=st.integers(1, 20),
+        n_sc=st.integers(1, 40),
+        symbols_per_second=st.integers(500, 100_000),
+        goodput_bps=st.floats(0, 20e6),
+        packet_size_bytes=st.integers(1, 2000),
+        duration=st.integers(1, 300),
     )
     @settings(max_examples=150, deadline=None)
-    def test_scheduler_conserves_bits(self, offered, capacity, cap_subframes):
-        sched = TrafficScheduler(capacity, max_backlog_subframes=cap_subframes)
-        total_sched = 0
-        for bits in offered:
-            got = sched.schedule_subframe(bits)
-            assert 0 <= got <= capacity
-            assert sched.backlog_bits <= sched.max_backlog_bits
-            total_sched += got
-        assert total_sched + sched.backlog_bits + sched.dropped_bits == sum(offered)
+    def test_scheduler_conserves_bits(self, n_sc, symbols_per_second, goodput_bps,
+                                      packet_size_bytes, duration):
+        # at least 500 symbols a second: a QPSK cell carries >= 1 bit per subframe
+        cfg = replace(tiny_cell(symbols_per_second), n_sc=n_sc)
+        capacity = subframe_capacity_bits(cfg)
+        offered, scheduled, dropped = _traffic_schedule(
+            cfg, TrafficProfile(goodput_bps, packet_size_bytes, duration))
+        assert len(offered) == len(scheduled) == duration
+        assert all(0 <= bits <= capacity for bits in scheduled)
+        backlog = sum(offered) - sum(scheduled) - dropped
+        assert 0 <= backlog <= MAX_BACKLOG_SUBFRAMES * capacity
+        assert dropped >= 0
+
+    def test_zero_capacity_cell_rejected_before_sending(self, monkeypatch):
+        # 400 QPSK symbols a second carry 800 bit/s: 0 bits per subframe
+        def no_emit(*args):
+            raise AssertionError("emitted before checking the capacity")
+
+        monkeypatch.setattr(fhsplit.emulation, "_emit", no_emit)
+        cell = tiny_cell(400)
+        assert subframe_capacity_bits(cell) == 0
+        for goodput in (0.0, 1e6):
+            with pytest.raises(ValueError, match="bits per subframe"):
+                run_emulation(cell, TrafficProfile(goodput, 1400, 3))
+
+
+def offered_bits(profile):
+    return _traffic_schedule(LTE10, profile)[0]
 
 
 class TestPacketArrivals:
     def test_exact_multiple_rate(self):
         # 67.2 Mbit/s with 1400-byte packets: exactly 6 packets per subframe
-        arrivals = _PacketArrivals(TrafficProfile(goodput_bps=67.2e6))
-        assert [arrivals.next_subframe() for _ in range(10)] == [67_200] * 10
+        assert offered_bits(TrafficProfile(67.2e6, 1400, 10)) == [67_200] * 10
 
     def test_quantized_to_whole_packets(self):
-        arrivals = _PacketArrivals(TrafficProfile(goodput_bps=10e6))
         packet_bits = 1400 * 8
-        for _ in range(100):
-            assert arrivals.next_subframe() % packet_bits == 0
+        offered = offered_bits(TrafficProfile(10e6, 1400, 100))
+        assert all(bits % packet_bits == 0 for bits in offered)
+        assert len(set(offered)) > 1
 
     def test_long_run_mean_matches_goodput(self):
-        profile = TrafficProfile(goodput_bps=9.7e6, packet_size_bytes=900)
-        arrivals = _PacketArrivals(profile)
         n = 10_000
-        total = sum(arrivals.next_subframe() for _ in range(n))
+        profile = TrafficProfile(9.7e6, 900, n)
+        total = sum(offered_bits(profile))
         # cumulative arrivals only ever lag the fluid rate by under a packet
         expected = profile.goodput_bps * n / 1000
         assert expected - 900 * 8 < total <= expected
 
     def test_zero_rate(self):
-        arrivals = _PacketArrivals(TrafficProfile(goodput_bps=0.0))
-        assert arrivals.next_subframe() == 0
+        offered, scheduled, dropped = _traffic_schedule(LTE10, TrafficProfile(0.0, 1400, 20))
+        assert offered == scheduled == [0] * 20
+        assert dropped == 0
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):
@@ -143,6 +167,20 @@ class TestPacketArrivals:
             TrafficProfile(goodput_bps=1, packet_size_bytes=0)
         with pytest.raises(ValueError):
             TrafficProfile(goodput_bps=1, duration_subframes=0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("packet_size_bytes", 100.5),
+        ("packet_size_bytes", 1400.0),
+        ("duration_subframes", 5.5),
+        ("duration_subframes", "10"),
+    ])
+    def test_integer_fields_reject_non_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            TrafficProfile(goodput_bps=1e6, **{field: value})
+
+    def test_integer_fields_take_numpy_integers(self):
+        profile = TrafficProfile(1e6, np.int64(100), np.int32(5))
+        assert len(offered_bits(profile)) == 5
 
 
 class TestControlSynthesis:

@@ -11,7 +11,7 @@ from dataclasses import replace
 import pytest
 
 from fhsplit import emulation
-from fhsplit.cell import preset
+from fhsplit.cell import CellConfig, preset
 from fhsplit.channel import UdpEndpoint, parse_addr
 from fhsplit.emulation import TrafficProfile, run_socket_emulation
 
@@ -106,6 +106,18 @@ class TestSocketRun:
         with pytest.raises(ValueError, match="16-bit"):
             run_socket_emulation(LTE10, profile, "127.0.0.1:0", "127.0.0.1:0",
                                  seed=0, max_datagram=23)
+
+    def test_zero_capacity_cell_raises_before_binding(self, monkeypatch):
+        def no_bind(addr):
+            raise AssertionError(f"bound {addr} before checking the capacity")
+
+        monkeypatch.setattr(emulation, "UdpEndpoint", no_bind)
+        # 400 QPSK symbols a second on one subcarrier: 0 bits per subframe
+        cell = CellConfig(n_sc=1, n_layers=1, n_ant=1, mod_order=2,
+                          symbols_per_second=400)
+        profile = TrafficProfile(goodput_bps=0.0, duration_subframes=3)
+        with pytest.raises(ValueError, match="bits per subframe"):
+            run_socket_emulation(cell, profile, "127.0.0.1:0", "127.0.0.1:0", seed=0)
 
     def test_unpackable_soft_bit_width_raises_before_binding(self, monkeypatch):
         def no_bind(addr):
