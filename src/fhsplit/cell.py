@@ -6,6 +6,7 @@ shared freely between threads.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -135,8 +136,9 @@ class LinkBudget:
             "ul_processing_ms",
             "propagation_us_per_km",
         ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and strictly positive, got {value}")
         if self.dl_processing_ms > self.harq_rtt_ms:
             raise ValueError("dl_processing_ms exceeds harq_rtt_ms")
         if self.ul_processing_ms > self.harq_rtt_ms:
@@ -150,8 +152,8 @@ class LinkBudget:
 
     def propagation_delay_us(self, distance_km: float) -> float:
         """One-way fiber propagation delay over distance_km."""
-        if distance_km < 0:
-            raise ValueError("distance_km must be >= 0")
+        if not (math.isfinite(distance_km) and distance_km >= 0):
+            raise ValueError(f"distance_km must be finite and >= 0, got {distance_km}")
         return distance_km * self.propagation_us_per_km
 
 

@@ -42,6 +42,7 @@ class SimulatedChannel:
 
     def __init__(self, spec: ChannelSpec, seed) -> None:
         self.spec = spec
+        self.delay_ns = int(spec.delay_us * 1000)
         self._rng = np.random.Generator(np.random.PCG64(seed))
         self._pending: List[Tuple[int, int, bytes]] = []
         self._seq = 0
@@ -54,7 +55,7 @@ class SimulatedChannel:
         if self.spec.loss_rate > 0 and self._rng.random() < self.spec.loss_rate:
             self.dropped += 1
             return
-        delay_ns = int(self.spec.delay_us * 1000)
+        delay_ns = self.delay_ns
         if self.spec.reorder_rate > 0 and self._rng.random() < self.spec.reorder_rate:
             self.reordered += 1
             delay_ns += SUBFRAME_NS

@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
-from .cell import CellConfig
+from .cell import CellConfig, require_ints
 from .channel import ChannelSpec
 from .emulation import TrafficProfile
 from .wire import DEFAULT_MAX_DATAGRAM, chunk_count
@@ -111,6 +111,7 @@ class Scenario:
     ru_addr: Optional[str] = None
 
     def __post_init__(self) -> None:
+        require_ints(self, "seed", "max_datagram")
         if self.mode not in ("sim", "socket"):
             raise ValueError(f"mode must be 'sim' or 'socket', got {self.mode!r}")
         if self.mode == "socket" and not (self.du_addr and self.ru_addr):
@@ -141,8 +142,8 @@ def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
         profile=profile,
         channel=channel,
         mode=data.get("mode", "sim"),
-        seed=int(data.get("seed", 0)),
-        max_datagram=int(data.get("max_datagram", DEFAULT_MAX_DATAGRAM)),
+        seed=data.get("seed", 0),
+        max_datagram=data.get("max_datagram", DEFAULT_MAX_DATAGRAM),
         du_addr=data.get("du_addr"),
         ru_addr=data.get("ru_addr"),
     )

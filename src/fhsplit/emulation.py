@@ -14,6 +14,13 @@ is within 2^-16 of the quantized Gaussian's; at w = 16 that is the
 sampler's resolution. A message's codes are drawn, indexed and packed in
 slabs of SOFT_SLAB_CODES, so no array as long as the message is built;
 the joined slabs are byte-identical to one full-length draw and pack.
+The indices are the little-endian 16-bit halves of raw 64-bit PCG64
+words. The 32-bit half that Generator.integers keeps in the bit
+generator's has_uint32/uinteger is read once per message and written
+back at its end, so the indices, and every later draw, equal what
+integers(0, 2**16, k, dtype=np.uint16) gives slab by slab. pack_codes
+merges the codes pairwise into 2w-bit pairs and 4w-bit quads and lays
+each group of 8 out as w big-endian bytes.
 
 The meter counts bytes on the wire per direction (payload plus the
 22-byte header of every chunk) and classifies every emitted subframe
@@ -415,13 +422,39 @@ def _llr_code_table(quantizer: LlrQuantizer) -> np.ndarray:
 def _ul_messages(t, scheduled_bits, cfg, code_table, llr_rng) -> List[Tuple[int, bytes]]:
     msgs = []
     if scheduled_bits:
+        # Generator.integers(0, 1 << 16, k, dtype=np.uint16) takes each
+        # uint16 from a 32-bit draw, low half first, and drops the high
+        # half of an odd count's last one. A 32-bit draw is the low half of
+        # a raw 64-bit word; the high half waits in has_uint32/uinteger for
+        # the next 32-bit draw. Reproduce both from raw words, so that the
+        # codes and every later draw equal integers' slab by slab.
+        bit_gen = llr_rng.bit_generator
+        state = bit_gen.state
+        has, carry = state["has_uint32"], state["uinteger"]
         slabs = []
         for start in range(0, scheduled_bits, SOFT_SLAB_CODES):
             k = min(SOFT_SLAB_CODES, scheduled_bits - start)
-            u = llr_rng.integers(0, 1 << LLR_TABLE_BITS, k, dtype=np.uint16)
+            n32 = (k + 1) // 2  # the 32-bit draws the slab takes
+            # the pending half first, then whole raw words for the rest
+            words = bit_gen.random_raw((n32 - has + 1) // 2)
+            words = words.astype("<u8", copy=False).view("<u4")
+            if has:
+                words = np.concatenate((np.array([carry], dtype="<u4"), words))
+            has = int(words.size > n32)
+            if has:
+                carry = int(words[n32])
+            u = words[:n32].view("<u2")[:k]
             # take(u) gathers a slab faster than code_table[u] does: about
             # 9 against 12 ms per 3 M codes (numpy 2.4, 2-vCPU x86 host)
             slabs.append(pack_codes(code_table.take(u), cfg.soft_bit_width))
+            # Free the slab's words before the next slab draws its own, so
+            # the allocator can hand the same block back; kept alive, a
+            # 3-slab message took about 1.5 times as long.
+            del words, u
+        if (has, carry) != (state["has_uint32"], state["uinteger"]):
+            state = bit_gen.state
+            state["has_uint32"], state["uinteger"] = has, carry
+            bit_gen.state = state
         msgs.append((CONTENT_UL_SOFT, b"".join(slabs)))
     if t % CQI_PERIOD == 0:
         msgs.append((CONTENT_UL_CQI, encode_cqi(CqiReport(t, _cqi_value(t)))))
@@ -577,7 +610,7 @@ def run_emulation(
     settle_ns = (
         duration * SUBFRAME_NS
         + DEFAULT_TIMEOUT_NS
-        + int(channel.delay_us * 1000)
+        + dl_channel.delay_ns
         + 2 * SUBFRAME_NS
     )
     for chan, rx, meter in links:

@@ -9,9 +9,7 @@ round-trip error is at most half a step.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -58,25 +56,28 @@ def dequantize_llr(codes, q: LlrQuantizer) -> np.ndarray:
     return arr.astype(np.float64) * q.step
 
 
-@functools.lru_cache(maxsize=None)
-def _column_shifts(bit_width: int) -> Tuple[Tuple[int, int, int], ...]:
-    """(byte, code, shift) for every code bit range that overlaps a byte.
+def _merge(words: np.ndarray, shift: int) -> np.ndarray:
+    """Join the halves of every little-endian word in place: low << shift | high.
 
-    Eight codes pack MSB first into exactly bit_width bytes: code j holds
-    bits [j*w, (j+1)*w) of the group and byte k bits [8k, 8k+8). Shifting
-    code j left by 8(k+1) - (j+1)w (right when negative) lines its bits up
-    with byte k.
+    The low half of each word holds the earlier of two fields, so the
+    merged word carries them in order, MSB first, in its low 2 * shift
+    bits.
     """
-    return tuple(
-        (k, j, 8 * (k + 1) - (j + 1) * bit_width)
-        for k in range(bit_width)
-        for j in range(8)
-        if j * bit_width < 8 * (k + 1) and (j + 1) * bit_width > 8 * k
-    )
+    half = words.dtype.itemsize * 4
+    high = words >> half
+    words &= (1 << half) - 1
+    words <<= shift
+    words |= high
+    return words
 
 
-def _shift(column: np.ndarray, shift: int) -> np.ndarray:
-    return column << shift if shift >= 0 else column >> -shift
+def _split(merged: np.ndarray, shift: int) -> np.ndarray:
+    """Inverse of _merge, in place: the earlier field back into the low half."""
+    later = merged & ((1 << shift) - 1)
+    merged >>= shift
+    later <<= merged.dtype.itemsize * 4
+    merged |= later
+    return merged
 
 
 def pack_codes(codes, bit_width: int) -> bytes:
@@ -84,6 +85,16 @@ def pack_codes(codes, bit_width: int) -> bytes:
 
     Every 8 codes fill exactly bit_width bytes. The last byte is
     zero-padded; the caller must remember the code count to unpack.
+
+    w = 8 is a plain int8 cast. Otherwise the codes are masked into
+    little-endian uint16 and merged pairwise on contiguous views, two
+    codes into the low 2w bits of a uint32. For w < 8 the pairs are
+    narrowed back to uint16, pairs of pairs merge into the low 4w bits of
+    a uint32 and pairs of those into the low 8w bits of a uint64, which
+    is shifted to the top of the word. For w > 8 pairs of pairs merge into
+    the low 4w bits of a uint64, and each group of 8 becomes two words:
+    its top 64 bits, and its remaining 8w - 64 bits at the top of the
+    second. A group's bytes are the first w bytes of its big-endian words.
     """
     if not 2 <= bit_width <= 16:
         raise ValueError("bit_width must be in [2, 16]")
@@ -92,20 +103,32 @@ def pack_codes(codes, bit_width: int) -> bytes:
         arr = arr.astype(np.int64)
     if bit_width == 8:
         return arr.astype(np.uint8).tobytes()
+    w = bit_width
     n = arr.size
-    # one row per group of 8 codes, masked to bit_width bits, zero-padded
-    groups = np.zeros((-(-n // 8), 8), dtype=np.uint16)
-    # the cast keeps the low 16 bits of any integer dtype; masking in uint16
-    # then works whatever the input dtype (a 16-bit mask overflows int16)
-    flat = groups.reshape(-1)[:n]
-    np.copyto(flat, arr, casting="unsafe")
-    np.bitwise_and(flat, (1 << bit_width) - 1, out=flat)
-    acc = [0] * bit_width
-    for k, j, shift in _column_shifts(bit_width):
-        acc[k] |= _shift(groups[:, j], shift)
-    # the cast keeps the low 8 bits of each byte column
-    out = np.stack(acc, axis=1, dtype=np.uint8, casting="unsafe")
-    return out.reshape(-1)[: -(-n * bit_width // 8)].tobytes()
+    # groups of 8 codes, zero-padded; the cast keeps the low 16 bits of any
+    # integer dtype, so masking in uint16 then works whatever the input
+    # dtype (a 16-bit mask overflows int16)
+    codes16 = np.zeros(-(-n // 8) * 8, dtype="<u2")
+    np.copyto(codes16[:n], arr, casting="unsafe")
+    codes16 &= (1 << w) - 1
+    pairs = _merge(codes16.view("<u4"), w)
+    if w < 8:
+        quads = _merge(pairs.astype("<u2").view("<u4"), 2 * w)
+        words = _merge(quads.view("<u8"), 4 * w)
+        words <<= 64 - 8 * w
+    else:
+        words = _merge(pairs.view("<u8"), 2 * w)
+        first, second = words[0::2], words[1::2]
+        # numpy defines the shift by 64 at w = 16 as 0
+        rest = second >> (8 * w - 64)
+        second <<= 128 - 8 * w
+        first <<= 64 - 4 * w
+        first |= rest
+    rows = words.astype(">u8", copy=False)
+    # the first w bytes of every group's 8 or 16 as one item: copies
+    # faster than the bytes sliced out of a 2-D view
+    groups = np.ndarray(len(codes16) // 8, f"V{w}", rows, strides=(8 if w < 8 else 16,))
+    return groups.tobytes()[: -(-n * w // 8)]
 
 
 def unpack_codes(data: bytes, bit_width: int, count: int) -> np.ndarray:
@@ -121,14 +144,24 @@ def unpack_codes(data: bytes, bit_width: int, count: int) -> np.ndarray:
     if bit_width == 8:
         unsigned = raw.astype(np.int32)
     else:
-        # one row per group of bit_width bytes, zero-padded
-        groups = np.zeros((-(-count // 8), bit_width), dtype=np.uint16)
-        groups.reshape(-1)[:needed] = raw
-        acc = [0] * 8
-        for k, j, shift in _column_shifts(bit_width):
-            acc[j] |= _shift(groups[:, k], -shift)
-        unsigned = np.stack(acc, axis=1, dtype=np.int32).reshape(-1)[:count]
-        # drop the bits of neighbouring codes that the shifts kept
-        unsigned &= (1 << bit_width) - 1
+        w = bit_width
+        groups = -(-count // 8)
+        padded = np.zeros(groups * w, dtype=np.uint8)
+        padded[:needed] = raw
+        # each group's w bytes at the top of zero-padded big-endian words
+        rows = np.zeros((groups, 8 if w < 8 else 16), dtype=np.uint8)
+        rows[:, :w] = padded.reshape(groups, w)
+        words = rows.view(">u8").astype("<u8")
+        if w < 8:
+            words >>= 64 - 8 * w
+            quads = _split(words.reshape(-1), 4 * w).view("<u4")
+            pairs = _split(quads, 2 * w).view("<u2").astype("<u4")
+        else:
+            first, second = words[:, 0], words[:, 1]
+            second >>= 128 - 8 * w
+            second |= (first & ((1 << 64 - 4 * w) - 1)) << (8 * w - 64)
+            first >>= 64 - 4 * w
+            pairs = _split(words.reshape(-1), 2 * w).view("<u4")
+        unsigned = _split(pairs, w).view("<u2")[:count].astype(np.int32)
     sign_bit = 1 << (bit_width - 1)
     return unsigned - ((unsigned & sign_bit) << 1)

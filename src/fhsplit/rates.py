@@ -122,8 +122,8 @@ def max_fronthaul_distance_km(
     The direction's frame deadline minus the actual processing time is
     what remains for one-way propagation, charged once per direction.
     """
-    if processing_ms < 0:
-        raise ValueError("processing_ms must be >= 0")
+    if not (math.isfinite(processing_ms) and processing_ms >= 0):
+        raise ValueError(f"processing_ms must be finite and >= 0, got {processing_ms}")
     deadline = budget.deadline_ms(direction)
     margin_ms = deadline - processing_ms
     if margin_ms < 0:

@@ -163,6 +163,14 @@ class TestInvalidValues:
         (("compare", "--soft-bit-width", "8", "-2"), "soft_bit_width"),
         (("compare", "--iq-bits", "0"), "iq_component_bits"),
         (("budget", "--distance-km", "-1"), "distance_km"),
+        (("budget", "--distance-km", "nan"), "distance_km"),
+        (("budget", "--distance-km", "inf"), "distance_km"),
+        (("budget", "--us-per-km", "nan"), "propagation_us_per_km"),
+        (("budget", "--us-per-km", "inf"), "propagation_us_per_km"),
+        (("budget", "--harq-rtt-ms", "nan"), "harq_rtt_ms"),
+        (("budget", "--dl-deadline-ms", "inf"), "dl_processing_ms"),
+        (("budget", "--dl-processing-ms", "nan"), "processing_ms"),
+        (("budget", "--ul-processing-ms=-inf"), "processing_ms"),
     ])
     def test_rejected_with_exit_2_and_one_line(self, capsys, argv, field):
         code, out, err = run_cli(capsys, *argv)
@@ -299,6 +307,8 @@ class TestEmulate:
         ("profile.duration_subframes = 5.5", "duration_subframes"),
         ("profile.packet_size_bytes = 100.5", "packet_size_bytes"),
         ("cell.n_sc = 600.5", "n_sc"),
+        ("seed = 1.7", "seed"),
+        ("max_datagram = 1472.9", "max_datagram"),
     ])
     def test_non_integer_scenario_field_exits_2(self, capsys, tmp_path, line, field):
         scn = tmp_path / "s.cfg"

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fhsplit.cell import CellConfig, preset
@@ -168,6 +169,16 @@ class TestScenario:
                 self.make(max_datagram=size)
         for size in (23, 65_507):
             assert self.make(max_datagram=size).max_datagram == size
+
+    @pytest.mark.parametrize("field", ["seed", "max_datagram"])
+    @pytest.mark.parametrize("value", [1472.9, 1472.0, "1472"])
+    def test_integer_fields_reject_non_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            self.make(**{field: value})
+
+    def test_integer_fields_take_numpy_integers(self):
+        s = self.make(seed=np.int64(7), max_datagram=np.uint16(1000))
+        assert s.seed == 7 and s.max_datagram == 1000
 
     @pytest.mark.parametrize("section,key", [("profile", "goodput_bps"),
                                              ("channel", "delay_us")])

@@ -34,6 +34,7 @@ from fhsplit.emulation import (
     CQI_PERIOD,
     LLR_SCALE,
     MAX_BACKLOG_SUBFRAMES,
+    SOFT_SLAB_CODES,
     EmulationReport,
     SubframeReceiver,
     TrafficProfile,
@@ -47,6 +48,7 @@ from fhsplit.emulation import (
     run_emulation,
     subframe_capacity_bits,
 )
+from test_quantizer import reference_pack
 
 LTE10 = preset("lte10")
 
@@ -803,6 +805,58 @@ class TestCodeTable:
         freq = np.bincount(codes + q.max_code, minlength=2 * q.max_code + 1) / n
         p = code_probabilities(q)
         assert np.all(np.abs(freq - p) <= 5 * np.sqrt(p * (1 - p) / n))
+
+
+class TestDrawStream:
+    """_ul_messages draws raw generator words; its stream must equal integers'.
+
+    The reference draws every slab of every message with
+    Generator.integers(0, 2**16, k, dtype=np.uint16), which keeps the high
+    half of a 64-bit word for the next call. The counts leave that half
+    pending or consume it at every slab position, so a dropped carry
+    changes the bytes and the next draw.
+    """
+
+    COUNTS = (1, 2, 3, 5, 6, 7, 9, 65_535, 65_537, 131_071, 131_074)
+
+    @staticmethod
+    def generator(pending):
+        rng = np.random.Generator(np.random.PCG64(17))
+        if pending:
+            rng.integers(0, 1 << 32, dtype=np.uint32)  # leaves a 32-bit half
+        return rng
+
+    @staticmethod
+    def reference(cfg, table, rng, n):
+        u = np.concatenate([
+            rng.integers(0, 1 << 16, min(SOFT_SLAB_CODES, n - start), dtype=np.uint16)
+            for start in range(0, n, SOFT_SLAB_CODES)])
+        return reference_pack(table[u], cfg.soft_bit_width)
+
+    def chain(self, width, pending):
+        """(count, payload, reference) per message, and the two generators after."""
+        cfg = replace(LTE10, soft_bit_width=width)
+        table = _llr_code_table(LlrQuantizer(width))
+        rng, ref_rng = self.generator(pending), self.generator(pending)
+        messages = []
+        for n in self.COUNTS:
+            [(_, payload)] = _ul_messages(1, n, cfg, table, rng)
+            messages.append((n, payload, self.reference(cfg, table, ref_rng, n)))
+        return messages, rng, ref_rng
+
+    @pytest.mark.parametrize("pending", [False, True])
+    @pytest.mark.parametrize("width", [5, 16])
+    def test_chained_messages_match_integers_per_slab(self, width, pending):
+        messages, _, _ = self.chain(width, pending)
+        for n, payload, expected in messages:
+            assert payload == expected, f"{n} codes"
+
+    @pytest.mark.parametrize("pending", [False, True])
+    def test_next_draw_after_the_chain_matches(self, pending):
+        _, rng, ref_rng = self.chain(5, pending)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert np.array_equal(rng.integers(0, 1 << 16, 5, dtype=np.uint16),
+                              ref_rng.integers(0, 1 << 16, 5, dtype=np.uint16))
 
 
 class TestBenchmarkHooks:

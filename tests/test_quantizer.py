@@ -269,6 +269,15 @@ class TestPacking:
                 assert pack_codes(codes.astype(np.int8), width) == expected
             assert np.array_equal(unpack_codes(expected + b"\xa5", width, n), codes)
 
+    @pytest.mark.parametrize("width", list(range(2, 17)))
+    def test_counts_around_a_slab_match_reference(self, width):
+        # the emulator packs 2^16-code slabs; a message ends anywhere
+        lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
+        codes = np.random.default_rng(width).integers(lo, hi + 1, size=(1 << 16) + 8)
+        codes[::7] = lo
+        for n in range((1 << 16) - 8, (1 << 16) + 9):
+            assert pack_codes(codes[:n], width) == reference_pack(codes[:n], width)
+
     @given(case=width_and_codes())
     @settings(max_examples=300, deadline=None)
     def test_pack_matches_reference(self, case):

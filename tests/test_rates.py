@@ -278,6 +278,18 @@ class TestDistanceBudget:
         with pytest.raises(ValueError):
             max_fronthaul_distance_km(LinkBudget(), Direction.DL, 1.2)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_inputs_rejected(self, value):
+        for field in ("harq_rtt_ms", "dl_processing_ms", "ul_processing_ms",
+                      "propagation_us_per_km"):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                LinkBudget(**{field: value})
+        with pytest.raises(ValueError, match="distance_km must be finite"):
+            LinkBudget().propagation_delay_us(value)
+        for direction in Direction:
+            with pytest.raises(ValueError, match="processing_ms must be finite"):
+                max_fronthaul_distance_km(LinkBudget(), direction, value)
+
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
             max_fronthaul_distance_km(LinkBudget(), Direction.UL, -0.1)
