@@ -29,7 +29,6 @@ from .rates import (
     CapacityRow,
     capacity_table,
     efficiency_ratio,
-    expected_efficiency,
     max_fronthaul_distance_km,
     rate_71,
     rate_72,
@@ -81,7 +80,6 @@ __all__ = [
     "CapacityRow",
     "capacity_table",
     "efficiency_ratio",
-    "expected_efficiency",
     "max_fronthaul_distance_km",
     "rate_71",
     "rate_72",

@@ -6,20 +6,25 @@ propagation delay and optional cross-subframe reordering (a held-back
 datagram is delayed by one extra subframe period), then releases datagrams
 in delivery-time order, ties in send order. Send times need not rise: a
 long message's last chunks may be stamped after the next message's first.
+The queue is a list kept stably sorted by delivery time: send appends, and
+deliver_until sorts, which keeps ties in send order and takes linear time
+on the already-sorted runs, then cuts off the datagrams that are due.
 Behaviour is a pure function of the parameters and the seed.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import socket
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 SUBFRAME_NS = 1_000_000
+_DELIVERY_NS = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -44,8 +49,7 @@ class SimulatedChannel:
         self.spec = spec
         self.delay_ns = int(spec.delay_us * 1000)
         self._rng = np.random.Generator(np.random.PCG64(seed))
-        self._pending: List[Tuple[int, int, bytes]] = []
-        self._seq = 0
+        self._pending: List[Tuple[int, bytes]] = []  # (delivery_ns, datagram)
         self.sent = 0
         self.dropped = 0
         self.reordered = 0
@@ -59,15 +63,15 @@ class SimulatedChannel:
         if self.spec.reorder_rate > 0 and self._rng.random() < self.spec.reorder_rate:
             self.reordered += 1
             delay_ns += SUBFRAME_NS
-        heapq.heappush(self._pending, (now_ns + delay_ns, self._seq, datagram))
-        self._seq += 1
+        self._pending.append((now_ns + delay_ns, datagram))
 
     def deliver_until(self, now_ns: int) -> List[Tuple[int, bytes]]:
-        """Pop every datagram due at or before now_ns, in delivery order."""
-        out = []
-        while self._pending and self._pending[0][0] <= now_ns:
-            delivery_ns, _, datagram = heapq.heappop(self._pending)
-            out.append((delivery_ns, datagram))
+        """Remove every datagram due at or before now_ns; returns them in delivery order."""
+        pending = self._pending
+        pending.sort(key=_DELIVERY_NS)
+        due = bisect_right(pending, now_ns, key=_DELIVERY_NS)
+        out = pending[:due]
+        del pending[:due]
         return out
 
     @property

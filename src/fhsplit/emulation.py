@@ -71,6 +71,7 @@ from .messages import (
 )
 from .rates import rate_73_dl
 from .wire import (
+    _HEADER,
     DEFAULT_MAX_DATAGRAM,
     DEFAULT_TIMEOUT_NS,
     HEADER_LEN,
@@ -202,6 +203,35 @@ class SubframeReceiver:
                 events.append((ctype, Jumbled(old, new)))
         if event is not None and not isinstance(event, Jumbled):
             events.append((ctype, event))
+        return events
+
+    def feed_many(
+        self, arrivals: Iterable[Tuple[int, bytes]]
+    ) -> List[Tuple[int, ReassemblyEvent]]:
+        """Feed (recv_ns, datagram) arrivals in order; returns feed's outcomes, joined.
+
+        The events, and the receiver's state after them, are exactly those
+        of calling feed once per arrival. A datagram that only advances the
+        assembly open for its content type is held by
+        ReassemblyBuffer.advance without decoding a Chunk; every other one,
+        including each that completes a message, goes through feed, so
+        ReassemblyBuffer.accept still produces every Complete.
+
+        Held payloads are memoryview slices of their datagrams, kept until
+        the message completes, times out or is displaced. That is only safe
+        for immutable bytes, which SimulatedChannel delivers; socket mode
+        feeds each received datagram through feed instead.
+        """
+        events: List[Tuple[int, ReassemblyEvent]] = []
+        buffers = self._buffers
+        unpack = _HEADER.unpack_from
+        for recv_ns, datagram in arrivals:
+            if len(datagram) >= HEADER_LEN:
+                fields = unpack(datagram)
+                buf = buffers.get(fields[2])
+                if buf is not None and buf.advance(fields, datagram, recv_ns):
+                    continue
+            events += self.feed(datagram, recv_ns)
         return events
 
     def poll(self, now_ns: int) -> List[Tuple[int, ReassemblyEvent]]:
@@ -558,16 +588,13 @@ def _prepare(
 
 
 def _pump(
-    arrivals: Iterable[Tuple[int, bytes]],
+    events: List[Tuple[int, ReassemblyEvent]],
     rx: SubframeReceiver,
     meter: _DirMeter,
     poll_ns: int,
 ) -> None:
-    """Feed one direction's (recv_ns, datagram) arrivals, then expire by poll_ns."""
-    for recv_ns, datagram in arrivals:
-        for ctype, event in rx.feed(datagram, recv_ns):
-            meter.record_event(ctype, event)
-    for ctype, event in rx.poll(poll_ns):
+    """Meter the events of the arrivals just fed to rx, then expire by poll_ns."""
+    for ctype, event in events + rx.poll(poll_ns):
         meter.record_event(ctype, event)
 
 
@@ -603,8 +630,8 @@ def run_emulation(
         _emit(dl_meter, dl_channel.send, next(dl_messages), t, base_ns, max_datagram)
         _emit(ul_meter, ul_channel.send, next(ul_messages), t, base_ns, max_datagram)
         for chan, rx, meter in links:
-            _pump(chan.deliver_until(base_ns + SUBFRAME_NS - 1), rx, meter,
-                  base_ns + SUBFRAME_NS)
+            _pump(rx.feed_many(chan.deliver_until(base_ns + SUBFRAME_NS - 1)),
+                  rx, meter, base_ns + SUBFRAME_NS)
 
     # Let in-flight datagrams land and pending assemblies expire.
     settle_ns = (
@@ -614,7 +641,7 @@ def run_emulation(
         + 2 * SUBFRAME_NS
     )
     for chan, rx, meter in links:
-        _pump(chan.deliver_until(settle_ns), rx, meter, settle_ns)
+        _pump(rx.feed_many(chan.deliver_until(settle_ns)), rx, meter, settle_ns)
 
     return _finalize(
         offered, dl_meter, ul_meter, dropped_bits,
@@ -673,7 +700,7 @@ def run_socket_emulation(
         while not stop.is_set():
             datagram = endpoint.recv()
             now = time.monotonic_ns()
-            _pump(() if datagram is None else ((now, datagram),), rx, meter, now)
+            _pump([] if datagram is None else rx.feed(datagram, now), rx, meter, now)
 
     def guarded(fn, *args):
         def wrapper():

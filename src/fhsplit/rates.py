@@ -23,7 +23,7 @@ import io
 import json
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .cell import CellConfig, Direction, LinkBudget, MODULATION_NAMES
 
@@ -82,36 +82,6 @@ def efficiency_ratio(
     if soft_bit_width is None or soft_bit_width < 1:
         raise ValueError("uplink ratio needs soft_bit_width >= 1")
     return Fraction(2 * iq_component_bits, mod_order * soft_bit_width)
-
-
-def expected_efficiency(
-    mix: Iterable[Tuple[int, float]],
-    direction: Direction,
-    soft_bit_width: Optional[int] = None,
-    iq_component_bits: int = 16,
-) -> float:
-    """Traffic-weighted mean of efficiency_ratio over a modulation mix.
-
-    The mix lists (mod_order, fraction) pairs; fractions may sum to less
-    than 1 (unreported traffic), in which case the mean is renormalized
-    over the reported fractions.
-    """
-    pairs = list(mix)
-    if not pairs:
-        raise ValueError("modulation mix must not be empty")
-    total = 0.0
-    weighted = 0.0
-    for mod_order, fraction in pairs:
-        if fraction < 0:
-            raise ValueError(f"negative mix fraction for mod_order {mod_order}")
-        ratio = efficiency_ratio(direction, mod_order, soft_bit_width, iq_component_bits)
-        weighted += fraction * float(ratio)
-        total += fraction
-    if total <= 0:
-        raise ValueError("mix fractions sum to zero")
-    if total > 1 + 1e-9:
-        raise ValueError(f"mix fractions sum to {total}, expected <= 1")
-    return weighted / total
 
 
 def max_fronthaul_distance_km(

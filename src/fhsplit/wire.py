@@ -266,7 +266,8 @@ class ReassemblyBuffer:
 
     def __init__(self) -> None:
         self.displaced: List[Tuple[int, int]] = []
-        self._payloads: Dict[int, bytes] = {}  # sender_clock -> chunk payload
+        # sender_clock -> chunk payload (bytes, or a memoryview held by advance)
+        self._payloads: Dict[int, Union[bytes, memoryview]] = {}
         self._timestamp: Optional[int] = None
         self._num_blocks = 0
         self._content_type = 0
@@ -303,6 +304,33 @@ class ReassemblyBuffer:
             self._clear()
             return self._start(chunk, now_ns) or Jumbled(old, ts)
         return Malformed("stale", timestamp=ts)
+
+    def advance(self, fields: Tuple[int, int, int, int, int], datagram: bytes,
+                now_ns: int) -> bool:
+        """Hold a datagram that only advances the open assembly; False if it does more.
+
+        fields are the datagram's raw header fields, as _HEADER.unpack_from
+        gives them. The payload is held, and True returned, exactly when
+        feeding the datagram through chunk_from_datagram, poll_timeout and
+        accept would time nothing out and return None from accept: the
+        header continues the open assembly (same timestamp, num_blocks and
+        content_type), size == len(datagram) <= MAX_DATAGRAM, now_ns is
+        before the deadline, the sender_clock is new, and at least one more
+        block is still missing after this one. Otherwise nothing changes.
+
+        The held payload is a memoryview slice of datagram, so datagram
+        must be immutable bytes.
+        """
+        timestamp, num_blocks, content_type, size, clock = fields
+        payloads = self._payloads
+        if (timestamp == self._timestamp and num_blocks == self._num_blocks
+                and content_type == self._content_type
+                and size == len(datagram) <= MAX_DATAGRAM
+                and now_ns < self._deadline and clock not in payloads
+                and len(payloads) < num_blocks - 1):
+            payloads[clock] = memoryview(datagram)[HEADER_LEN:]
+            return True
+        return False
 
     def poll_timeout(self, now_ns: int) -> Optional[Timeout]:
         """Expire the assembly in progress once its deadline is reached."""

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import random
+import struct
 import sys
 import threading
 from dataclasses import replace
@@ -22,6 +23,7 @@ from fhsplit.llr import LlrQuantizer, unpack_codes
 from fhsplit.wire import (
     DEFAULT_TIMEOUT_NS,
     HEADER_LEN,
+    MAX_DATAGRAM,
     Complete,
     Jumbled,
     Malformed,
@@ -471,6 +473,45 @@ class TestSimulatedChannel:
             ChannelSpec(delay_us=-5.0)
 
 
+class TestChannelReferenceModel:
+    """SimulatedChannel against a queue sorted by (delivery time, send index)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+        st.sampled_from([0.0, 0.5, 50.0]),
+        # (deliver?, time) steps; times jump back and forth across subframes
+        st.lists(st.tuples(st.booleans(), st.integers(0, 4 * SUBFRAME_NS)),
+                 max_size=60),
+    )
+    def test_matches_reference_model(self, seed, loss, reorder, delay_us, steps):
+        chan = SimulatedChannel(ChannelSpec(loss, reorder, delay_us), seed)
+        # one draw per decision, loss first, as the channel takes them
+        rng = np.random.Generator(np.random.PCG64(seed))
+        model, sent, dropped, reordered = [], 0, 0, 0
+        for deliver, now_ns in steps:
+            if deliver:
+                due = sorted(x for x in model if x[0] <= now_ns)
+                model = [x for x in model if x[0] > now_ns]
+                assert chan.deliver_until(now_ns) == [(t, d) for t, _, d in due]
+            else:
+                datagram = sent.to_bytes(2, "big")
+                chan.send(datagram, now_ns)
+                sent += 1
+                if loss > 0 and rng.random() < loss:
+                    dropped += 1
+                    continue
+                delay_ns = int(delay_us * 1000)
+                if reorder > 0 and rng.random() < reorder:
+                    reordered += 1
+                    delay_ns += SUBFRAME_NS
+                model.append((now_ns + delay_ns, sent, datagram))
+            assert (chan.sent, chan.dropped, chan.reordered, chan.in_flight) == (
+                sent, dropped, reordered, len(model))
+
+
 class TestReceiver:
     """SubframeReceiver.feed returns outcome events only."""
 
@@ -544,6 +585,85 @@ class TestReceiver:
         for x, y in zip(a, b):
             out += rx.feed(x.to_datagram(), 0) + rx.feed(y.to_datagram(), 0)
         assert out == [(0, Complete(1, b"a" * 3000)), (1, Complete(1, b"b" * 3000))]
+
+
+T_OUT = DEFAULT_TIMEOUT_NS
+_HEADER_FMT = ">QHHHQ"
+
+
+def _with_header(datagram, **fields):
+    """datagram with some header fields replaced; the rest of it unchanged."""
+    names = ("timestamp", "num_blocks", "content_type", "size", "sender_clock")
+    values = dict(zip(names, struct.unpack_from(_HEADER_FMT, datagram)), **fields)
+    return struct.pack(_HEADER_FMT, *(values[n] for n in names)) + datagram[HEADER_LEN:]
+
+
+def _mangle(datagram, kind, k):
+    if kind == "short":  # too short for a header
+        return datagram[: k % HEADER_LEN]
+    if kind == "truncated":  # a whole header, payload cut: size disagrees
+        return datagram[: HEADER_LEN + k % (len(datagram) - HEADER_LEN)]
+    if kind == "size":
+        size = struct.unpack_from(">H", datagram, 12)[0]
+        return _with_header(datagram, size=(size + 1 + k % 0xFFFF) % 0x10000)
+    if kind == "zero_blocks":
+        return _with_header(datagram, num_blocks=0)
+    if kind == "oversized":  # size matches the length, but above MAX_DATAGRAM
+        big = datagram.ljust(MAX_DATAGRAM + 1, b"o")
+        return _with_header(big, size=len(big))
+    return datagram
+
+
+@st.composite
+def arrival_lists(draw):
+    """(recv_ns, datagram) lists over a few short messages, with every kind of fault."""
+    messages = draw(st.lists(
+        st.tuples(st.integers(0, 3), st.sampled_from([0, 1, 7]),
+                  st.binary(min_size=1, max_size=20)),
+        min_size=1, max_size=5))
+    pool = []
+    for ts, ctype, payload in messages:
+        # 4 payload bytes per chunk: up to 5 chunks per message
+        pool += [c.to_datagram() for c in chunk_subframe(
+            ts, ctype, payload, HEADER_LEN + 4, sender_clock=100 * ts)]
+    kinds = st.sampled_from(["keep"] * 6 + ["short", "truncated", "size",
+                                            "zero_blocks", "oversized"])
+    # at, just before and past the 2 ms deadlines; unsorted, so times go backwards
+    times = st.sampled_from([0, 1, 2, T_OUT - 1, T_OUT, T_OUT + 1, 2 * T_OUT, 3 * T_OUT])
+    arrivals = draw(st.lists(
+        st.tuples(times, st.sampled_from(pool), kinds, st.integers(0, 1 << 16)),
+        max_size=40))
+    return [(t, _mangle(d, kind, k)) for t, d, kind, k in arrivals]
+
+
+class TestFeedMany:
+    """feed_many is feed applied to each arrival in turn, only faster."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(arrival_lists(), st.data())
+    def test_same_events_and_state_as_feed(self, arrivals, data):
+        ref = SubframeReceiver()
+        expected = [event for recv_ns, d in arrivals for event in ref.feed(d, recv_ns)]
+        cut = data.draw(st.integers(0, len(arrivals)))
+        rx = SubframeReceiver()
+        got = rx.feed_many(arrivals[:cut]) + rx.feed_many(arrivals[cut:])
+        assert got == expected
+        assert rx.malformed_headers == ref.malformed_headers
+        assert rx.poll(10 * T_OUT) == ref.poll(10 * T_OUT)
+        for _, event in got:
+            if isinstance(event, Complete):
+                assert type(event.payload) is bytes
+
+    def test_only_the_first_and_last_chunk_are_decoded(self, monkeypatch):
+        fed = []
+        feed = SubframeReceiver.feed
+        monkeypatch.setattr(SubframeReceiver, "feed",
+                            lambda rx, d, now_ns: fed.append(d) or feed(rx, d, now_ns))
+        payload = bytes(range(256)) * 12
+        datagrams = [c.to_datagram() for c in chunk_subframe(4, 1, payload, 256)]
+        out = SubframeReceiver().feed_many((i, d) for i, d in enumerate(datagrams))
+        assert out == [(1, Complete(4, payload))]
+        assert fed == [datagrams[0], datagrams[-1]]
 
 
 class TestReorderedChunks:
@@ -906,6 +1026,25 @@ class TestBenchmarkHooks:
         assert tracer.counters.datagrams == tracer.counters.sent > 0
         assert tracer.counters.accepted > 0
         assert [vars(owner)[attr] for owner, attr in targets] == originals
+
+    def test_content_check_sees_every_message(self, spans):
+        # The benchmark checks each Complete's content at the accept hook;
+        # batched receive must still route every Complete through it.
+        tracer = spans.Tracer(fhsplit)
+        tracer.install()
+        try:
+            tracer.begin_call()
+            report = run_emulation(preset("lte20"), TrafficProfile(200e6, 1400, 4),
+                                   ChannelSpec(), seed=1, max_datagram=256)
+        finally:
+            tracer.restore()
+        c = tracer.counters
+        completed = report.dl.completed_messages + report.ul.completed_messages
+        assert completed == report.dl.emitted_messages + report.ul.emitted_messages
+        # a latency sample is taken for every checked Complete
+        assert len(c.latencies_ns) == completed
+        assert c.corrupt_completes == 0
+        assert c.useful_chunks == c.datagrams > completed
 
     def test_every_hook_target_resolves(self, spans):
         targets = [(owner, attr) for _, owner, attr in spans.SPAN_TARGETS]

@@ -11,7 +11,6 @@ from fhsplit.rates import (
     OPTION8_NOTE,
     capacity_table,
     efficiency_ratio,
-    expected_efficiency,
     format_mbps,
     max_fronthaul_distance_km,
     mbps_tenths,
@@ -133,37 +132,6 @@ class TestEfficiencyRatios:
     def test_bad_mod_order(self):
         with pytest.raises(ValueError):
             efficiency_ratio(Direction.DL, 5)
-
-    def test_expected_efficiency_weighted_mean(self):
-        mix = [(2, 0.3635), (4, 0.2843), (6, 0.0274)]
-        # independent arithmetic: renormalized weighted mean of 32/m
-        weights = sum(f for _, f in mix)
-        oracle = sum(f * 32 / m for m, f in mix) / weights
-        got = expected_efficiency(mix, Direction.DL)
-        assert got == pytest.approx(oracle, rel=1e-12)
-        # a full mix needs no renormalization
-        full = [(2, 0.5), (4, 0.5)]
-        assert expected_efficiency(full, Direction.DL) == pytest.approx(
-            0.5 * 16 + 0.5 * 8
-        )
-
-    def test_expected_efficiency_uplink(self):
-        mix = [(2, 0.25), (6, 0.25)]
-        oracle = (0.25 * 32 / (2 * 8) + 0.25 * 32 / (6 * 8)) / 0.5
-        assert expected_efficiency(mix, Direction.UL, 8) == pytest.approx(oracle)
-
-    @pytest.mark.parametrize(
-        "mix,error",
-        [
-            ([], "empty"),
-            ([(2, -0.1)], "negative"),
-            ([(2, 0.0)], "zero"),
-            ([(2, 0.7), (4, 0.7)], "sum"),
-        ],
-    )
-    def test_expected_efficiency_rejects_bad_mix(self, mix, error):
-        with pytest.raises(ValueError):
-            expected_efficiency(mix, Direction.DL)
 
 
 cell_configs = st.builds(
