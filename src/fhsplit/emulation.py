@@ -215,11 +215,7 @@ class SubframeReceiver:
         assembly open for its content type is held by
         ReassemblyBuffer.advance without decoding a Chunk; every other one,
         including each that completes a message, goes through feed, so
-        ReassemblyBuffer.accept still produces every Complete.
-
-        Held payloads are memoryview slices of their datagrams, kept until
-        the message completes, times out or is displaced. That is only safe
-        for immutable bytes, which SimulatedChannel delivers; socket mode
+        ReassemblyBuffer.accept still produces every Complete. Socket mode
         feeds each received datagram through feed instead.
         """
         events: List[Tuple[int, ReassemblyEvent]] = []

@@ -266,8 +266,7 @@ class ReassemblyBuffer:
 
     def __init__(self) -> None:
         self.displaced: List[Tuple[int, int]] = []
-        # sender_clock -> chunk payload (bytes, or a memoryview held by advance)
-        self._payloads: Dict[int, Union[bytes, memoryview]] = {}
+        self._payloads: Dict[int, bytes] = {}  # sender_clock -> chunk payload
         self._timestamp: Optional[int] = None
         self._num_blocks = 0
         self._content_type = 0
@@ -317,9 +316,6 @@ class ReassemblyBuffer:
         content_type), size == len(datagram) <= MAX_DATAGRAM, now_ns is
         before the deadline, the sender_clock is new, and at least one more
         block is still missing after this one. Otherwise nothing changes.
-
-        The held payload is a memoryview slice of datagram, so datagram
-        must be immutable bytes.
         """
         timestamp, num_blocks, content_type, size, clock = fields
         payloads = self._payloads
@@ -328,7 +324,7 @@ class ReassemblyBuffer:
                 and size == len(datagram) <= MAX_DATAGRAM
                 and now_ns < self._deadline and clock not in payloads
                 and len(payloads) < num_blocks - 1):
-            payloads[clock] = memoryview(datagram)[HEADER_LEN:]
+            payloads[clock] = datagram[HEADER_LEN:]
             return True
         return False
 
