@@ -80,10 +80,12 @@ class SimulatedChannel:
 
 
 def parse_addr(addr: str) -> Tuple[str, int]:
-    """Parse 'host:port' into a socket address tuple."""
+    """Parse 'host:port' into a socket address tuple; the port must be in 0-65535."""
     host, sep, port = addr.rpartition(":")
     if not sep or not host:
         raise ValueError(f"address {addr!r} must look like host:port")
+    if not 0 <= int(port) <= 65535:
+        raise ValueError(f"address {addr!r} has a port outside 0-65535")
     return host, int(port)
 
 
@@ -103,6 +105,11 @@ class UdpEndpoint:
     def address(self) -> str:
         host, port = self.sock.getsockname()
         return f"{host}:{port}"
+
+    def reserve_rcvbuf(self, nbytes: int) -> None:
+        """Grow the receive buffer to nbytes; Linux caps it at net.core.rmem_max."""
+        if self.sock.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF) < nbytes:
+            self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, nbytes)
 
     def send_to(self, datagram: bytes, peer: Tuple[str, int]) -> None:
         self.sock.sendto(datagram, peer)

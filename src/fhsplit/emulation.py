@@ -29,20 +29,22 @@ receiver at all are charged as timeouts. Simulated runs are a pure
 function of their parameters and the seed.
 
 Three logical actors - DU endpoint, RU endpoint, channel - communicate
-only by datagrams; the meter aggregates records from both endpoints. The
-in-process mode drives all three from one deterministic virtual-time
-loop; socket mode runs each endpoint's send and receive paths as threads.
-Both modes send one traffic schedule, computed before the run starts.
+only by datagrams; the meter aggregates records from both endpoints. Both
+run modes drive them from one single-threaded loop that sends one traffic
+schedule, computed before the run starts: the in-process mode on a
+deterministic virtual clock over simulated channels, socket mode on the
+wall clock over two UDP sockets.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
 import json
 import math
-import threading
+import selectors
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -215,8 +217,8 @@ class SubframeReceiver:
         assembly open for its content type is held by
         ReassemblyBuffer.advance without decoding a Chunk; every other one,
         including each that completes a message, goes through feed, so
-        ReassemblyBuffer.accept still produces every Complete. Socket mode
-        feeds each received datagram through feed instead.
+        ReassemblyBuffer.accept still produces every Complete. Both run
+        modes feed each direction's arrivals of a subframe this way.
         """
         events: List[Tuple[int, ReassemblyEvent]] = []
         buffers = self._buffers
@@ -240,11 +242,7 @@ class SubframeReceiver:
 
 
 class _DirMeter:
-    """Sender- and receiver-side accounting for one link direction.
-
-    record_emission and record_event write disjoint fields, so one sender
-    thread and one receiver thread may record into the same meter at once.
-    """
+    """Sender- and receiver-side accounting for one link direction."""
 
     def __init__(self, duration: int):
         self.wire_bits = [0] * duration
@@ -559,19 +557,21 @@ def _finalize(
 
 def _prepare(
     cfg: CellConfig, profile: TrafficProfile, seed: int, max_datagram: int
-) -> Tuple[List[int], int, Iterator, Iterator, List[np.random.SeedSequence]]:
+) -> Tuple[List[int], int, Tuple[Iterator, Iterator], List[np.random.SeedSequence], int]:
     """The set-up both run modes share, done before any socket or datagram.
 
     Returns the offered bits of every subframe, the offered bits dropped,
     each subframe's downlink and uplink message lists (synthesized one
-    subframe per step) and two seeds for the simulated channels. Raises
-    ValueError when the cell carries no bit per subframe, the soft-bit
-    width cannot be packed or a message cannot be chunked.
+    subframe per step), two seeds for the simulated channels and the byte
+    length of the run's largest message. Raises ValueError when the cell
+    carries no bit per subframe, the soft-bit width cannot be packed or a
+    message cannot be chunked.
     """
     offered, scheduled, dropped_bits = _traffic_schedule(cfg, profile)
     # Every scheduled bit is answered by soft_bit_width >= 2 uplink bits, so
     # the largest soft-bit message is the largest message of the run.
-    chunk_count(-(-max(scheduled) * cfg.soft_bit_width // 8), max_datagram)
+    largest = -(-max(scheduled) * cfg.soft_bit_width // 8)
+    chunk_count(largest, max_datagram)
     s_payload, s_llr, *channel_seeds = np.random.SeedSequence(seed).spawn(4)
     payload_rng = np.random.Generator(np.random.PCG64(s_payload))
     llr_rng = np.random.Generator(np.random.PCG64(s_llr))
@@ -580,7 +580,7 @@ def _prepare(
                    for t, bits in enumerate(scheduled))
     ul_messages = (_ul_messages(t, bits, cfg, code_table, llr_rng)
                    for t, bits in enumerate(scheduled))
-    return offered, dropped_bits, dl_messages, ul_messages, channel_seeds
+    return offered, dropped_bits, (dl_messages, ul_messages), channel_seeds, largest
 
 
 def _pump(
@@ -592,6 +592,46 @@ def _pump(
     """Meter the events of the arrivals just fed to rx, then expire by poll_ns."""
     for ctype, event in events + rx.poll(poll_ns):
         meter.record_event(ctype, event)
+
+
+def _run_loop(
+    offered: List[int], dropped_bits: int, messages: Tuple[Iterator, Iterator], links,
+    start_ns: int, settle_ns: int, seed: int, goodput_bps: float, max_datagram: int,
+) -> EmulationReport:
+    """The one DU-RU loop of both run modes, on the calling thread.
+
+    messages and links hold the downlink, then the uplink. A link is a
+    pair of functions: send(datagram, send_ns) puts one datagram on it,
+    and deliver_until(ns) returns the (recv_ns, datagram) arrivals due by
+    ns. Subframe t starts at start_ns + t * SUBFRAME_NS: the DU and the RU
+    emit its messages, then each direction in turn feeds its arrivals up
+    to the subframe's end through feed_many and meters the events. After
+    the last subframe the loop waits settle_ns once for stragglers. An
+    OSError, which only socket I/O raises, ends the run early and marks
+    the report incomplete.
+    """
+    duration = len(offered)
+    dl_meter, ul_meter = _DirMeter(duration), _DirMeter(duration)
+    dirs = [(stream, send, deliver_until, SubframeReceiver(), meter)
+            for stream, (send, deliver_until), meter
+            in zip(messages, links, (dl_meter, ul_meter))]
+    incomplete = False
+    try:
+        for t in range(duration):
+            base_ns = start_ns + t * SUBFRAME_NS
+            for stream, send, _, _, meter in dirs:
+                _emit(meter, send, next(stream), t, base_ns, max_datagram)
+            end_ns = base_ns + SUBFRAME_NS
+            for _, _, deliver_until, rx, meter in dirs:
+                _pump(rx.feed_many(deliver_until(end_ns - 1)), rx, meter, end_ns)
+        end_ns = start_ns + duration * SUBFRAME_NS + settle_ns
+        for _, _, deliver_until, rx, meter in dirs:
+            _pump(rx.feed_many(deliver_until(end_ns)), rx, meter, end_ns)
+    except OSError:
+        incomplete = True
+    # Assemblies still open count as timeouts: _finalize finds no record.
+    return _finalize(offered, dl_meter, ul_meter, dropped_bits,
+                     seed, goodput_bps, incomplete)
 
 
 def run_emulation(
@@ -609,40 +649,15 @@ def run_emulation(
     Raises ValueError before the first datagram for any input _prepare
     rejects.
     """
-    offered, dropped_bits, dl_messages, ul_messages, (s_dl, s_ul) = _prepare(
+    offered, dropped_bits, messages, (s_dl, s_ul), _ = _prepare(
         cfg, profile, seed, max_datagram)
-    duration = len(offered)
-    dl_channel = SimulatedChannel(channel, s_dl)
-    ul_channel = SimulatedChannel(channel, s_ul)
-    dl_meter = _DirMeter(duration)
-    ul_meter = _DirMeter(duration)
-    links = (
-        (dl_channel, SubframeReceiver(), dl_meter),
-        (ul_channel, SubframeReceiver(), ul_meter),
-    )
-
-    for t in range(duration):
-        base_ns = t * SUBFRAME_NS
-        _emit(dl_meter, dl_channel.send, next(dl_messages), t, base_ns, max_datagram)
-        _emit(ul_meter, ul_channel.send, next(ul_messages), t, base_ns, max_datagram)
-        for chan, rx, meter in links:
-            _pump(rx.feed_many(chan.deliver_until(base_ns + SUBFRAME_NS - 1)),
-                  rx, meter, base_ns + SUBFRAME_NS)
-
+    dl = SimulatedChannel(channel, s_dl)
+    ul = SimulatedChannel(channel, s_ul)
     # Let in-flight datagrams land and pending assemblies expire.
-    settle_ns = (
-        duration * SUBFRAME_NS
-        + DEFAULT_TIMEOUT_NS
-        + dl_channel.delay_ns
-        + 2 * SUBFRAME_NS
-    )
-    for chan, rx, meter in links:
-        _pump(rx.feed_many(chan.deliver_until(settle_ns)), rx, meter, settle_ns)
-
-    return _finalize(
-        offered, dl_meter, ul_meter, dropped_bits,
-        seed, profile.goodput_bps, incomplete=False,
-    )
+    settle_ns = DEFAULT_TIMEOUT_NS + dl.delay_ns + 2 * SUBFRAME_NS
+    return _run_loop(offered, dropped_bits, messages,
+                     ((dl.send, dl.deliver_until), (ul.send, ul.deliver_until)),
+                     0, settle_ns, seed, profile.goodput_bps, max_datagram)
 
 
 def run_socket_emulation(
@@ -656,85 +671,57 @@ def run_socket_emulation(
 ) -> EmulationReport:
     """Real-time DU-RU run over UDP sockets (loopback friendly).
 
-    Both endpoints send the shared traffic schedule on their own 1 ms
-    wall clocks, so no coordination channel is needed. Wall-clock timing
-    makes the event outcomes non-deterministic, unlike the simulated mode.
-    Raises ValueError before binding for any input _prepare rejects or a
-    malformed address, and OSError when an address cannot be bound;
-    mid-run endpoint failures mark the report incomplete instead of
-    aborting.
+    The shared loop runs on the monotonic wall clock: it sends a whole
+    subframe from both endpoints, then reads both sockets through one
+    selector until the subframe ends, stamping each datagram as it is
+    read, and waits 50 ms for stragglers after the last subframe. Each
+    socket's receive buffer is sized to hold the run's largest subframe
+    (Linux caps it at net.core.rmem_max). Wall-clock timing makes the
+    event outcomes non-deterministic, unlike the simulated mode. Raises
+    ValueError before binding for any input _prepare rejects, ValueError
+    for a malformed address and OSError when an address cannot be bound;
+    an OSError mid-run marks the report incomplete instead.
     """
-    offered, dropped_bits, dl_messages, ul_messages, _ = _prepare(
+    offered, dropped_bits, messages, _, largest = _prepare(
         cfg, profile, seed, max_datagram)
-    duration = len(offered)
+    with contextlib.ExitStack() as stack:
+        du, ru = (stack.enter_context(contextlib.closing(UdpEndpoint(addr)))
+                  for addr in (du_addr, ru_addr))
+        selector = stack.enter_context(selectors.DefaultSelector())
+        # One direction's largest subframe is the largest message plus one
+        # short one (control or CQI), each datagram at most max_datagram
+        # bytes; Linux charges under 1 KiB more per datagram on loopback.
+        rcvbuf = (chunk_count(largest, max_datagram) + 1) * (max_datagram + 1024)
+        # The RU receives the downlink and the DU the uplink.
+        dl_inbox: List[Tuple[int, bytes]] = []
+        ul_inbox: List[Tuple[int, bytes]] = []
+        for endpoint, inbox in ((ru, dl_inbox), (du, ul_inbox)):
+            endpoint.reserve_rcvbuf(rcvbuf)
+            selector.register(endpoint.sock, selectors.EVENT_READ, (endpoint, inbox))
 
-    du = UdpEndpoint(du_addr)
-    try:
-        ru = UdpEndpoint(ru_addr)
-    except OSError:
-        du.close()
-        raise
+        def deliver_until(inbox: List, until_ns: int) -> List[Tuple[int, bytes]]:
+            # Read both sockets, one datagram per ready socket per select,
+            # until until_ns has passed and neither has more.
+            while True:
+                wait_ns = until_ns - time.monotonic_ns()
+                ready = selector.select(max(wait_ns, 0) / 1e9)
+                if not ready and wait_ns <= 0:
+                    break
+                for key, _ in ready:
+                    endpoint, box = key.data
+                    datagram = endpoint.recv()
+                    if datagram is not None:
+                        box.append((time.monotonic_ns(), datagram))
+            arrivals = inbox[:]
+            inbox.clear()
+            return arrivals
 
-    dl_meter = _DirMeter(duration)
-    ul_meter = _DirMeter(duration)
-    stop = threading.Event()
-    errors: List[BaseException] = []
-
-    def send_loop(endpoint: UdpEndpoint, peer: Tuple[str, int], meter: _DirMeter,
-                  messages) -> None:
-        """Emit the t-th message list t subframe periods after the start."""
-        start_ns = time.monotonic_ns()
-        for t, msgs in enumerate(messages):
-            delay_ns = start_ns + t * SUBFRAME_NS - time.monotonic_ns()
-            if delay_ns > 0:
-                time.sleep(delay_ns / 1e9)
-            _emit(meter, lambda d, _ns: endpoint.send_to(d, peer), msgs, t,
-                  time.monotonic_ns(), max_datagram)
-
-    def recv_loop(endpoint: UdpEndpoint, meter: _DirMeter) -> None:
-        rx = SubframeReceiver()
-        while not stop.is_set():
-            datagram = endpoint.recv()
-            now = time.monotonic_ns()
-            _pump([] if datagram is None else rx.feed(datagram, now), rx, meter, now)
-
-    def guarded(fn, *args):
-        def wrapper():
-            try:
-                fn(*args)
-            except BaseException as exc:  # noqa: BLE001 - reported via flag
-                errors.append(exc)
-                stop.set()
-
-        return wrapper
-
-    senders = [
-        threading.Thread(target=guarded(send_loop, du, parse_addr(ru.address),
-                                        dl_meter, dl_messages), name="du-send"),
-        threading.Thread(target=guarded(send_loop, ru, parse_addr(du.address),
-                                        ul_meter, ul_messages), name="ru-send"),
-    ]
-    receivers = [
-        threading.Thread(target=guarded(recv_loop, ru, dl_meter), name="ru-recv"),
-        threading.Thread(target=guarded(recv_loop, du, ul_meter), name="du-recv"),
-    ]
-    try:
-        for th in senders + receivers:
-            th.start()
-        for th in senders:
-            th.join()
-        # Let stragglers land: 50 ms is 25 reassembly timeouts.
-        time.sleep(0.05)
-        stop.set()
-        for th in receivers:
-            th.join()
-    finally:
-        stop.set()
-        du.close()
-        ru.close()
-
-    # Assemblies still open count as timeouts: _finalize finds no record.
-    return _finalize(
-        offered, dl_meter, ul_meter, dropped_bits,
-        seed, profile.goodput_bps, incomplete=bool(errors),
-    )
+        ru_peer, du_peer = parse_addr(ru.address), parse_addr(du.address)
+        links = ((lambda d, _ns: du.send_to(d, ru_peer),
+                  functools.partial(deliver_until, dl_inbox)),
+                 (lambda d, _ns: ru.send_to(d, du_peer),
+                  functools.partial(deliver_until, ul_inbox)))
+        # 50 ms of stragglers is 25 reassembly timeouts.
+        return _run_loop(offered, dropped_bits, messages, links,
+                         time.monotonic_ns(), 50 * SUBFRAME_NS,
+                         seed, profile.goodput_bps, max_datagram)

@@ -369,6 +369,20 @@ class TestEmulate:
         assert "impairments" in err
         assert opened == []
 
+    @pytest.mark.parametrize("du_addr,ru_addr", [
+        ("127.0.0.1:70000", "127.0.0.1:0"),
+        ("127.0.0.1:-1", "127.0.0.1:0"),
+        ("127.0.0.1:0", "127.0.0.1:70000"),
+    ])
+    def test_socket_port_out_of_range_exits_2(self, capsys, du_addr, ru_addr):
+        code, _, err = run_cli(
+            capsys, "emulate", "--mode", "socket", "--du-addr", du_addr,
+            "--ru-addr", ru_addr, "--subframes", "2",
+        )
+        assert code == 2
+        assert err.startswith("error:") and "0-65535" in err
+        assert len(err.splitlines()) == 1
+
 
 class TestParser:
     def test_no_command_exits_2(self):

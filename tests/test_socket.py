@@ -6,6 +6,8 @@ for every emitted message, and deliver the vast majority on loopback.
 """
 
 import socket
+import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -22,7 +24,7 @@ class TestParseAddr:
     def test_host_port(self):
         assert parse_addr("127.0.0.1:9000") == ("127.0.0.1", 9000)
 
-    @pytest.mark.parametrize("bad", ["localhost", ":90", "h:", "h:x"])
+    @pytest.mark.parametrize("bad", ["localhost", ":90", "h:", "h:x", "h:70000", "h:-1"])
     def test_bad_addresses(self, bad):
         with pytest.raises(ValueError):
             parse_addr(bad)
@@ -63,6 +65,20 @@ class TestUdpEndpoint:
         [sock] = opened
         assert sock.fileno() == -1
 
+    def test_reserve_rcvbuf_grows_but_never_shrinks(self):
+        a = UdpEndpoint("127.0.0.1:0")
+        try:
+            def rcvbuf():
+                return a.sock.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF)
+
+            before = rcvbuf()
+            a.reserve_rcvbuf(1024)
+            assert rcvbuf() == before
+            a.reserve_rcvbuf(before + 4096)
+            assert rcvbuf() >= before + 4096
+        finally:
+            a.close()
+
     def test_recv_times_out_to_none(self):
         a = UdpEndpoint("127.0.0.1:0")
         try:
@@ -85,6 +101,57 @@ class TestSocketRun:
         # loopback should deliver nearly everything
         assert totals["completes"] >= 0.9 * emitted
         assert report.mean_dl_bps > 0 and report.mean_ul_bps > 0
+
+    def test_runs_on_the_calling_thread(self, monkeypatch):
+        def no_thread(thread):
+            raise AssertionError(f"socket mode started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        profile = TrafficProfile(goodput_bps=6e6, duration_subframes=20)
+        report = run_socket_emulation(
+            LTE10, profile, "127.0.0.1:0", "127.0.0.1:0", seed=3
+        )
+        assert not report.incomplete
+        assert report.dl.completed_messages > 0
+        assert report.ul.completed_messages > 0
+
+    def test_send_error_ends_the_run_incomplete(self, monkeypatch):
+        opened = []
+
+        class FailingEndpoint(UdpEndpoint):
+            """Raises OSError from the 41st send on, as a downed link does."""
+
+            sent = 0
+
+            def __init__(self, addr):
+                super().__init__(addr)
+                opened.append(self)
+
+            def send_to(self, datagram, peer):
+                FailingEndpoint.sent += 1
+                if FailingEndpoint.sent > 40:
+                    raise OSError("network is unreachable")
+                super().send_to(datagram, peer)
+
+        monkeypatch.setattr(emulation, "UdpEndpoint", FailingEndpoint)
+        emulation._llr_quantiles()  # build the cached table outside the timing
+        # a full run would take 1 s of subframes plus 50 ms of settling
+        profile = TrafficProfile(goodput_bps=6e6, duration_subframes=1000)
+        start = time.monotonic()
+        report = run_socket_emulation(
+            LTE10, profile, "127.0.0.1:0", "127.0.0.1:0", seed=3
+        )
+        assert time.monotonic() - start < 0.5
+        assert report.incomplete
+        assert len(report.rows) == 1000
+        for d in (report.dl, report.ul):
+            assert d.emitted_messages > 0
+            assert d.emitted_messages == (
+                d.completed_messages + d.jumbled_messages + d.timeout_messages)
+        assert sum(report.totals().values()) == (
+            report.dl.emitted_messages + report.ul.emitted_messages)
+        assert len(opened) == 2
+        assert all(ep.sock.fileno() == -1 for ep in opened)
 
     def test_busy_port_raises(self):
         holder = UdpEndpoint("127.0.0.1:0")
