@@ -16,12 +16,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
-from typing import List, Optional
+from dataclasses import asdict
+from typing import Any, Dict, List, Optional
 
 from .cell import MODULATION_NAMES, CellConfig, Direction, LinkBudget, PRESETS, preset
-from .channel import ChannelSpec
-from .configio import Scenario, load_cell_config, load_scenario
+from .configio import (SCENARIO_KEYS, Scenario, load_cell_config, load_config_file,
+                       scenario_from_dict)
 from .emulation import TrafficProfile, run_emulation, run_socket_emulation
 from .rates import (
     OPTION8_NOTE,
@@ -32,17 +32,21 @@ from .rates import (
     table_to_csv,
     table_to_json,
 )
-from .wire import (
-    DEFAULT_MAX_DATAGRAM,
-    HeaderError,
-    SplitHeader,
-    decode_header,
-    encode_header,
-)
+from .wire import HeaderError, SplitHeader, decode_header, encode_header
+
+# The CLI's own defaults: a run needs a cell and a goodput, which no
+# dataclass defaults. Every other emulate default is the dataclasses'.
+DEFAULT_PRESET = "lte10"
+DEFAULT_GOODPUT_MBPS = 10.0
 
 
 class CliError(Exception):
     """Invalid usage or config; maps to exit code 2."""
+
+
+def mbps(text: str) -> float:
+    """Argparse type for a rate given in Mbit/s; returns it in bit/s."""
+    return float(text) * 1e6
 
 
 def _cell_from_args(args: argparse.Namespace) -> CellConfig:
@@ -54,7 +58,7 @@ def _cell_from_args(args: argparse.Namespace) -> CellConfig:
         except (ValueError, TypeError, json.JSONDecodeError) as exc:
             raise CliError(f"bad cell config: {exc}") from exc
     try:
-        return preset(args.preset)
+        return preset(DEFAULT_PRESET if args.preset is None else args.preset)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -63,8 +67,7 @@ def _add_cell_source(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group()
     group.add_argument(
         "--preset",
-        default="lte10",
-        help=f"named cell profile ({', '.join(sorted(PRESETS))}); default lte10",
+        help=f"named cell profile ({', '.join(sorted(PRESETS))}); default {DEFAULT_PRESET}",
     )
     group.add_argument("--config", help="cell config file (key=value or JSON)")
 
@@ -213,47 +216,32 @@ def cmd_header(args: argparse.Namespace) -> int:
 
 
 def _scenario_from_args(args: argparse.Namespace) -> Scenario:
+    """Build the emulate run: the scenario file's mapping with each given flag written over it.
+
+    A flag's dest names the entry it writes ("channel.loss_rate"); --preset
+    and --config write the cell. Without a file the run starts from
+    DEFAULT_GOODPUT_MBPS and DEFAULT_PRESET; every other default is the
+    dataclasses', which scenario_from_dict applies.
+    """
+    prefix = "bad scenario: " if args.scenario else ""
+    data: Dict[str, Any] = {"profile": {"goodput_bps": DEFAULT_GOODPUT_MBPS * 1e6}}
     if args.scenario:
         try:
-            scenario = load_scenario(args.scenario)
+            data = load_config_file(args.scenario)
         except FileNotFoundError as exc:
             raise CliError(f"scenario file not found: {exc.filename}") from exc
         except (ValueError, TypeError, json.JSONDecodeError) as exc:
-            raise CliError(f"bad scenario: {exc}") from exc
-        # Explicit CLI flags override the corresponding file entries.
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.mode is not None:
-            overrides["mode"] = args.mode
-        if overrides:
-            try:
-                scenario = replace(scenario, **overrides)
-            except ValueError as exc:
-                raise CliError(str(exc)) from exc
-        return scenario
-    cell = _cell_from_args(args)
+            raise CliError(f"{prefix}{exc}") from exc
+    if args.config or args.preset is not None or not args.scenario:
+        data["cell"] = asdict(_cell_from_args(args))
     try:
-        profile = TrafficProfile(
-            goodput_bps=args.goodput_mbps * 1e6,
-            packet_size_bytes=args.packet_size,
-            duration_subframes=args.subframes,
-        )
-        channel = ChannelSpec(
-            loss_rate=args.loss, reorder_rate=args.reorder, delay_us=args.delay_us
-        )
-        return Scenario(
-            cell=cell,
-            profile=profile,
-            channel=channel,
-            mode=args.mode or "sim",
-            seed=args.seed if args.seed is not None else 0,
-            max_datagram=args.max_datagram,
-            du_addr=args.du_addr,
-            ru_addr=args.ru_addr,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+        for dest, value in vars(args).items():
+            section, _, key = dest.rpartition(".")
+            if value is not None and (section or key) in SCENARIO_KEYS:
+                (data.setdefault(section, {}) if section else data)[key] = value
+        return scenario_from_dict(data)
+    except (ValueError, TypeError) as exc:
+        raise CliError(f"{prefix}{exc}") from exc
 
 
 def cmd_emulate(args: argparse.Namespace) -> int:
@@ -357,29 +345,34 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--format", choices=("plain", "json"), default="plain")
     p_dec.set_defaults(func=cmd_header)
 
-    p_emu = sub.add_parser("emulate", help="run a DU-RU emulation")
+    p_emu = sub.add_parser(
+        "emulate", help="run a DU-RU emulation",
+        description="Run a DU-RU emulation. Each flag that is given overrides "
+                    "the scenario file's entry it names.",
+    )
+    # Each flag but --scenario, the cell source and --out has as its dest
+    # the scenario entry it writes (_scenario_from_args).
     p_emu.add_argument("--scenario", help="scenario file (key=value or JSON)")
     _add_cell_source(p_emu)
-    p_emu.add_argument("--goodput-mbps", type=float, default=10.0,
-                       help="offered CBR goodput (default: 10)")
-    p_emu.add_argument("--packet-size", type=int, default=1400,
-                       help="offered packet size in bytes (default: 1400)")
-    p_emu.add_argument("--subframes", type=int, default=1000,
-                       help="run length in 1 ms subframes (default: 1000)")
-    p_emu.add_argument("--loss", type=float, default=0.0,
-                       help="channel datagram loss probability")
-    p_emu.add_argument("--reorder", type=float, default=0.0,
-                       help="channel datagram reorder probability")
-    p_emu.add_argument("--delay-us", type=float, default=0.0,
-                       help="fixed one-way channel delay")
-    p_emu.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (default: 0, or the scenario file's)")
-    p_emu.add_argument("--max-datagram", type=int, default=DEFAULT_MAX_DATAGRAM)
-    p_emu.add_argument("--mode", choices=("sim", "socket"), default=None)
-    p_emu.add_argument("--du-addr", default=None, help="DU bind address, host:port")
-    p_emu.add_argument("--ru-addr", default=None, help="RU bind address, host:port")
-    p_emu.add_argument("--out", default=None,
-                       help="directory for report.csv and summary.json")
+    p_emu.add_argument("--goodput-mbps", dest="profile.goodput_bps", type=mbps,
+                       metavar="MBPS",
+                       help=f"offered CBR goodput (default: {DEFAULT_GOODPUT_MBPS:g})")
+    p_emu.add_argument("--packet-size", dest="profile.packet_size_bytes", type=int,
+                       help=f"default: {TrafficProfile.packet_size_bytes}")
+    p_emu.add_argument("--subframes", dest="profile.duration_subframes", type=int,
+                       help=f"1 ms subframes (default: {TrafficProfile.duration_subframes})")
+    p_emu.add_argument("--loss", dest="channel.loss_rate", type=float,
+                       help=f"default: {Scenario.channel.loss_rate:g}")
+    p_emu.add_argument("--reorder", dest="channel.reorder_rate", type=float,
+                       help=f"default: {Scenario.channel.reorder_rate:g}")
+    p_emu.add_argument("--delay-us", dest="channel.delay_us", type=float,
+                       help=f"default: {Scenario.channel.delay_us:g}")
+    p_emu.add_argument("--seed", type=int, help=f"default: {Scenario.seed}")
+    p_emu.add_argument("--max-datagram", type=int, help=f"default: {Scenario.max_datagram}")
+    p_emu.add_argument("--mode", choices=("sim", "socket"), help=f"default: {Scenario.mode}")
+    p_emu.add_argument("--du-addr", help="DU bind address, host:port")
+    p_emu.add_argument("--ru-addr", help="RU bind address, host:port")
+    p_emu.add_argument("--out", help="directory for report.csv and summary.json")
     p_emu.set_defaults(func=cmd_emulate)
 
     return parser

@@ -124,29 +124,24 @@ class Scenario:
                              f"got {self.cell.soft_bit_width}")
 
 
+SCENARIO_KEYS = {f.name for f in fields(Scenario)}
+
+
 def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
-    known = {"cell", "profile", "channel", "mode", "seed", "max_datagram",
-             "du_addr", "ru_addr"}
-    unknown = set(data) - known
+    unknown = set(data) - SCENARIO_KEYS
     if unknown:
         raise ValueError(f"unknown scenario keys: {', '.join(sorted(unknown))}")
     if "cell" not in data:
         raise ValueError("scenario needs a cell section")
     if "profile" not in data:
         raise ValueError("scenario needs a profile section")
-    cell = cell_config_from_dict(dict(data["cell"]))
-    profile = TrafficProfile(**data["profile"])
-    channel = ChannelSpec(**data.get("channel", {}))
-    return Scenario(
-        cell=cell,
-        profile=profile,
-        channel=channel,
-        mode=data.get("mode", "sim"),
-        seed=data.get("seed", 0),
-        max_datagram=data.get("max_datagram", DEFAULT_MAX_DATAGRAM),
-        du_addr=data.get("du_addr"),
-        ru_addr=data.get("ru_addr"),
-    )
+    # The sections become their dataclasses; every other key is passed
+    # through, and one left out takes Scenario's default.
+    kwargs = dict(data, cell=cell_config_from_dict(dict(data["cell"])),
+                  profile=TrafficProfile(**data["profile"]))
+    if "channel" in data:
+        kwargs["channel"] = ChannelSpec(**data["channel"])
+    return Scenario(**kwargs)
 
 
 def load_scenario(path: Union[str, Path]) -> Scenario:

@@ -46,7 +46,7 @@ import json
 import math
 import selectors
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
@@ -225,9 +225,9 @@ class SubframeReceiver:
         unpack = _HEADER.unpack_from
         for recv_ns, datagram in arrivals:
             if len(datagram) >= HEADER_LEN:
-                fields = unpack(datagram)
-                buf = buffers.get(fields[2])
-                if buf is not None and buf.advance(fields, datagram, recv_ns):
+                header = unpack(datagram)
+                buf = buffers.get(header[2])
+                if buf is not None and buf.advance(header, datagram, recv_ns):
                     continue
             events += self.feed(datagram, recv_ns)
         return events
@@ -278,6 +278,15 @@ class _DirMeter:
                 self.malformed_events += 1
         # Timeout outcomes are derived at finalization from the absence of
         # a complete/jumbled record.
+
+    def record_events(self, events: List[Tuple[int, ReassemblyEvent]]) -> None:
+        """Record a receiver's (content_type, event) outcomes.
+
+        Looping here rather than in the run loop frees the last event, which
+        may hold a whole message's payload, before the next subframe is made.
+        """
+        for ctype, event in events:
+            self.record_event(ctype, event)
 
 
 @dataclass(frozen=True)
@@ -341,15 +350,8 @@ class EmulationReport:
     def csv_text(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["subframe", "offered_bits", "dl_bits", "ul_bits",
-             "completes", "timeouts", "jumbled"]
-        )
-        for r in self.rows:
-            writer.writerow(
-                [r.subframe, r.offered_bits, r.dl_bits, r.ul_bits,
-                 r.completes, r.timeouts, r.jumbled]
-            )
+        writer.writerow(f.name for f in fields(SubframeRow))
+        writer.writerows(astuple(r) for r in self.rows)
         return buf.getvalue()
 
     def summary(self) -> Dict:
@@ -583,17 +585,6 @@ def _prepare(
     return offered, dropped_bits, (dl_messages, ul_messages), channel_seeds, largest
 
 
-def _pump(
-    events: List[Tuple[int, ReassemblyEvent]],
-    rx: SubframeReceiver,
-    meter: _DirMeter,
-    poll_ns: int,
-) -> None:
-    """Meter the events of the arrivals just fed to rx, then expire by poll_ns."""
-    for ctype, event in events + rx.poll(poll_ns):
-        meter.record_event(ctype, event)
-
-
 def _run_loop(
     offered: List[int], dropped_bits: int, messages: Tuple[Iterator, Iterator], links,
     start_ns: int, settle_ns: int, seed: int, goodput_bps: float, max_datagram: int,
@@ -606,9 +597,12 @@ def _run_loop(
     ns. Subframe t starts at start_ns + t * SUBFRAME_NS: the DU and the RU
     emit its messages, then each direction in turn feeds its arrivals up
     to the subframe's end through feed_many and meters the events. After
-    the last subframe the loop waits settle_ns once for stragglers. An
-    OSError, which only socket I/O raises, ends the run early and marks
-    the report incomplete.
+    the last subframe the loop waits settle_ns once for stragglers. No
+    poll is needed to expire assemblies: feed expires an open one before
+    the next datagram of its content type, advance refuses a datagram past
+    the deadline, the meter ignores Timeout events and _finalize counts
+    every open assembly as a timeout. An OSError, which only socket I/O
+    raises, ends the run early and marks the report incomplete.
     """
     duration = len(offered)
     dl_meter, ul_meter = _DirMeter(duration), _DirMeter(duration)
@@ -623,13 +617,14 @@ def _run_loop(
                 _emit(meter, send, next(stream), t, base_ns, max_datagram)
             end_ns = base_ns + SUBFRAME_NS
             for _, _, deliver_until, rx, meter in dirs:
-                _pump(rx.feed_many(deliver_until(end_ns - 1)), rx, meter, end_ns)
+                meter.record_events(rx.feed_many(deliver_until(end_ns - 1)))
         end_ns = start_ns + duration * SUBFRAME_NS + settle_ns
         for _, _, deliver_until, rx, meter in dirs:
-            _pump(rx.feed_many(deliver_until(end_ns)), rx, meter, end_ns)
+            # The one poll changes no report; perfbench/spans.py times
+            # SubframeReceiver.poll, and TestBenchmarkHooks needs it to run.
+            meter.record_events(rx.feed_many(deliver_until(end_ns)) + rx.poll(end_ns))
     except OSError:
         incomplete = True
-    # Assemblies still open count as timeouts: _finalize finds no record.
     return _finalize(offered, dl_meter, ul_meter, dropped_bits,
                      seed, goodput_bps, incomplete)
 

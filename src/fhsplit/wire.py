@@ -261,7 +261,7 @@ class ReassemblyBuffer:
     subframe (num_blocks == 1) returns that Complete; the displaced partial
     subframe is still recorded in `displaced`, which collects every
     jumble-discard (drain with drain_displaced()). Instances are
-    single-consumer: transferable between threads, never shared.
+    single-consumer, never shared.
     """
 
     def __init__(self) -> None:

@@ -1,15 +1,20 @@
 """End-to-end CLI tests through main(argv)."""
 
+import functools
+import inspect
 import json
 from importlib import metadata
 from pathlib import Path
 
 import pytest
 
+import fhsplit.cli
 import fhsplit.emulation
+from fhsplit.cell import preset
 from fhsplit.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+PROFILES = Path(__file__).resolve().parents[1] / "profiles"
 
 
 def declared_script(name):
@@ -382,6 +387,121 @@ class TestEmulate:
         assert code == 2
         assert err.startswith("error:") and "0-65535" in err
         assert len(err.splitlines()) == 1
+
+
+# A sim-mode scenario that names every entry an emulate flag can write
+# except the cell's optional fields; its addresses are for socket mode.
+OVERLAY_SCENARIO = (
+    "cell.n_sc = 600\ncell.n_layers = 2\ncell.n_ant = 4\ncell.mod_order = 4\n"
+    "profile.goodput_bps = 4e6\nprofile.packet_size_bytes = 1000\n"
+    "profile.duration_subframes = 40\n"
+    "channel.loss_rate = 0.0\nchannel.reorder_rate = 0.0\nchannel.delay_us = 0\n"
+    "seed = 2\nmax_datagram = 1400\n"
+    "du_addr = 127.0.0.1:1\nru_addr = 127.0.0.1:2\n"
+)
+
+
+@pytest.fixture
+def run_args(monkeypatch):
+    """Record the arguments of each run that main starts, then fail it with OSError."""
+    calls = []
+
+    def spy(mode, real):
+        signature = inspect.signature(real)
+
+        def record(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append({"mode": mode, **bound.arguments})
+            raise OSError("stopped before the run")
+
+        return record
+
+    monkeypatch.setattr(fhsplit.cli, "run_emulation",
+                        spy("sim", fhsplit.emulation.run_emulation))
+    monkeypatch.setattr(fhsplit.cli, "run_socket_emulation",
+                        spy("socket", fhsplit.emulation.run_socket_emulation))
+    return calls
+
+
+class TestScenarioOverlay:
+    """Emulate flags given with --scenario override the entries they name."""
+
+    @pytest.mark.parametrize("argv,entry,value", [
+        (("--preset", "worst100"), "cfg", preset("worst100")),
+        (("--config", str(PROFILES / "lte20.cfg")), "cfg", preset("lte20")),
+        (("--goodput-mbps", "0"), "profile.goodput_bps", 0.0),
+        (("--packet-size", "200"), "profile.packet_size_bytes", 200),
+        (("--subframes", "7"), "profile.duration_subframes", 7),
+        (("--loss", "1.0"), "channel.loss_rate", 1.0),
+        (("--reorder", "0.5"), "channel.reorder_rate", 0.5),
+        (("--delay-us", "50"), "channel.delay_us", 50.0),
+        (("--max-datagram", "256"), "max_datagram", 256),
+        (("--mode", "socket", "--du-addr", "127.0.0.1:5000"), "du_addr",
+         "127.0.0.1:5000"),
+        (("--mode", "socket", "--ru-addr", "127.0.0.1:5001"), "ru_addr",
+         "127.0.0.1:5001"),
+        (("--seed", "5"), "seed", 5),
+        (("--mode", "socket"), "mode", "socket"),
+    ])
+    def test_flag_reaches_the_run(self, capsys, tmp_path, run_args, argv, entry, value):
+        scn = tmp_path / "s.cfg"
+        scn.write_text(OVERLAY_SCENARIO)
+        code, _, err = run_cli(capsys, "emulate", "--scenario", str(scn), *argv)
+        assert code == 1 and "stopped before the run" in err
+        [call] = run_args
+        name, *attrs = entry.split(".")
+        assert functools.reduce(getattr, attrs, call[name]) == value
+
+    def test_preset_replaces_the_scenario_cell(self, capsys, tmp_path):
+        # 100 Mbit/s saturates the file's lte10 cell but not lte20
+        scn = tmp_path / "s.cfg"
+        scn.write_text(
+            "cell.n_sc = 600\ncell.n_layers = 2\ncell.n_ant = 4\ncell.mod_order = 4\n"
+            "profile.goodput_bps = 100e6\nprofile.duration_subframes = 20\nseed = 3\n"
+        )
+        run_cli(capsys, "emulate", "--scenario", str(scn), "--out", str(tmp_path / "file"))
+        run_cli(capsys, "emulate", "--scenario", str(scn), "--preset", "lte20",
+                "--out", str(tmp_path / "overlay"))
+        run_cli(capsys, "emulate", "--preset", "lte20", "--goodput-mbps", "100",
+                "--subframes", "20", "--seed", "3", "--out", str(tmp_path / "flags"))
+        for name in ("report.csv", "summary.json"):
+            overlay = (tmp_path / "overlay" / name).read_bytes()
+            assert overlay == (tmp_path / "flags" / name).read_bytes()
+            assert overlay != (tmp_path / "file" / name).read_bytes()
+
+    def test_flags_and_equivalent_scenario_write_identical_reports(self, capsys,
+                                                                   tmp_path):
+        scn = tmp_path / "s.cfg"
+        scn.write_text(
+            "cell.bw_mhz = 10.0\ncell.n_sc = 600\ncell.n_layers = 2\ncell.n_ant = 4\n"
+            "cell.mod_order = 4\nprofile.goodput_bps = 40e6\n"
+            "profile.packet_size_bytes = 500\nprofile.duration_subframes = 100\n"
+            "channel.loss_rate = 0.03\nchannel.reorder_rate = 0.05\n"
+            "channel.delay_us = 50\nmax_datagram = 512\nseed = 9\n"
+        )
+        assert run_cli(capsys, "emulate", "--scenario", str(scn),
+                       "--out", str(tmp_path / "file"))[0] == 0
+        assert run_cli(capsys, "emulate", "--preset", "lte10", "--goodput-mbps", "40",
+                       "--packet-size", "500", "--subframes", "100", "--loss", "0.03",
+                       "--reorder", "0.05", "--delay-us", "50", "--max-datagram", "512",
+                       "--seed", "9", "--out", str(tmp_path / "flags"))[0] == 0
+        for name in ("report.csv", "summary.json"):
+            assert (tmp_path / "file" / name).read_bytes() == \
+                (tmp_path / "flags" / name).read_bytes()
+
+    def test_socket_mode_rejects_flag_impairments_before_binding(self, capsys, tmp_path,
+                                                                 monkeypatch):
+        opened = []
+        monkeypatch.setattr(fhsplit.emulation, "UdpEndpoint",
+                            lambda addr: opened.append(addr))
+        scn = tmp_path / "s.cfg"
+        scn.write_text(OVERLAY_SCENARIO)
+        code, _, err = run_cli(capsys, "emulate", "--scenario", str(scn),
+                               "--mode", "socket", "--loss", "0.1")
+        assert code == 2
+        assert err.startswith("error: bad scenario:") and "impairments" in err
+        assert opened == []
 
 
 class TestParser:
