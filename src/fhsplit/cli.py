@@ -20,8 +20,8 @@ from dataclasses import asdict
 from typing import Any, Dict, List, Optional
 
 from .cell import MODULATION_NAMES, CellConfig, Direction, LinkBudget, PRESETS, preset
-from .configio import (SCENARIO_KEYS, Scenario, load_cell_config, load_config_file,
-                       scenario_from_dict)
+from .configio import (SCENARIO_KEYS, Scenario, check_scenario_sections, load_cell_config,
+                       load_config_file, scenario_from_dict)
 from .emulation import TrafficProfile, run_emulation, run_socket_emulation
 from .rates import (
     OPTION8_NOTE,
@@ -228,6 +228,7 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     if args.scenario:
         try:
             data = load_config_file(args.scenario)
+            check_scenario_sections(data)
         except FileNotFoundError as exc:
             raise CliError(f"scenario file not found: {exc.filename}") from exc
         except (ValueError, TypeError, json.JSONDecodeError) as exc:

@@ -127,10 +127,19 @@ class Scenario:
 SCENARIO_KEYS = {f.name for f in fields(Scenario)}
 
 
+def check_scenario_sections(data: Dict[str, Any]) -> None:
+    """Reject a cell, profile or channel entry that is not a mapping, naming it."""
+    for name in ("cell", "profile", "channel"):
+        if name in data and not isinstance(data[name], dict):
+            raise ValueError(f"section {name!r} must be a mapping, "
+                             f"got {type(data[name]).__name__}")
+
+
 def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
     unknown = set(data) - SCENARIO_KEYS
     if unknown:
         raise ValueError(f"unknown scenario keys: {', '.join(sorted(unknown))}")
+    check_scenario_sections(data)
     if "cell" not in data:
         raise ValueError("scenario needs a cell section")
     if "profile" not in data:

@@ -14,11 +14,10 @@ is within 2^-16 of the quantized Gaussian's; at w = 16 that is the
 sampler's resolution. A message's codes are drawn, indexed and packed in
 slabs of SOFT_SLAB_CODES, so no array as long as the message is built;
 the joined slabs are byte-identical to one full-length draw and pack.
-The indices are the little-endian 16-bit halves of raw 64-bit PCG64
-words. The 32-bit half that Generator.integers keeps in the bit
-generator's has_uint32/uinteger is read once per message and written
-back at its end, so the indices, and every later draw, equal what
-integers(0, 2**16, k, dtype=np.uint16) gives slab by slab. pack_codes
+The indices come straight from raw 64-bit PCG64 words: a message of n
+codes takes the next ceil(n/4) words of the LLR stream and uses the first
+n little-endian 16-bit halves, dropping the last word's unused halves, so
+no draw is carried from one message to the next. pack_codes
 merges the codes pairwise into 2w-bit pairs and 4w-bit quads and lays
 each group of 8 out as w big-endian bytes.
 
@@ -96,9 +95,9 @@ MAX_BACKLOG_SUBFRAMES = 10
 LLR_SCALE = 4.0
 LLR_TABLE_BITS = 16
 # Uplink codes are drawn and packed this many at a time. A multiple of 8
-# packs to whole bytes at every width; an even count of uint16 draws uses
-# whole 32-bit generator words. Both keep the joined slabs' bytes equal to
-# one full-length draw and pack.
+# packs to whole bytes at every width; a multiple of 4 uses whole 64-bit
+# generator words. Both keep the joined slabs' bytes equal to one
+# full-length draw and pack.
 SOFT_SLAB_CODES = 1 << 16
 
 _MCS_FOR_MOD = {2: 6, 4: 14, 6: 23, 8: 27}
@@ -448,39 +447,17 @@ def _llr_code_table(quantizer: LlrQuantizer) -> np.ndarray:
 def _ul_messages(t, scheduled_bits, cfg, code_table, llr_rng) -> List[Tuple[int, bytes]]:
     msgs = []
     if scheduled_bits:
-        # Generator.integers(0, 1 << 16, k, dtype=np.uint16) takes each
-        # uint16 from a 32-bit draw, low half first, and drops the high
-        # half of an odd count's last one. A 32-bit draw is the low half of
-        # a raw 64-bit word; the high half waits in has_uint32/uinteger for
-        # the next 32-bit draw. Reproduce both from raw words, so that the
-        # codes and every later draw equal integers' slab by slab.
-        bit_gen = llr_rng.bit_generator
-        state = bit_gen.state
-        has, carry = state["has_uint32"], state["uinteger"]
         slabs = []
         for start in range(0, scheduled_bits, SOFT_SLAB_CODES):
             k = min(SOFT_SLAB_CODES, scheduled_bits - start)
-            n32 = (k + 1) // 2  # the 32-bit draws the slab takes
-            # the pending half first, then whole raw words for the rest
-            words = bit_gen.random_raw((n32 - has + 1) // 2)
-            words = words.astype("<u8", copy=False).view("<u4")
-            if has:
-                words = np.concatenate((np.array([carry], dtype="<u4"), words))
-            has = int(words.size > n32)
-            if has:
-                carry = int(words[n32])
-            u = words[:n32].view("<u2")[:k]
+            u = llr_rng.random_raw(-(-k // 4)).astype("<u8", copy=False).view("<u2")[:k]
             # take(u) gathers a slab faster than code_table[u] does: about
             # 9 against 12 ms per 3 M codes (numpy 2.4, 2-vCPU x86 host)
             slabs.append(pack_codes(code_table.take(u), cfg.soft_bit_width))
-            # Free the slab's arrays before the next slab draws, so the
-            # allocator can hand the same blocks back: kept alive, they
+            # Free the slab's words before the next slab draws, so the
+            # allocator can hand the same block back: kept alive, they
             # made lte20's 3-slab message 1.3-1.7 times as slow.
-            del words, u
-        if (has, carry) != (state["has_uint32"], state["uinteger"]):
-            state = bit_gen.state
-            state["has_uint32"], state["uinteger"] = has, carry
-            bit_gen.state = state
+            del u
         msgs.append((CONTENT_UL_SOFT, b"".join(slabs)))
     if t % CQI_PERIOD == 0:
         msgs.append((CONTENT_UL_CQI, encode_cqi(CqiReport(t, _cqi_value(t)))))
@@ -576,7 +553,7 @@ def _prepare(
     chunk_count(largest, max_datagram)
     s_payload, s_llr, *channel_seeds = np.random.SeedSequence(seed).spawn(4)
     payload_rng = np.random.Generator(np.random.PCG64(s_payload))
-    llr_rng = np.random.Generator(np.random.PCG64(s_llr))
+    llr_rng = np.random.PCG64(s_llr)
     code_table = _llr_code_table(LlrQuantizer(cfg.soft_bit_width))
     dl_messages = (_dl_messages(t, bits, cfg, payload_rng)
                    for t, bits in enumerate(scheduled))

@@ -453,6 +453,22 @@ class TestScenarioOverlay:
         name, *attrs = entry.split(".")
         assert functools.reduce(getattr, attrs, call[name]) == value
 
+    @pytest.mark.parametrize("section,argv", [
+        ("cell", ()), ("cell", ("--preset", "lte10")),
+        ("profile", ()), ("profile", ("--subframes", "2")),
+        ("channel", ()), ("channel", ("--loss", "0.1")),
+    ], ids=["cell", "cell-preset", "profile", "profile-subframes", "channel",
+            "channel-loss"])
+    def test_section_that_is_not_a_mapping_is_named(self, capsys, tmp_path, section,
+                                                    argv):
+        lines = [line for line in OVERLAY_SCENARIO.splitlines()
+                 if not line.startswith(f"{section}.")]
+        scn = tmp_path / "s.cfg"
+        scn.write_text("\n".join(lines + [f"{section} = 5"]) + "\n")
+        code, _, err = run_cli(capsys, "emulate", "--scenario", str(scn), *argv)
+        assert code == 2
+        assert err == f"error: bad scenario: section '{section}' must be a mapping, got int\n"
+
     def test_preset_replaces_the_scenario_cell(self, capsys, tmp_path):
         # 100 Mbit/s saturates the file's lte10 cell but not lte20
         scn = tmp_path / "s.cfg"

@@ -146,6 +146,11 @@ class TestScenario:
             scenario_from_dict({"cell": {"n_sc": 1, "n_layers": 1, "n_ant": 1,
                                          "mod_order": 2}})
 
+    @pytest.mark.parametrize("section", ["cell", "profile", "channel"])
+    def test_section_must_be_a_mapping(self, section):
+        with pytest.raises(ValueError, match=f"section '{section}' must be a mapping"):
+            self.make(**{section: [1]})
+
     def test_socket_mode_needs_addresses(self):
         with pytest.raises(ValueError, match="socket"):
             self.make(mode="socket")

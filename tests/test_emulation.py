@@ -7,7 +7,6 @@ import math
 import random
 import struct
 import sys
-import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -36,7 +35,6 @@ from fhsplit.emulation import (
     CQI_PERIOD,
     LLR_SCALE,
     MAX_BACKLOG_SUBFRAMES,
-    SOFT_SLAB_CODES,
     EmulationReport,
     SubframeReceiver,
     TrafficProfile,
@@ -721,42 +719,18 @@ class TestMeter:
             assert meter.wire_bits == bits, max_datagram
             assert meter.min_chunk_payload == smallest, max_datagram
 
-
-class TestSharedMeter:
-    def test_sender_and_receiver_threads_record_concurrently(self):
-        # Socket mode's shape: per direction one sender thread records
-        # emissions while one receiver thread records events. Few
-        # subframes, so both threads keep touching the same ones.
-        n, subframes = 5000, 4
-        meters = [_DirMeter(subframes), _DirMeter(subframes)]
-        chunks = chunk_subframe(0, 0, bytes(3000), 1472)
-
-        def send(meter):
-            for i in range(n):
-                meter.record_emission(0, i % subframes, 3000, chunks)
-
-        def receive(meter):
-            for i in range(n):
-                meter.record_event(0, Complete(i % subframes, bytes(3000)))
-                meter.record_event(0, Malformed("stale", timestamp=i))
-
-        threads = [threading.Thread(target=fn, args=(meter,))
-                   for meter in meters for fn in (send, receive)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(th.is_alive() for th in threads)
-        datagram_bits = (3000 + len(chunks) * 22) * 8
-        for meter in meters:
-            assert sum(meter.wire_bits) == n * datagram_bits
-            assert len(meter.emitted) == len(meter.completed) == subframes
-            assert meter.stale_drops == n
+    def test_events_are_counted_by_outcome(self):
+        meter = _DirMeter(4)
+        for ts in range(4):
+            meter.record_events([(0, Complete(ts, bytes(3000))),
+                                 (0, Malformed("stale", timestamp=ts)),
+                                 (0, Malformed("stale", timestamp=ts))])
+        meter.record_event(1, Jumbled(2, 3))
+        meter.record_event(1, Malformed("duplicate", timestamp=2))
+        assert meter.completed == {(0, ts): 3000 for ts in range(4)}
+        assert meter.jumbled == {(1, 2)}
+        assert meter.stale_drops == 8
+        assert meter.malformed_events == 1
 
 
 class TestGoldenReports:
@@ -806,28 +780,32 @@ class TestGoldenPayloads:
     in a zero-padded byte at w=5. The long counts sit on and around 2^16
     and span several 2^15- or 2^16-code slabs plus a remainder, so they
     pin the bytes wherever the synthesis splits a message.
+    The digests were re-pinned when the draw stopped copying
+    Generator.integers' half-word carry: each message now takes its
+    indices from whole raw 64-bit words (TestDrawStream), so the bytes
+    changed while the report digests did not.
     """
 
     COUNTS = (1, 7, 8, 13, 64, 1001, 30_000)
     CASES = [
         # preset (soft_bit_width), seed of the LLR stream, sha256 of the payloads
-        ("worst100", 1, "318c4106585760a11e889264ace211c90ab39b499179175fe068ad962d7c8a18"),
-        ("worst100", 7, "9d3d674f9d27d29b200d38418785086a57640467bdb64493c383b7a09f217187"),
-        ("lte10", 1, "57502d95df2ed7449d03bf548866dac687cfcd2e1349c39a0e4d7386e93d72a7"),
-        ("lte10", 7, "4271061286094664f01fac0123eaacab2d95483a55b528c57a7dfcf0b2909b13"),
+        ("worst100", 1, "752d7be8c18391794196a8f7badaef8b788950558111c22de12d84049568146d"),
+        ("worst100", 7, "37d41cb90eddf4f82fbbc3b8b2e9b353090b6815600a4b061f5add1cfb3937b9"),
+        ("lte10", 1, "36f7cf597fe3b00f2ef4b0403e82424c98cb8a7609a6f66ad4367dac7e70b8e2"),
+        ("lte10", 7, "3eab9443b95d23606b9f61a00cfc996335045461c31d3c79a7a6960d4d589df8"),
     ]
     LONG_COUNTS = (65_535, 65_536, 65_537, 200_003)
     LONG_CASES = [
-        ("worst100", 1, "5c6a2fe5efc07870fbd13ed5d41c71666141882187c5b8b69223042100f8fa32"),
-        ("worst100", 7, "0ea497a0ba3460f6cc041133c73fe2e7dcadd645ed35a19c65d47b2195720dc8"),
-        ("lte10", 1, "d769c90b4f11f50ffa7f4dff968a635797870972ce81f8c66837af93900b35fe"),
+        ("worst100", 1, "23ea5e79ce6134968455a0b73c390ab57f4445a1b644bd5e0cbf15e585dcae97"),
+        ("worst100", 7, "69533d7559ddb7c46bddfc52a29b47c25bc4e65622861c07ceed46ee1c606090"),
+        ("lte10", 1, "a95949d4b42076c8e78ed6940a8a0a047f8b9cc6d31b8df0a2e82cc55ed524ff"),
     ]
 
     @staticmethod
     def digest(name, seed, counts):
         cfg = preset(name)
         code_table = _llr_code_table(LlrQuantizer(cfg.soft_bit_width))
-        llr_rng = np.random.Generator(np.random.PCG64(seed))
+        llr_rng = np.random.PCG64(seed)
         h = hashlib.sha256()
         for n in counts:
             # t=1 is not a CQI subframe, so the soft bits are the only message
@@ -908,10 +886,8 @@ class TestCodeTable:
         # 200_003 codes span three 2^16-code slabs (six of 2^15) plus a
         # remainder; the reference is one draw of the full length
         for n in (1001, 200_003):
-            [(_, payload)] = _ul_messages(1, n, cfg, table,
-                                          np.random.Generator(np.random.PCG64(5)))
-            u = np.random.Generator(np.random.PCG64(5)).integers(
-                0, 1 << 16, n, dtype=np.uint16)
+            [(_, payload)] = _ul_messages(1, n, cfg, table, np.random.PCG64(5))
+            u = np.random.PCG64(5).random_raw(-(-n // 4)).astype("<u8").view("<u2")[:n]
             assert np.array_equal(unpack_codes(payload, width, n), table[u])
 
     def test_drawn_codes_follow_the_quantized_gaussian(self):
@@ -919,7 +895,7 @@ class TestCodeTable:
         assert cfg.soft_bit_width == 5
         q = LlrQuantizer(5)
         n = 1 << 20
-        llr_rng = np.random.Generator(np.random.PCG64(3))
+        llr_rng = np.random.PCG64(3)
         [(_, payload)] = _ul_messages(1, n, cfg, _llr_code_table(q), llr_rng)
         codes = unpack_codes(payload, 5, n)
         freq = np.bincount(codes + q.max_code, minlength=2 * q.max_code + 1) / n
@@ -928,55 +904,26 @@ class TestCodeTable:
 
 
 class TestDrawStream:
-    """_ul_messages draws raw generator words; its stream must equal integers'.
+    """A message of n codes draws its indices from the next ceil(n/4) raw words.
 
-    The reference draws every slab of every message with
-    Generator.integers(0, 2**16, k, dtype=np.uint16), which keeps the high
-    half of a 64-bit word for the next call. The counts leave that half
-    pending or consume it at every slab position, so a dropped carry
-    changes the bytes and the next draw.
+    Its indices are the first n little-endian 16-bit halves of those words;
+    the last word's unused halves are dropped, so nothing carries over to
+    the next message. The counts leave 0 to 3 halves unused and span one
+    to three slabs, and the reference draws each message in one piece.
     """
 
-    COUNTS = (1, 2, 3, 5, 6, 7, 9, 65_535, 65_537, 131_071, 131_074)
+    COUNTS = (1, 2, 3, 5, 7, 65_535, 65_537, 131_074)
 
-    @staticmethod
-    def generator(pending):
-        rng = np.random.Generator(np.random.PCG64(17))
-        if pending:
-            rng.integers(0, 1 << 32, dtype=np.uint32)  # leaves a 32-bit half
-        return rng
-
-    @staticmethod
-    def reference(cfg, table, rng, n):
-        u = np.concatenate([
-            rng.integers(0, 1 << 16, min(SOFT_SLAB_CODES, n - start), dtype=np.uint16)
-            for start in range(0, n, SOFT_SLAB_CODES)])
-        return reference_pack(table[u], cfg.soft_bit_width)
-
-    def chain(self, width, pending):
-        """(count, payload, reference) per message, and the two generators after."""
+    @pytest.mark.parametrize("width", [5, 16])
+    def test_chained_messages_match_raw_words(self, width):
         cfg = replace(LTE10, soft_bit_width=width)
         table = _llr_code_table(LlrQuantizer(width))
-        rng, ref_rng = self.generator(pending), self.generator(pending)
-        messages = []
+        rng, ref_rng = np.random.PCG64(17), np.random.PCG64(17)
         for n in self.COUNTS:
             [(_, payload)] = _ul_messages(1, n, cfg, table, rng)
-            messages.append((n, payload, self.reference(cfg, table, ref_rng, n)))
-        return messages, rng, ref_rng
-
-    @pytest.mark.parametrize("pending", [False, True])
-    @pytest.mark.parametrize("width", [5, 16])
-    def test_chained_messages_match_integers_per_slab(self, width, pending):
-        messages, _, _ = self.chain(width, pending)
-        for n, payload, expected in messages:
-            assert payload == expected, f"{n} codes"
-
-    @pytest.mark.parametrize("pending", [False, True])
-    def test_next_draw_after_the_chain_matches(self, pending):
-        _, rng, ref_rng = self.chain(5, pending)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert np.array_equal(rng.integers(0, 1 << 16, 5, dtype=np.uint16),
-                              ref_rng.integers(0, 1 << 16, 5, dtype=np.uint16))
+            u = ref_rng.random_raw(-(-n // 4)).astype("<u8").view("<u2")[:n]
+            assert payload == reference_pack(table[u], width), f"{n} codes"
+        assert rng.state == ref_rng.state
 
 
 class TestBenchmarkHooks:
