@@ -200,13 +200,7 @@ def cmd_header(args: argparse.Namespace) -> int:
         header = decode_header(raw)
     except HeaderError as exc:
         raise CliError(f"undecodable header: {exc}") from exc
-    payload = {
-        "timestamp": header.timestamp,
-        "num_blocks": header.num_blocks,
-        "content_type": header.content_type,
-        "size": header.size,
-        "sender_clock": header.sender_clock,
-    }
+    payload = header._asdict()
     if args.format == "json":
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:

@@ -7,19 +7,17 @@ code per downlink-equivalent bit, so the uplink volume is the scheduled
 size times the soft-bit width). Per subframe the DU additionally emits a
 64-byte control message and the RU a periodic 8-byte CQI report.
 
-Uplink codes are drawn without a float LLR: each code indexes a
-2^16-entry inverse-CDF table, which quantize_llr builds once per run from
-the quantiles of the N(0, LLR_SCALE^2) Gaussian. Each code's probability
-is within 2^-16 of the quantized Gaussian's; at w = 16 that is the
-sampler's resolution. A message's codes are drawn, indexed and packed in
-slabs of SOFT_SLAB_CODES, so no array as long as the message is built;
-the joined slabs are byte-identical to one full-length draw and pack.
-The indices come straight from raw 64-bit PCG64 words: a message of n
-codes takes the next ceil(n/4) words of the LLR stream and uses the first
-n little-endian 16-bit halves, dropping the last word's unused halves, so
-no draw is carried from one message to the next. pack_codes
-merges the codes pairwise into 2w-bit pairs and 4w-bit quads and lays
-each group of 8 out as w big-endian bytes.
+Uplink codes are drawn without a float LLR. Once per run quantize_llr
+maps the midpoint quantiles of the N(0, LLR_SCALE^2) Gaussian to a
+2^16-entry inverse-CDF code table; each code's share of the table is
+within 2^-16 of its quantized-Gaussian probability. The run's LLR stream
+shuffles the table once and pack_codes packs it into a pool of 2^16
+codes (8192 groups of 8, w bytes each). A message of n codes takes one
+raw 64-bit word of that stream, whose top 13 bits pick a group g, and is
+the ceil(n*w/8) bytes of the pool read cyclically from byte g*w, with the
+unused low bits of its last byte zeroed. So codes repeat with period
+2^16 within and across messages, and each code's marginal distribution
+over seeds is exactly the table's.
 
 The meter counts bytes on the wire per direction (payload plus the
 22-byte header of every chunk) and classifies every emitted subframe
@@ -94,11 +92,6 @@ CQI_PERIOD = 5
 MAX_BACKLOG_SUBFRAMES = 10
 LLR_SCALE = 4.0
 LLR_TABLE_BITS = 16
-# Uplink codes are drawn and packed this many at a time. A multiple of 8
-# packs to whole bytes at every width; a multiple of 4 uses whole 64-bit
-# generator words. Both keep the joined slabs' bytes equal to one
-# full-length draw and pack.
-SOFT_SLAB_CODES = 1 << 16
 
 _MCS_FOR_MOD = {2: 6, 4: 14, 6: 23, 8: 27}
 
@@ -444,21 +437,24 @@ def _llr_code_table(quantizer: LlrQuantizer) -> np.ndarray:
     return quantize_llr(_llr_quantiles(), quantizer).astype(np.int16)
 
 
-def _ul_messages(t, scheduled_bits, cfg, code_table, llr_rng) -> List[Tuple[int, bytes]]:
+def _ul_messages(t, scheduled_bits, cfg, code_pool, llr_rng) -> List[Tuple[int, bytes]]:
     msgs = []
     if scheduled_bits:
-        slabs = []
-        for start in range(0, scheduled_bits, SOFT_SLAB_CODES):
-            k = min(SOFT_SLAB_CODES, scheduled_bits - start)
-            u = llr_rng.random_raw(-(-k // 4)).astype("<u8", copy=False).view("<u2")[:k]
-            # take(u) gathers a slab faster than code_table[u] does: about
-            # 9 against 12 ms per 3 M codes (numpy 2.4, 2-vCPU x86 host)
-            slabs.append(pack_codes(code_table.take(u), cfg.soft_bit_width))
-            # Free the slab's words before the next slab draws, so the
-            # allocator can hand the same block back: kept alive, they
-            # made lte20's 3-slab message 1.3-1.7 times as slow.
-            del u
-        msgs.append((CONTENT_UL_SOFT, b"".join(slabs)))
+        w = cfg.soft_bit_width
+        size = -(-scheduled_bits * w // 8)
+        # the top 13 bits of one raw word pick the group of 8 codes to start at
+        start = (int(llr_rng.random_raw()) >> 51) * w
+        pool = memoryview(code_pool)
+        # built in one bytearray: slicing a repeated pool instead made
+        # worst100's peak RSS jump between two levels 1.8 MiB apart
+        payload = bytearray()
+        while len(payload) < size:  # the pool, read cyclically
+            payload += pool[start:start + size - len(payload)]
+            start = 0
+        # zero the last byte's unused low bits, as pack_codes leaves them
+        pad = -scheduled_bits * w % 8
+        payload[-1] = payload[-1] >> pad << pad
+        msgs.append((CONTENT_UL_SOFT, bytes(payload)))
     if t % CQI_PERIOD == 0:
         msgs.append((CONTENT_UL_CQI, encode_cqi(CqiReport(t, _cqi_value(t)))))
     return msgs
@@ -555,9 +551,11 @@ def _prepare(
     payload_rng = np.random.Generator(np.random.PCG64(s_payload))
     llr_rng = np.random.PCG64(s_llr)
     code_table = _llr_code_table(LlrQuantizer(cfg.soft_bit_width))
+    code_pool = pack_codes(np.random.Generator(llr_rng).permutation(code_table),
+                           cfg.soft_bit_width)
     dl_messages = (_dl_messages(t, bits, cfg, payload_rng)
                    for t, bits in enumerate(scheduled))
-    ul_messages = (_ul_messages(t, bits, cfg, code_table, llr_rng)
+    ul_messages = (_ul_messages(t, bits, cfg, code_pool, llr_rng)
                    for t, bits in enumerate(scheduled))
     return offered, dropped_bits, (dl_messages, ul_messages), channel_seeds, largest
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import fhsplit
 from fhsplit.cell import CellConfig, preset
 from fhsplit.channel import SUBFRAME_NS, ChannelSpec, SimulatedChannel
-from fhsplit.llr import LlrQuantizer, unpack_codes
+from fhsplit.llr import LlrQuantizer, pack_codes, unpack_codes
 from fhsplit.wire import (
     DEFAULT_TIMEOUT_NS,
     HEADER_LEN,
@@ -42,6 +42,7 @@ from fhsplit.emulation import (
     _emit,
     _llr_code_table,
     _llr_quantiles,
+    _prepare,
     _traffic_schedule,
     _ul_messages,
     make_control,
@@ -71,6 +72,20 @@ def tiny_cell(symbols_per_second=50_000):
 
 
 TINY = tiny_cell()
+POOL_CODES = 1 << 16
+
+
+def code_pool(width, llr_rng):
+    """The shuffled code table and its packed pool, built from llr_rng as _prepare builds them."""
+    codes = np.random.Generator(llr_rng).permutation(_llr_code_table(LlrQuantizer(width)))
+    return codes, pack_codes(codes, width)
+
+
+def pool_read(codes, ref_rng, n):
+    """A message's n codes: the pool's from the group of 8 that the top 13
+    bits of ref_rng's next raw word pick, read across the wrap."""
+    g = int(ref_rng.random_raw()) >> 51
+    return codes[(8 * g + np.arange(n)) % POOL_CODES]
 
 
 class TestCapacityAndScheduling:
@@ -766,50 +781,69 @@ class TestGoldenReports:
             preset(name), TrafficProfile(goodput, packet, subframes), spec, seed,
             max_datagram=max_datagram,
         )
+        assert self.digest(report) == digest
+
+    @staticmethod
+    def digest(report):
         saved = report.csv_text() + json.dumps(report.summary(), indent=2) + "\n"
-        assert hashlib.sha256(saved.encode()).hexdigest() == digest
+        return hashlib.sha256(saved.encode()).hexdigest()
+
+    @pytest.mark.parametrize("case", [CASES[1], CASES[2]], ids=["impaired", "saturated"])
+    def test_payload_content_never_enters_a_report(self, case, monkeypatch):
+        # The uplink pool repeats its codes on the premise that only payload
+        # sizes and outcomes reach a report: all-zero payloads keep every byte.
+        name, goodput, packet, subframes, spec, max_datagram, seed, digest = case
+        for synth in ("_dl_messages", "_ul_messages"):
+            def zeroed(*args, _synth=getattr(fhsplit.emulation, synth)):
+                return [(ctype, bytes(len(payload))) for ctype, payload in _synth(*args)]
+            monkeypatch.setattr(fhsplit.emulation, synth, zeroed)
+        report = run_emulation(
+            preset(name), TrafficProfile(goodput, packet, subframes), spec, seed,
+            max_datagram=max_datagram,
+        )
+        assert report.ul.emitted_payload_bits > 0
+        assert self.digest(report) == digest
 
 
 class TestGoldenPayloads:
     """Fixed-seed uplink soft-bit payload bytes from `_ul_messages`.
 
     The report digests above see only payload sizes and outcomes, so a
-    wrong code table, draw or pack would still pass them; these pin the
-    bytes.
+    wrong code table, shuffle, pool read or pack would still pass them;
+    these pin the bytes of chained messages read from one seeded pool.
     The code counts include ones that are not a multiple of 8, which end
-    in a zero-padded byte at w=5. The long counts sit on and around 2^16
-    and span several 2^15- or 2^16-code slabs plus a remainder, so they
-    pin the bytes wherever the synthesis splits a message.
-    The digests were re-pinned when the draw stopped copying
-    Generator.integers' half-word carry: each message now takes its
-    indices from whole raw 64-bit words (TestDrawStream), so the bytes
-    changed while the report digests did not.
+    in a zero-padded byte at w=5. The long counts sit on and around the
+    pool's 2^16 codes, so they straddle its wrap and pin the bytes
+    wherever a message starts in the pool.
+    The digests were re-pinned when each message stopped drawing its own
+    codes and became one read of a per-run pool (TestCodePool), so the
+    bytes changed while the report digests did not.
     """
 
     COUNTS = (1, 7, 8, 13, 64, 1001, 30_000)
     CASES = [
         # preset (soft_bit_width), seed of the LLR stream, sha256 of the payloads
-        ("worst100", 1, "752d7be8c18391794196a8f7badaef8b788950558111c22de12d84049568146d"),
-        ("worst100", 7, "37d41cb90eddf4f82fbbc3b8b2e9b353090b6815600a4b061f5add1cfb3937b9"),
-        ("lte10", 1, "36f7cf597fe3b00f2ef4b0403e82424c98cb8a7609a6f66ad4367dac7e70b8e2"),
-        ("lte10", 7, "3eab9443b95d23606b9f61a00cfc996335045461c31d3c79a7a6960d4d589df8"),
+        ("worst100", 1, "408cf062532104f530adeacf8c87c25fd378f78bfbb69cb09086f5bda8a93304"),
+        ("worst100", 7, "f9707a1a4098024990391109dc32734c51a67d963da16e874cd8fe4aa7b311c4"),
+        ("lte10", 1, "cb6e502367c39edd218993c64a434c4f10a9f84072d108702d6109239da0a1e6"),
+        ("lte10", 7, "44aa2ca1248319eebcd9cfa73519cd14cd8d30a7c3d082112c15726d8e325352"),
     ]
     LONG_COUNTS = (65_535, 65_536, 65_537, 200_003)
     LONG_CASES = [
-        ("worst100", 1, "23ea5e79ce6134968455a0b73c390ab57f4445a1b644bd5e0cbf15e585dcae97"),
-        ("worst100", 7, "69533d7559ddb7c46bddfc52a29b47c25bc4e65622861c07ceed46ee1c606090"),
-        ("lte10", 1, "a95949d4b42076c8e78ed6940a8a0a047f8b9cc6d31b8df0a2e82cc55ed524ff"),
+        ("worst100", 1, "4c980970f1e418a750d9d4767b2a7af6dd4380510e032b4d418507ae07f966a1"),
+        ("worst100", 7, "41b8aa52f93c2bc2d764c9052ced9192effb81b558e8bba052e14b75b542dc11"),
+        ("lte10", 1, "f3fb86e92e38b734ee24c6514c24698c983f1eefccd4d46a709adc6e185fa9b2"),
     ]
 
     @staticmethod
     def digest(name, seed, counts):
         cfg = preset(name)
-        code_table = _llr_code_table(LlrQuantizer(cfg.soft_bit_width))
         llr_rng = np.random.PCG64(seed)
+        _, pool = code_pool(cfg.soft_bit_width, llr_rng)
         h = hashlib.sha256()
         for n in counts:
             # t=1 is not a CQI subframe, so the soft bits are the only message
-            [(ctype, payload)] = _ul_messages(1, n, cfg, code_table, llr_rng)
+            [(ctype, payload)] = _ul_messages(1, n, cfg, pool, llr_rng)
             assert ctype == CONTENT_UL_SOFT
             assert len(payload) == -(-n * cfg.soft_bit_width // 8)
             h.update(payload)
@@ -882,48 +916,80 @@ class TestCodeTable:
     @pytest.mark.parametrize("width", [2, 5, 8, 9, 16])
     def test_drawn_codes_round_trip_at_every_width(self, width):
         cfg = replace(LTE10, soft_bit_width=width)
-        table = _llr_code_table(LlrQuantizer(width))
-        # 200_003 codes span three 2^16-code slabs (six of 2^15) plus a
-        # remainder; the reference is one draw of the full length
+        # 200_003 codes wrap around the 2^16-code pool three times; the
+        # reference indexes the shuffled table itself
         for n in (1001, 200_003):
-            [(_, payload)] = _ul_messages(1, n, cfg, table, np.random.PCG64(5))
-            u = np.random.PCG64(5).random_raw(-(-n // 4)).astype("<u8").view("<u2")[:n]
-            assert np.array_equal(unpack_codes(payload, width, n), table[u])
+            llr_rng, ref_rng = np.random.PCG64(5), np.random.PCG64(5)
+            _, pool = code_pool(width, llr_rng)
+            codes, _ = code_pool(width, ref_rng)
+            [(_, payload)] = _ul_messages(1, n, cfg, pool, llr_rng)
+            assert np.array_equal(unpack_codes(payload, width, n),
+                                  pool_read(codes, ref_rng, n))
 
     def test_drawn_codes_follow_the_quantized_gaussian(self):
+        # 2^20 codes are 16 whole pool periods, so their shares are the table's
         cfg = preset("worst100")
         assert cfg.soft_bit_width == 5
         q = LlrQuantizer(5)
         n = 1 << 20
         llr_rng = np.random.PCG64(3)
-        [(_, payload)] = _ul_messages(1, n, cfg, _llr_code_table(q), llr_rng)
+        _, pool = code_pool(5, llr_rng)
+        [(_, payload)] = _ul_messages(1, n, cfg, pool, llr_rng)
         codes = unpack_codes(payload, 5, n)
         freq = np.bincount(codes + q.max_code, minlength=2 * q.max_code + 1) / n
         p = code_probabilities(q)
         assert np.all(np.abs(freq - p) <= 5 * np.sqrt(p * (1 - p) / n))
 
 
-class TestDrawStream:
-    """A message of n codes draws its indices from the next ceil(n/4) raw words.
+class TestCodePool:
+    """A run's soft bits are read from one shuffled, packed code table.
 
-    Its indices are the first n little-endian 16-bit halves of those words;
-    the last word's unused halves are dropped, so nothing carries over to
-    the next message. The counts leave 0 to 3 halves unused and span one
-    to three slabs, and the reference draws each message in one piece.
+    _prepare shuffles the 2^16-entry code table with the run's LLR stream
+    and packs it. A message of n codes then takes exactly one raw word of
+    that stream; its top 13 bits pick a group g of 8 codes, and the
+    message is the pool's codes (8g + i) mod 2^16, read across the wrap,
+    with the unused low bits of its last byte zero. The counts end on
+    and off a byte and wrap the pool up to twice.
     """
 
     COUNTS = (1, 2, 3, 5, 7, 65_535, 65_537, 131_074)
 
-    @pytest.mark.parametrize("width", [5, 16])
-    def test_chained_messages_match_raw_words(self, width):
-        cfg = replace(LTE10, soft_bit_width=width)
+    @pytest.mark.parametrize("width", [2, 5, 8, 16])
+    def test_pool_is_a_packed_permutation_of_the_table(self, width):
+        codes, pool = code_pool(width, np.random.PCG64(17))
         table = _llr_code_table(LlrQuantizer(width))
+        assert len(pool) == POOL_CODES * width // 8
+        assert np.array_equal(unpack_codes(pool, width, POOL_CODES), codes)
+        assert np.array_equal(np.sort(codes), table)
+        assert not np.array_equal(codes, table)
+
+    @pytest.mark.parametrize("width", [5, 16])
+    def test_chained_messages_read_the_pool(self, width):
+        cfg = replace(LTE10, soft_bit_width=width)
         rng, ref_rng = np.random.PCG64(17), np.random.PCG64(17)
+        _, pool = code_pool(width, rng)
+        codes, _ = code_pool(width, ref_rng)
         for n in self.COUNTS:
-            [(_, payload)] = _ul_messages(1, n, cfg, table, rng)
-            u = ref_rng.random_raw(-(-n // 4)).astype("<u8").view("<u2")[:n]
-            assert payload == reference_pack(table[u], width), f"{n} codes"
-        assert rng.state == ref_rng.state
+            [(_, payload)] = _ul_messages(1, n, cfg, pool, rng)
+            assert payload == reference_pack(pool_read(codes, ref_rng, n), width), f"{n} codes"
+            pad = -n * width % 8
+            assert payload[-1] & ((1 << pad) - 1) == 0
+            # one raw word per message, whatever its length
+            assert rng.state == ref_rng.state
+
+    def test_a_run_reads_the_pool_its_llr_stream_shuffles(self):
+        # The LLR stream is the second of the four seeds _prepare spawns; an
+        # idle subframe takes no word from it.
+        cfg, profile, seed = replace(TINY, soft_bit_width=5), TrafficProfile(20e3, 5, 8), 23
+        _, scheduled, _ = _traffic_schedule(cfg, profile)
+        assert 0 in scheduled and len(set(scheduled)) > 1
+        _, _, (_, ul_messages), _, _ = _prepare(cfg, profile, seed, 1472)
+        ref_rng = np.random.PCG64(np.random.SeedSequence(seed).spawn(4)[1])
+        codes, _ = code_pool(5, ref_rng)
+        for t, n in enumerate(scheduled):
+            soft = [p for ctype, p in next(ul_messages) if ctype == CONTENT_UL_SOFT]
+            expected = [reference_pack(pool_read(codes, ref_rng, n), 5)] if n else []
+            assert soft == expected, f"subframe {t}"
 
 
 class TestBenchmarkHooks:
@@ -992,6 +1058,21 @@ class TestBenchmarkHooks:
         assert len(c.latencies_ns) == completed
         assert c.corrupt_completes == 0
         assert c.useful_chunks == c.datagrams > completed
+
+    def test_pool_is_built_once_per_call(self, spans):
+        # llr.quantize_ms and llr.pack_ms time the per-run table and pool; a
+        # pool cached per process would leave both reading 0 after one call.
+        tracer = spans.Tracer(fhsplit)
+        tracer.install()
+        try:
+            for goodput in (2e6, 0.0, 2e6):
+                tracer.begin_call()
+                run_emulation(LTE10, TrafficProfile(goodput, 200, 5), seed=1)
+        finally:
+            tracer.restore()
+        fired = [tracer.names[i] for i in tracer.name]
+        assert fired.count("emulation.quantize_llr") == 3
+        assert fired.count("emulation.pack_codes") == 3
 
     def test_every_hook_target_resolves(self, spans):
         targets = [(owner, attr) for _, owner, attr in spans.SPAN_TARGETS]

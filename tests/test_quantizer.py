@@ -271,7 +271,7 @@ class TestPacking:
 
     @pytest.mark.parametrize("width", list(range(2, 17)))
     def test_counts_around_a_slab_match_reference(self, width):
-        # the emulator packs 2^16-code slabs; a message ends anywhere
+        # the emulator packs its 2^16-code pool, and a message ends anywhere in it
         lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
         codes = np.random.default_rng(width).integers(lo, hi + 1, size=(1 << 16) + 8)
         codes[::7] = lo
