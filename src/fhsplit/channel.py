@@ -9,7 +9,12 @@ long message's last chunks may be stamped after the next message's first.
 The queue is a list kept stably sorted by delivery time: send appends, and
 deliver_until sorts, which keeps ties in send order and takes linear time
 on the already-sorted runs, then cuts off the datagrams that are due.
-Behaviour is a pure function of the parameters and the seed.
+Each loss and each reorder decision takes one uniform of the channel's
+seeded stream, loss first, and only when its rate is above zero, so a
+clean channel draws nothing. The uniforms are drawn UNIFORM_BLOCK at a
+time and used in order, which gives exactly the values one draw per
+decision would. Behaviour is a pure function of the parameters and the
+seed.
 """
 
 from __future__ import annotations
@@ -19,12 +24,26 @@ import socket
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 SUBFRAME_NS = 1_000_000
+# Uniforms drawn per call of the channel's generator; one numpy call costs
+# several scalar draws, so a block makes each decision's draw cheap.
+UNIFORM_BLOCK = 1024
 _DELIVERY_NS = itemgetter(0)
+
+
+def _uniforms(random: Callable[[int], np.ndarray]) -> Iterator[float]:
+    """Every value of random(UNIFORM_BLOCK), block after block, as floats.
+
+    A module-level generator over the bound method, so that it holds no
+    reference back to the channel that reads it: a reference cycle would
+    keep each run's channels alive until the cyclic collector ran.
+    """
+    while True:
+        yield from random(UNIFORM_BLOCK).tolist()
 
 
 @dataclass(frozen=True)
@@ -48,7 +67,7 @@ class SimulatedChannel:
     def __init__(self, spec: ChannelSpec, seed) -> None:
         self.spec = spec
         self.delay_ns = int(spec.delay_us * 1000)
-        self._rng = np.random.Generator(np.random.PCG64(seed))
+        self._uniform = _uniforms(np.random.Generator(np.random.PCG64(seed)).random).__next__
         self._pending: List[Tuple[int, bytes]] = []  # (delivery_ns, datagram)
         self.sent = 0
         self.dropped = 0
@@ -56,11 +75,11 @@ class SimulatedChannel:
 
     def send(self, datagram: bytes, now_ns: int) -> None:
         self.sent += 1
-        if self.spec.loss_rate > 0 and self._rng.random() < self.spec.loss_rate:
+        if self.spec.loss_rate > 0 and self._uniform() < self.spec.loss_rate:
             self.dropped += 1
             return
         delay_ns = self.delay_ns
-        if self.spec.reorder_rate > 0 and self._rng.random() < self.spec.reorder_rate:
+        if self.spec.reorder_rate > 0 and self._uniform() < self.spec.reorder_rate:
             self.reordered += 1
             delay_ns += SUBFRAME_NS
         self._pending.append((now_ns + delay_ns, datagram))

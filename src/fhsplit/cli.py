@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from .cell import MODULATION_NAMES, CellConfig, Direction, LinkBudget, PRESETS, preset
@@ -239,8 +240,19 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
         raise CliError(f"{prefix}{exc}") from exc
 
 
+def _report_write_failed(exc: OSError) -> int:
+    print(f"error: cannot write reports: {exc}", file=sys.stderr)
+    return 1
+
+
 def cmd_emulate(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args)
+    if args.out:
+        # made before the run, so that an unusable path fails before any work
+        try:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            return _report_write_failed(exc)
     try:
         if scenario.mode == "socket":
             report = run_socket_emulation(
@@ -266,7 +278,10 @@ def cmd_emulate(args: argparse.Namespace) -> int:
         raise CliError(f"cannot emulate: {exc}") from exc
     summary = report.summary()
     if args.out:
-        csv_path, json_path = report.save(args.out)
+        try:
+            csv_path, json_path = report.save(args.out)
+        except OSError as exc:
+            return _report_write_failed(exc)
         print(f"wrote {csv_path} and {json_path}")
     print(
         f"offered {summary['mean_offered_bps'] / 1e6:.3f} Mbit/s over "

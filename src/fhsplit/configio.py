@@ -112,6 +112,8 @@ class Scenario:
 
     def __post_init__(self) -> None:
         require_ints(self, "seed", "max_datagram")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.mode not in ("sim", "socket"):
             raise ValueError(f"mode must be 'sim' or 'socket', got {self.mode!r}")
         if self.mode == "socket" and not (self.du_addr and self.ru_addr):

@@ -7,6 +7,11 @@ code per downlink-equivalent bit, so the uplink volume is the scheduled
 size times the soft-bit width). Per subframe the DU additionally emits a
 64-byte control message and the RU a periodic 8-byte CQI report.
 
+A downlink data message of n bytes is the first n bytes of the next
+ceil(n/8) raw 64-bit words of the run's payload stream, each word
+little-endian; the rest of the last word is dropped, so nothing carries
+over from one message to the next.
+
 Uplink codes are drawn without a float LLR. Once per run quantize_llr
 maps the midpoint quantiles of the N(0, LLR_SCALE^2) Gaussian to a
 2^16-entry inverse-CDF code table; each code's share of the table is
@@ -414,7 +419,10 @@ def _emit(
 def _dl_messages(t, scheduled_bits, cfg, payload_rng) -> List[Tuple[int, bytes]]:
     msgs = [(CONTENT_DL_CONTROL, encode_control(make_control(t, scheduled_bits, cfg)))]
     if scheduled_bits:
-        msgs.append((CONTENT_DL_DATA, payload_rng.bytes((scheduled_bits + 7) // 8)))
+        size = (scheduled_bits + 7) // 8
+        # raw words cost a fraction of a Generator's byte draw on short payloads
+        words = payload_rng.random_raw(-(-size // 8)).astype("<u8", copy=False)
+        msgs.append((CONTENT_DL_DATA, words.view(np.uint8)[:size].tobytes()))
     return msgs
 
 
@@ -548,7 +556,7 @@ def _prepare(
     largest = -(-max(scheduled) * cfg.soft_bit_width // 8)
     chunk_count(largest, max_datagram)
     s_payload, s_llr, *channel_seeds = np.random.SeedSequence(seed).spawn(4)
-    payload_rng = np.random.Generator(np.random.PCG64(s_payload))
+    payload_rng = np.random.PCG64(s_payload)
     llr_rng = np.random.PCG64(s_llr)
     code_table = _llr_code_table(LlrQuantizer(cfg.soft_bit_width))
     code_pool = pack_codes(np.random.Generator(llr_rng).permutation(code_table),

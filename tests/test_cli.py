@@ -257,6 +257,33 @@ class TestEmulate:
         assert (tmp_path / "a/summary.json").read_bytes() == \
             (tmp_path / "b/summary.json").read_bytes()
 
+    @pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
+    def test_out_blocked_by_a_file_exits_1_before_running(self, capsys, tmp_path,
+                                                          monkeypatch, under_file):
+        def no_run(*args, **kwargs):
+            raise AssertionError("ran before making the output directory")
+
+        monkeypatch.setattr(fhsplit.cli, "run_emulation", no_run)
+        blocker = tmp_path / "taken"
+        blocker.write_text("kept")
+        out_dir = blocker / "run" if under_file else blocker
+        code, out, err = run_cli(capsys, "emulate", "--subframes", "2",
+                                 "--out", str(out_dir))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and str(out_dir) in err
+        assert len(err.splitlines()) == 1
+        assert blocker.read_text() == "kept"
+
+    def test_unwritable_report_exits_1(self, capsys, tmp_path):
+        (tmp_path / "report.csv").mkdir()
+        code, out, err = run_cli(capsys, "emulate", "--subframes", "2",
+                                 "--out", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "report.csv" in err
+        assert len(err.splitlines()) == 1
+
     def test_total_loss_reports_full_timeouts(self, capsys):
         code, out, _ = run_cli(
             capsys, "emulate", "--preset", "lte10", "--goodput-mbps", "5",
@@ -342,6 +369,7 @@ class TestEmulate:
         (("--goodput-mbps", "inf"), "goodput_bps"),
         (("--delay-us", "nan"), "delay_us"),
         (("--delay-us", "inf"), "delay_us"),
+        (("--seed", "-1"), "seed"),
     ])
     def test_bad_numeric_option_exits_2(self, capsys, argv, field):
         code, _, err = run_cli(capsys, "emulate", "--subframes", "3", *argv)

@@ -181,6 +181,11 @@ class TestScenario:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             self.make(**{field: value})
 
+    def test_seed_must_not_be_negative(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            self.make(seed=-1)
+        assert self.make(seed=0).seed == 0
+
     def test_integer_fields_take_numpy_integers(self):
         s = self.make(seed=np.int64(7), max_datagram=np.uint16(1000))
         assert s.seed == 7 and s.max_datagram == 1000

@@ -1,5 +1,6 @@
 """Emulation tests: scheduling, conservation, channel effects, determinism."""
 
+import gc
 import hashlib
 import importlib.util
 import json
@@ -7,6 +8,7 @@ import math
 import random
 import struct
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 import fhsplit
 from fhsplit.cell import CellConfig, preset
-from fhsplit.channel import SUBFRAME_NS, ChannelSpec, SimulatedChannel
+from fhsplit.channel import SUBFRAME_NS, UNIFORM_BLOCK, ChannelSpec, SimulatedChannel
 from fhsplit.llr import LlrQuantizer, pack_codes, unpack_codes
 from fhsplit.wire import (
     DEFAULT_TIMEOUT_NS,
@@ -39,6 +41,7 @@ from fhsplit.emulation import (
     SubframeReceiver,
     TrafficProfile,
     _DirMeter,
+    _dl_messages,
     _emit,
     _llr_code_table,
     _llr_quantiles,
@@ -525,6 +528,55 @@ class TestChannelReferenceModel:
                 sent, dropped, reordered, len(model))
 
 
+class TestChannelUniformBlocks:
+    """The channel's uniforms come in blocks of UNIFORM_BLOCK draws.
+
+    Thousands of sends cross several block boundaries; every decision must
+    still read the value that one scalar draw per decision gives, loss
+    first, and a zero rate must take no draw.
+    """
+
+    @pytest.mark.parametrize("loss,reorder", [(0.3, 0.0), (0.0, 0.3), (0.2, 0.3)])
+    def test_decisions_match_one_scalar_draw_each(self, loss, reorder):
+        seed, n, delay_ns = 41, 3_500, 5_000
+        chan = SimulatedChannel(ChannelSpec(loss, reorder, delay_ns / 1000), seed)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        model, dropped, reordered, draws = [], 0, 0, 0
+        for i in range(n):
+            datagram, now_ns = i.to_bytes(2, "big"), i * 1_000
+            chan.send(datagram, now_ns)
+            if loss > 0:
+                draws += 1
+                if rng.random() < loss:
+                    dropped += 1
+                    continue
+            delay = delay_ns
+            if reorder > 0:
+                draws += 1
+                if rng.random() < reorder:
+                    reordered += 1
+                    delay += SUBFRAME_NS
+            model.append((now_ns + delay, i, datagram))
+        assert draws > 3 * UNIFORM_BLOCK
+        assert chan.deliver_until(n * 1_000 + 2 * SUBFRAME_NS) == [
+            (t, d) for t, _, d in sorted(model)]
+        assert (chan.sent, chan.dropped, chan.reordered) == (n, dropped, reordered)
+
+    def test_channel_is_freed_without_the_cycle_collector(self):
+        # A block source that held the channel would leave every run's two
+        # channels in a reference cycle, alive until the collector ran.
+        chan = SimulatedChannel(ChannelSpec(0.5, 0.5), seed=3)
+        for i in range(10):
+            chan.send(b"x", i)  # draws the first block
+        ref = weakref.ref(chan)
+        gc.disable()
+        try:
+            del chan
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
 class TestReceiver:
     """SubframeReceiver.feed returns outcome events only."""
 
@@ -858,6 +910,50 @@ class TestGoldenPayloads:
                              ids=[f"{c[0]}-seed{c[1]}" for c in LONG_CASES])
     def test_long_soft_bit_bytes(self, name, seed, digest):
         assert self.digest(name, seed, self.LONG_COUNTS) == digest
+
+
+class TestDownlinkPayloads:
+    """Downlink data bytes are raw words of the run's payload stream.
+
+    A message of n bytes is the first n bytes of the next ceil(n/8) raw
+    64-bit words, each little-endian; the rest of the last word is
+    dropped, so nothing carries over to the next message. The sizes end on
+    and off a word and reach worst100's 373 800-byte subframe. The report
+    digests see only payload sizes, so this digest pins the bytes.
+    """
+
+    SIZES = (1, 7, 8, 9, 250, 25_000, 373_800)
+    DIGEST = "6c388ed76fa3ef3b45a529d7c45912252140720ad83fa8962e9c78ace03b3ce3"
+
+    @staticmethod
+    def reference(ref_rng, n):
+        words = (int(ref_rng.random_raw()) for _ in range(-(-n // 8)))
+        return b"".join(w.to_bytes(8, "little") for w in words)[:n]
+
+    def test_chained_messages_are_raw_words(self):
+        rng, ref_rng = np.random.PCG64(29), np.random.PCG64(29)
+        h = hashlib.sha256()
+        for n in self.SIZES:
+            # a bit count off a byte boundary still fills its last byte
+            [_, (ctype, payload)] = _dl_messages(1, 8 * n - n % 8, LTE10, rng)
+            assert ctype == CONTENT_DL_DATA
+            assert payload == self.reference(ref_rng, n), f"{n} bytes"
+            assert rng.state == ref_rng.state
+            h.update(payload)
+        assert h.hexdigest() == self.DIGEST
+
+    def test_a_run_draws_from_the_first_spawned_seed(self):
+        # The payload stream is the first of the four seeds _prepare
+        # spawns; an idle subframe takes no word from it.
+        cfg, profile, seed = TINY, TrafficProfile(20e3, 5, 8), 23
+        _, scheduled, _ = _traffic_schedule(cfg, profile)
+        assert 0 in scheduled and len(set(scheduled)) > 1
+        _, _, (dl_messages, _), _, _ = _prepare(cfg, profile, seed, 1472)
+        ref_rng = np.random.PCG64(np.random.SeedSequence(seed).spawn(4)[0])
+        for t, bits in enumerate(scheduled):
+            data = [p for ctype, p in next(dl_messages) if ctype == CONTENT_DL_DATA]
+            expected = [self.reference(ref_rng, (bits + 7) // 8)] if bits else []
+            assert data == expected, f"subframe {t}"
 
 
 def code_probabilities(q):
