@@ -67,6 +67,7 @@ class SimulatedChannel:
     def __init__(self, spec: ChannelSpec, seed) -> None:
         self.spec = spec
         self.delay_ns = int(spec.delay_us * 1000)
+        self._impaired = spec.loss_rate > 0 or spec.reorder_rate > 0
         self._uniform = _uniforms(np.random.Generator(np.random.PCG64(seed)).random).__next__
         self._pending: List[Tuple[int, bytes]] = []  # (delivery_ns, datagram)
         self.sent = 0
@@ -75,6 +76,9 @@ class SimulatedChannel:
 
     def send(self, datagram: bytes, now_ns: int) -> None:
         self.sent += 1
+        if not self._impaired:
+            self._pending.append((now_ns + self.delay_ns, datagram))
+            return
         if self.spec.loss_rate > 0 and self._uniform() < self.spec.loss_rate:
             self.dropped += 1
             return

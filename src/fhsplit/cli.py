@@ -14,6 +14,7 @@ arguments or config.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import asdict
@@ -245,14 +246,27 @@ def _report_write_failed(exc: OSError) -> int:
     return 1
 
 
+def _make_dirs(path: Path) -> List[Path]:
+    """Make path and any missing parents; returns the directories made, deepest first."""
+    made = []
+    missing = path
+    while not missing.exists() and missing != missing.parent:
+        made.append(missing)
+        missing = missing.parent
+    path.mkdir(parents=True, exist_ok=True)
+    return made
+
+
 def cmd_emulate(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args)
+    made: List[Path] = []
     if args.out:
         # made before the run, so that an unusable path fails before any work
         try:
-            Path(args.out).mkdir(parents=True, exist_ok=True)
+            made = _make_dirs(Path(args.out))
         except OSError as exc:
             return _report_write_failed(exc)
+    report = None
     try:
         if scenario.mode == "socket":
             report = run_socket_emulation(
@@ -276,6 +290,12 @@ def cmd_emulate(args: argparse.Namespace) -> int:
         return 1
     except ValueError as exc:
         raise CliError(f"cannot emulate: {exc}") from exc
+    finally:
+        # a run that made no report leaves no directory this call made
+        if report is None:
+            for directory in made:
+                with contextlib.suppress(OSError):
+                    directory.rmdir()
     summary = report.summary()
     if args.out:
         try:

@@ -15,14 +15,16 @@ over from one message to the next.
 Uplink codes are drawn without a float LLR. Once per run quantize_llr
 maps the midpoint quantiles of the N(0, LLR_SCALE^2) Gaussian to a
 2^16-entry inverse-CDF code table; each code's share of the table is
-within 2^-16 of its quantized-Gaussian probability. The run's LLR stream
-shuffles the table once and pack_codes packs it into a pool of 2^16
-codes (8192 groups of 8, w bytes each). A message of n codes takes one
-raw 64-bit word of that stream, whose top 13 bits pick a group g, and is
-the ceil(n*w/8) bytes of the pool read cyclically from byte g*w, with the
-unused low bits of its last byte zeroed. So codes repeat with period
-2^16 within and across messages, and each code's marginal distribution
-over seeds is exactly the table's.
+within 2^-16 of its quantized-Gaussian probability. The pool is 2^16
+codes drawn from the table once per run: the first 2^14 raw 64-bit words
+of the run's LLR stream, each split into four little-endian 16-bit
+halves, index the table, and pack_codes packs the codes (8192 groups of
+8, w bytes each). A message of n codes takes the stream's next raw word,
+whose top 13 bits pick a group g, and is the ceil(n*w/8) bytes of the
+pool read cyclically from byte g*w, with the unused low bits of its last
+byte zeroed. So codes repeat with period 2^16 within and across
+messages, and each code's marginal distribution over seeds is exactly
+the table's; one pool's code counts are multinomial around the table's.
 
 The meter counts bytes on the wire per direction (payload plus the
 22-byte header of every chunk) and classifies every emitted subframe
@@ -210,23 +212,35 @@ class SubframeReceiver:
         """Feed (recv_ns, datagram) arrivals in order; returns feed's outcomes, joined.
 
         The events, and the receiver's state after them, are exactly those
-        of calling feed once per arrival. A datagram that only advances the
-        assembly open for its content type is held by
-        ReassemblyBuffer.advance without decoding a Chunk; every other one,
-        including each that completes a message, goes through feed, so
-        ReassemblyBuffer.accept still produces every Complete. Both run
-        modes feed each direction's arrivals of a subframe this way.
+        of calling feed once per arrival. Each header is unpacked once to
+        find its content type; ReassemblyBuffer.advance then holds the run
+        of datagrams, from that one on, that only advance the assembly open
+        for it, without decoding a Chunk. The first datagram it does not
+        hold goes straight to feed, as does every one with no open
+        assembly, so ReassemblyBuffer.accept still produces every Complete.
+        Both run modes feed each direction's arrivals of a subframe this
+        way.
         """
+        arrivals = list(arrivals)  # advance reads it by index
         events: List[Tuple[int, ReassemblyEvent]] = []
         buffers = self._buffers
         unpack = _HEADER.unpack_from
-        for recv_ns, datagram in arrivals:
+        feed = self.feed
+        i, end = 0, len(arrivals)
+        while i < end:
+            recv_ns, datagram = arrivals[i]
             if len(datagram) >= HEADER_LEN:
                 header = unpack(datagram)
                 buf = buffers.get(header[2])
-                if buf is not None and buf.advance(header, datagram, recv_ns):
-                    continue
-            events += self.feed(datagram, recv_ns)
+                if buf is not None:
+                    held = buf.advance(arrivals, i, header)
+                    if held != i:
+                        if held == end:
+                            break
+                        i = held
+                        recv_ns, datagram = arrivals[i]
+            events += feed(datagram, recv_ns)
+            i += 1
         return events
 
     def poll(self, now_ns: int) -> List[Tuple[int, ReassemblyEvent]]:
@@ -407,13 +421,13 @@ def _emit(
     base_ns: int,
     max_datagram: int,
 ) -> None:
-    k = 0
+    ns = base_ns
     for ctype, payload in msgs:
         chunks = chunk_subframe(t, ctype, payload, max_datagram, sender_clock=base_ns)
         meter.record_emission(ctype, t, len(payload), chunks)
         for chunk in chunks:
-            k += 1
-            send(chunk.to_datagram(), base_ns + k * CHUNK_SPACING_NS)
+            ns += CHUNK_SPACING_NS
+            send(chunk.to_datagram(), ns)
 
 
 def _dl_messages(t, scheduled_bits, cfg, payload_rng) -> List[Tuple[int, bytes]]:
@@ -453,16 +467,15 @@ def _ul_messages(t, scheduled_bits, cfg, code_pool, llr_rng) -> List[Tuple[int, 
         # the top 13 bits of one raw word pick the group of 8 codes to start at
         start = (int(llr_rng.random_raw()) >> 51) * w
         pool = memoryview(code_pool)
-        # built in one bytearray: slicing a repeated pool instead made
-        # worst100's peak RSS jump between two levels 1.8 MiB apart
-        payload = bytearray()
-        while len(payload) < size:  # the pool, read cyclically
-            payload += pool[start:start + size - len(payload)]
-            start = 0
-        # zero the last byte's unused low bits, as pack_codes leaves them
+        # The pool read cyclically: the last byte is at `last` after `wraps`
+        # wraps. One join copies views of the pool, without a growing buffer.
+        wraps, last = divmod(start + size - 1, len(pool))
+        views = ([pool[start:], *[pool] * (wraps - 1), pool[:last]] if wraps
+                 else [pool[start:last]])
+        # the last byte's unused low bits zeroed, as pack_codes leaves them
         pad = -scheduled_bits * w % 8
-        payload[-1] = payload[-1] >> pad << pad
-        msgs.append((CONTENT_UL_SOFT, bytes(payload)))
+        views.append(bytes((pool[last] >> pad << pad,)))
+        msgs.append((CONTENT_UL_SOFT, b"".join(views)))
     if t % CQI_PERIOD == 0:
         msgs.append((CONTENT_UL_CQI, encode_cqi(CqiReport(t, _cqi_value(t)))))
     return msgs
@@ -559,8 +572,10 @@ def _prepare(
     payload_rng = np.random.PCG64(s_payload)
     llr_rng = np.random.PCG64(s_llr)
     code_table = _llr_code_table(LlrQuantizer(cfg.soft_bit_width))
-    code_pool = pack_codes(np.random.Generator(llr_rng).permutation(code_table),
-                           cfg.soft_bit_width)
+    # 2^16 table indices: the four little-endian 16-bit halves of each of 2^14 raw words
+    words = llr_rng.random_raw((1 << LLR_TABLE_BITS) // 4)
+    indices = words.astype("<u8", copy=False).view("<u2")
+    code_pool = pack_codes(code_table.take(indices), cfg.soft_bit_width)
     dl_messages = (_dl_messages(t, bits, cfg, payload_rng)
                    for t, bits in enumerate(scheduled))
     ul_messages = (_ul_messages(t, bits, cfg, code_pool, llr_rng)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 HEADER_LEN = 22
 #: Largest legal value of the size field (65508 is already too big).
@@ -136,7 +136,8 @@ class Chunk(_ChunkFields):
         return cls(*fields)
 
     def to_datagram(self) -> bytes:
-        return _HEADER.pack(*self.header) + self.payload
+        header, payload = self
+        return _HEADER.pack(*header) + payload
 
 
 def chunk_from_datagram(data: bytes) -> Chunk:
@@ -189,7 +190,8 @@ def chunk_subframe(
     # The validating constructors build the last chunk: it carries every
     # shared field and the largest sender_clock. Every other chunk is
     # exactly max_datagram bytes, checked above.
-    tail = payload[(num_blocks - 1) * budget :]
+    cut = (num_blocks - 1) * budget
+    tail = payload[cut:]
     last = Chunk(
         SplitHeader(timestamp, num_blocks, content_type, HEADER_LEN + len(tail),
                     sender_clock + num_blocks - 1),
@@ -197,14 +199,15 @@ def chunk_subframe(
     )
     if sender_clock < 0:
         raise ValueError("sender_clock out of unsigned 64-bit range")
+    if num_blocks == 1:
+        return [last]
     new = tuple.__new__
     chunks = [
         new(Chunk, (
-            new(SplitHeader, (timestamp, num_blocks, content_type, max_datagram,
-                              sender_clock + i)),
-            payload[i * budget : (i + 1) * budget],
+            new(SplitHeader, (timestamp, num_blocks, content_type, max_datagram, clock)),
+            payload[start : start + budget],
         ))
-        for i in range(num_blocks - 1)
+        for clock, start in enumerate(range(0, cut, budget), sender_clock)
     ]
     chunks.append(last)
     return chunks
@@ -304,29 +307,44 @@ class ReassemblyBuffer:
             return self._start(chunk, now_ns) or Jumbled(old, ts)
         return Malformed("stale", timestamp=ts)
 
-    def advance(self, fields: Tuple[int, int, int, int, int], datagram: bytes,
-                now_ns: int) -> bool:
-        """Hold a datagram that only advances the open assembly; False if it does more.
+    def advance(self, arrivals: Sequence[Tuple[int, bytes]], i: int,
+                fields: Tuple[int, int, int, int, int]) -> int:
+        """Hold arrivals[i], arrivals[i + 1], ... while each only advances the open assembly.
 
-        fields are the datagram's raw header fields, as _HEADER.unpack_from
-        gives them. The payload is held, and True returned, exactly when
-        feeding the datagram through chunk_from_datagram, poll_timeout and
-        accept would time nothing out and return None from accept: the
-        header continues the open assembly (same timestamp, num_blocks and
-        content_type), size == len(datagram) <= MAX_DATAGRAM, now_ns is
-        before the deadline, the sender_clock is new, and at least one more
-        block is still missing after this one. Otherwise nothing changes.
+        arrivals are (recv_ns, datagram) pairs and fields the raw header
+        fields of arrivals[i], as _HEADER.unpack_from gives them; each later
+        header is unpacked once, here. Returns the index of the first
+        arrival not held (len(arrivals) if every one was). A datagram is
+        held exactly when feeding it through chunk_from_datagram,
+        poll_timeout and accept would time nothing out and return None from
+        accept: the header continues the open assembly (same timestamp,
+        num_blocks and content_type), size == len(datagram) <= MAX_DATAGRAM,
+        its recv_ns is before the deadline, the sender_clock is new, and at
+        least one more block is still missing after this one. Nothing else
+        changes.
         """
-        timestamp, num_blocks, content_type, size, clock = fields
-        payloads = self._payloads
-        if (timestamp == self._timestamp and num_blocks == self._num_blocks
-                and content_type == self._content_type
-                and size == len(datagram) <= MAX_DATAGRAM
-                and now_ns < self._deadline and clock not in payloads
-                and len(payloads) < num_blocks - 1):
+        ts, blocks, ctype, size, clock = fields
+        if not (ts == self._timestamp and blocks == self._num_blocks
+                and ctype == self._content_type):
+            return i
+        # each later arrival must share arrivals[i]'s timestamp, num_blocks and content_type
+        payloads, deadline = self._payloads, self._deadline
+        unpack = _HEADER.unpack_from
+        end = len(arrivals)
+        recv_ns, datagram = arrivals[i]
+        while (size == len(datagram) <= MAX_DATAGRAM and recv_ns < deadline
+               and clock not in payloads and len(payloads) < blocks - 1):
             payloads[clock] = datagram[HEADER_LEN:]
-            return True
-        return False
+            i += 1
+            if i == end:
+                break
+            recv_ns, datagram = arrivals[i]
+            if len(datagram) < HEADER_LEN:
+                break
+            next_ts, next_blocks, next_ctype, size, clock = unpack(datagram)
+            if next_ts != ts or next_blocks != blocks or next_ctype != ctype:
+                break
+        return i
 
     def poll_timeout(self, now_ns: int) -> Optional[Timeout]:
         """Expire the assembly in progress once its deadline is reached."""
@@ -355,7 +373,7 @@ class ReassemblyBuffer:
     def _finish(self) -> Complete:
         ts = self._timestamp
         payloads = self._payloads
-        payload = b"".join(payloads[clock] for clock in sorted(payloads))
+        payload = b"".join(map(payloads.__getitem__, sorted(payloads)))
         self._watermark = ts
         self._clear()
         return Complete(ts, payload)

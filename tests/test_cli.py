@@ -275,6 +275,18 @@ class TestEmulate:
         assert len(err.splitlines()) == 1
         assert blocker.read_text() == "kept"
 
+    @pytest.mark.parametrize("out", ["xo", "a/b", "kept/run"])
+    def test_rejected_run_leaves_no_directory_it_made(self, capsys, tmp_path, out):
+        (tmp_path / "kept").mkdir()
+        code, out_text, err = run_cli(
+            capsys, "emulate", "--preset", "worst100", "--goodput-mbps", "3000",
+            "--max-datagram", "24", "--subframes", "3", "--out", str(tmp_path / out))
+        assert code == 2 and out_text == ""
+        assert "num_blocks is a 16-bit field" in err
+        # the directory that was there before the call stays
+        assert [p.name for p in tmp_path.iterdir()] == ["kept"]
+        assert list((tmp_path / "kept").iterdir()) == []
+
     def test_unwritable_report_exits_1(self, capsys, tmp_path):
         (tmp_path / "report.csv").mkdir()
         code, out, err = run_cli(capsys, "emulate", "--subframes", "2",

@@ -1,5 +1,6 @@
 """Emulation tests: scheduling, conservation, channel effects, determinism."""
 
+import collections
 import gc
 import hashlib
 import importlib.util
@@ -79,8 +80,23 @@ POOL_CODES = 1 << 16
 
 
 def code_pool(width, llr_rng):
-    """The shuffled code table and its packed pool, built from llr_rng as _prepare builds them."""
+    """A shuffled code table and its packed pool.
+
+    _ul_messages reads any packed pool of table codes the same way; the
+    pinned payload tests read this one. raw_word_pool is the pool a run
+    draws.
+    """
     codes = np.random.Generator(llr_rng).permutation(_llr_code_table(LlrQuantizer(width)))
+    return codes, pack_codes(codes, width)
+
+
+def raw_word_pool(width, llr_rng):
+    """The table's codes at the 16-bit halves of llr_rng's next 2^14 raw
+    words, low half first, and their packed pool, as _prepare draws them."""
+    words = llr_rng.random_raw(POOL_CODES // 4)
+    shifts = np.array([0, 16, 32, 48], dtype=np.uint64)
+    halves = (words[:, None] >> shifts) & np.uint64(0xFFFF)
+    codes = _llr_code_table(LlrQuantizer(width))[halves.ravel()]
     return codes, pack_codes(codes, width)
 
 
@@ -701,6 +717,53 @@ def arrival_lists(draw):
     return [(t, _mangle(d, kind, k)) for t, d, kind, k in arrivals]
 
 
+@st.composite
+def long_runs(draw):
+    """(recv_ns, datagram) lists of messages of 20-60 chunks, each sent as one run.
+
+    Each message's arrival times rise by a fixed step that can pass its
+    2 ms deadline part way through the run. Up to four faults sit inside
+    the run: a lost chunk, or after a chunk its duplicate, a truncated
+    copy, a copy of another content type or a datagram too short for a
+    header. Two messages may also be interleaved datagram by datagram.
+    """
+    runs = []
+    for _ in range(draw(st.integers(1, 3))):
+        ts, ctype = draw(st.integers(0, 2)), draw(st.sampled_from([0, 1]))
+        blocks = draw(st.integers(20, 60))
+        # 4 payload bytes per chunk: exactly `blocks` chunks
+        payload = draw(st.binary(min_size=4 * blocks - 3, max_size=4 * blocks))
+        chunks = [c.to_datagram() for c in chunk_subframe(
+            ts, ctype, payload, HEADER_LEN + 4, sender_clock=100 * ts)]
+        faults = dict(draw(st.lists(st.tuples(
+            st.integers(0, blocks - 1),
+            st.sampled_from(["lost", "duplicate", "truncated", "other_type", "short"]),
+        ), max_size=4)))
+        run = []
+        for k, d in enumerate(chunks):
+            kind = faults.get(k)
+            if kind != "lost":
+                run.append(d)
+            if kind == "duplicate":
+                run.append(_with_header(d))
+            elif kind == "truncated":
+                run.append(d[:-1])
+            elif kind == "other_type":
+                run.append(_with_header(d, content_type=ctype ^ 7))
+            elif kind == "short":
+                run.append(d[:HEADER_LEN - 1])
+        start = draw(st.sampled_from([0, T_OUT // 2, T_OUT]))
+        # a step of T_OUT // 16 passes the deadline at the 17th datagram
+        step = draw(st.sampled_from([0, 1, T_OUT // 40, T_OUT // 16]))
+        runs.append([(start + k * step, d) for k, d in enumerate(run)])
+    if len(runs) > 1 and draw(st.booleans()):
+        a, b = runs[:2]
+        mixed = [x for pair in zip(a, b) for x in pair]
+        n = min(len(a), len(b))
+        runs[:2] = [mixed + a[n:] + b[n:]]
+    return [arrival for run in runs for arrival in run]
+
+
 class TestFeedMany:
     """feed_many is feed applied to each arrival in turn, only faster."""
 
@@ -729,6 +792,50 @@ class TestFeedMany:
         out = SubframeReceiver().feed_many((i, d) for i, d in enumerate(datagrams))
         assert out == [(1, Complete(4, payload))]
         assert fed == [datagrams[0], datagrams[-1]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(long_runs(), st.data())
+    def test_long_runs_give_the_same_events_and_state_as_feed(self, arrivals, data):
+        ref = SubframeReceiver()
+        expected = [event for recv_ns, d in arrivals for event in ref.feed(d, recv_ns)]
+        # cuts between feed_many calls, most of them inside a run
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(arrivals)), max_size=3)))
+        rx = SubframeReceiver()
+        got = []
+        for a, b in zip([0, *cuts], [*cuts, len(arrivals)]):
+            got += rx.feed_many(arrivals[a:b])
+        assert got == expected
+        assert rx.malformed_headers == ref.malformed_headers
+        state = {ctype: vars(buf) for ctype, buf in rx._buffers.items()}
+        assert state == {ctype: vars(buf) for ctype, buf in ref._buffers.items()}
+
+    def test_each_header_is_unpacked_once_before_feed(self, monkeypatch):
+        run = [c.to_datagram() for c in chunk_subframe(4, 1, bytes(range(256)) * 12, 256)]
+        other = chunk_subframe(4, 0, b"x" * 300, 256)[0].to_datagram()
+        # a run broken by another content type and by a duplicate
+        datagrams = run[:5] + [other, _with_header(run[4])] + run[5:]
+        unpacks = collections.Counter()  # id(datagram) -> header unpacks
+
+        class CountingHeader:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def unpack_from(self, data, offset=0):
+                unpacks[id(data)] += 1
+                return self.inner.unpack_from(data, offset)
+
+        for module in (fhsplit.wire, fhsplit.emulation):
+            monkeypatch.setattr(module, "_HEADER", CountingHeader(module._HEADER))
+        fed = set()
+        feed = SubframeReceiver.feed
+        monkeypatch.setattr(SubframeReceiver, "feed",
+                            lambda rx, d, now_ns: fed.add(id(d)) or feed(rx, d, now_ns))
+        out = SubframeReceiver().feed_many(list(enumerate(datagrams)))
+        assert out[-1] == (1, Complete(4, bytes(range(256)) * 12))
+        assert [id(d) in fed for d in datagrams].count(True) == 4
+        # a held datagram is unpacked once; a fed one once more, by feed's decode
+        assert [unpacks[id(d)] for d in datagrams] == [
+            2 if id(d) in fed else 1 for d in datagrams]
 
 
 class TestReorderedChunks:
@@ -1038,33 +1145,40 @@ class TestCodeTable:
 
 
 class TestCodePool:
-    """A run's soft bits are read from one shuffled, packed code table.
+    """A run's soft bits are read from one packed pool of table codes.
 
-    _prepare shuffles the 2^16-entry code table with the run's LLR stream
-    and packs it. A message of n codes then takes exactly one raw word of
-    that stream; its top 13 bits pick a group g of 8 codes, and the
-    message is the pool's codes (8g + i) mod 2^16, read across the wrap,
-    with the unused low bits of its last byte zero. The counts end on
+    _prepare takes the first 2^14 raw words of the run's LLR stream; their
+    little-endian 16-bit halves index the code table, and the 2^16 codes
+    are packed into the pool. A message of n codes then takes exactly one
+    raw word of that stream; its top 13 bits pick a group g of 8 codes,
+    and the message is the pool's codes (8g + i) mod 2^16, read across the
+    wrap, with the unused low bits of its last byte zero. The counts end on
     and off a byte and wrap the pool up to twice.
     """
 
     COUNTS = (1, 2, 3, 5, 7, 65_535, 65_537, 131_074)
 
     @pytest.mark.parametrize("width", [2, 5, 8, 16])
-    def test_pool_is_a_packed_permutation_of_the_table(self, width):
-        codes, pool = code_pool(width, np.random.PCG64(17))
-        table = _llr_code_table(LlrQuantizer(width))
+    def test_pool_is_the_table_at_raw_word_halves(self, width, monkeypatch):
+        pools = []
+        pack = fhsplit.emulation.pack_codes
+        monkeypatch.setattr(fhsplit.emulation, "pack_codes",
+                            lambda codes, w: pools.append(pack(codes, w)) or pools[-1])
+        seed = 23
+        _prepare(replace(TINY, soft_bit_width=width), TrafficProfile(20e3, 5, 8), seed, 1472)
+        [pool] = pools
+        ref_rng = np.random.PCG64(np.random.SeedSequence(seed).spawn(4)[1])
+        codes, expected = raw_word_pool(width, ref_rng)
+        assert pool == expected
         assert len(pool) == POOL_CODES * width // 8
         assert np.array_equal(unpack_codes(pool, width, POOL_CODES), codes)
-        assert np.array_equal(np.sort(codes), table)
-        assert not np.array_equal(codes, table)
 
     @pytest.mark.parametrize("width", [5, 16])
     def test_chained_messages_read_the_pool(self, width):
         cfg = replace(LTE10, soft_bit_width=width)
         rng, ref_rng = np.random.PCG64(17), np.random.PCG64(17)
-        _, pool = code_pool(width, rng)
-        codes, _ = code_pool(width, ref_rng)
+        _, pool = raw_word_pool(width, rng)
+        codes, _ = raw_word_pool(width, ref_rng)
         for n in self.COUNTS:
             [(_, payload)] = _ul_messages(1, n, cfg, pool, rng)
             assert payload == reference_pack(pool_read(codes, ref_rng, n), width), f"{n} codes"
@@ -1073,15 +1187,16 @@ class TestCodePool:
             # one raw word per message, whatever its length
             assert rng.state == ref_rng.state
 
-    def test_a_run_reads_the_pool_its_llr_stream_shuffles(self):
-        # The LLR stream is the second of the four seeds _prepare spawns; an
-        # idle subframe takes no word from it.
+    def test_a_run_reads_the_pool_its_llr_stream_draws(self):
+        # The LLR stream is the second of the four seeds _prepare spawns.
+        # The pool takes its first 2^14 raw words, each scheduled message
+        # the next one, and an idle subframe none.
         cfg, profile, seed = replace(TINY, soft_bit_width=5), TrafficProfile(20e3, 5, 8), 23
         _, scheduled, _ = _traffic_schedule(cfg, profile)
         assert 0 in scheduled and len(set(scheduled)) > 1
         _, _, (_, ul_messages), _, _ = _prepare(cfg, profile, seed, 1472)
         ref_rng = np.random.PCG64(np.random.SeedSequence(seed).spawn(4)[1])
-        codes, _ = code_pool(5, ref_rng)
+        codes, _ = raw_word_pool(5, ref_rng)
         for t, n in enumerate(scheduled):
             soft = [p for ctype, p in next(ul_messages) if ctype == CONTENT_UL_SOFT]
             expected = [reference_pack(pool_read(codes, ref_rng, n), 5)] if n else []
