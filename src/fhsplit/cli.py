@@ -246,15 +246,19 @@ def _report_write_failed(exc: OSError) -> int:
     return 1
 
 
-def _make_dirs(path: Path) -> List[Path]:
-    """Make path and any missing parents; returns the directories made, deepest first."""
-    made = []
-    missing = path
-    while not missing.exists() and missing != missing.parent:
-        made.append(missing)
-        missing = missing.parent
-    path.mkdir(parents=True, exist_ok=True)
-    return made
+def _missing_dirs(path: Path) -> List[Path]:
+    """path and those of its parents that do not exist, deepest first."""
+    missing = []
+    while not path.exists() and path != path.parent:
+        missing.append(path)
+        path = path.parent
+    return missing
+
+
+def _remove_dirs(dirs: List[Path]) -> None:
+    for directory in dirs:
+        with contextlib.suppress(OSError):
+            directory.rmdir()
 
 
 def cmd_emulate(args: argparse.Namespace) -> int:
@@ -263,8 +267,10 @@ def cmd_emulate(args: argparse.Namespace) -> int:
     if args.out:
         # made before the run, so that an unusable path fails before any work
         try:
-            made = _make_dirs(Path(args.out))
+            made = _missing_dirs(Path(args.out))
+            Path(args.out).mkdir(parents=True, exist_ok=True)
         except OSError as exc:
+            _remove_dirs(made)
             return _report_write_failed(exc)
     report = None
     try:
@@ -293,9 +299,7 @@ def cmd_emulate(args: argparse.Namespace) -> int:
     finally:
         # a run that made no report leaves no directory this call made
         if report is None:
-            for directory in made:
-                with contextlib.suppress(OSError):
-                    directory.rmdir()
+            _remove_dirs(made)
     summary = report.summary()
     if args.out:
         try:

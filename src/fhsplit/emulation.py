@@ -15,16 +15,14 @@ over from one message to the next.
 Uplink codes are drawn without a float LLR. Once per run quantize_llr
 maps the midpoint quantiles of the N(0, LLR_SCALE^2) Gaussian to a
 2^16-entry inverse-CDF code table; each code's share of the table is
-within 2^-16 of its quantized-Gaussian probability. The pool is 2^16
-codes drawn from the table once per run: the first 2^14 raw 64-bit words
-of the run's LLR stream, each split into four little-endian 16-bit
-halves, index the table, and pack_codes packs the codes (8192 groups of
-8, w bytes each). A message of n codes takes the stream's next raw word,
-whose top 13 bits pick a group g, and is the ceil(n*w/8) bytes of the
-pool read cyclically from byte g*w, with the unused low bits of its last
-byte zeroed. So codes repeat with period 2^16 within and across
-messages, and each code's marginal distribution over seeds is exactly
-the table's; one pool's code counts are multinomial around the table's.
+within 2^-16 of its quantized-Gaussian probability. The run's LLR stream
+shuffles the table once and pack_codes packs it into a pool of 2^16
+codes (8192 groups of 8, w bytes each). A message of n codes takes one
+raw 64-bit word of that stream, whose top 13 bits pick a group g, and is
+the ceil(n*w/8) bytes of the pool read cyclically from byte g*w, with the
+unused low bits of its last byte zeroed. So codes repeat with period
+2^16 within and across messages, and each code's marginal distribution
+over seeds is exactly the table's.
 
 The meter counts bytes on the wire per direction (payload plus the
 22-byte header of every chunk) and classifies every emitted subframe
@@ -221,7 +219,7 @@ class SubframeReceiver:
         Both run modes feed each direction's arrivals of a subframe this
         way.
         """
-        arrivals = list(arrivals)  # advance reads it by index
+        arrivals = list(arrivals)  # any iterable; advance reads it by index
         events: List[Tuple[int, ReassemblyEvent]] = []
         buffers = self._buffers
         unpack = _HEADER.unpack_from
@@ -572,10 +570,8 @@ def _prepare(
     payload_rng = np.random.PCG64(s_payload)
     llr_rng = np.random.PCG64(s_llr)
     code_table = _llr_code_table(LlrQuantizer(cfg.soft_bit_width))
-    # 2^16 table indices: the four little-endian 16-bit halves of each of 2^14 raw words
-    words = llr_rng.random_raw((1 << LLR_TABLE_BITS) // 4)
-    indices = words.astype("<u8", copy=False).view("<u2")
-    code_pool = pack_codes(code_table.take(indices), cfg.soft_bit_width)
+    code_pool = pack_codes(np.random.Generator(llr_rng).permutation(code_table),
+                           cfg.soft_bit_width)
     dl_messages = (_dl_messages(t, bits, cfg, payload_rng)
                    for t, bits in enumerate(scheduled))
     ul_messages = (_ul_messages(t, bits, cfg, code_pool, llr_rng)

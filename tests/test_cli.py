@@ -287,6 +287,21 @@ class TestEmulate:
         assert [p.name for p in tmp_path.iterdir()] == ["kept"]
         assert list((tmp_path / "kept").iterdir()) == []
 
+    def test_failed_mkdir_leaves_no_parent_it_made(self, capsys, tmp_path, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("ran without an output directory")
+
+        monkeypatch.setattr(fhsplit.cli, "run_emulation", no_run)
+        (tmp_path / "kept").mkdir()
+        # the parents are made before the last name fails as too long
+        out_dir = tmp_path / "kept" / "new" / "deeper" / ("x" * 300)
+        code, out, err = run_cli(capsys, "emulate", "--subframes", "2",
+                                 "--out", str(out_dir))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["kept"]
+        assert list((tmp_path / "kept").iterdir()) == []
+
     def test_unwritable_report_exits_1(self, capsys, tmp_path):
         (tmp_path / "report.csv").mkdir()
         code, out, err = run_cli(capsys, "emulate", "--subframes", "2",

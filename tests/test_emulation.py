@@ -80,23 +80,8 @@ POOL_CODES = 1 << 16
 
 
 def code_pool(width, llr_rng):
-    """A shuffled code table and its packed pool.
-
-    _ul_messages reads any packed pool of table codes the same way; the
-    pinned payload tests read this one. raw_word_pool is the pool a run
-    draws.
-    """
+    """The shuffled code table and its packed pool, built from llr_rng as _prepare builds them."""
     codes = np.random.Generator(llr_rng).permutation(_llr_code_table(LlrQuantizer(width)))
-    return codes, pack_codes(codes, width)
-
-
-def raw_word_pool(width, llr_rng):
-    """The table's codes at the 16-bit halves of llr_rng's next 2^14 raw
-    words, low half first, and their packed pool, as _prepare draws them."""
-    words = llr_rng.random_raw(POOL_CODES // 4)
-    shifts = np.array([0, 16, 32, 48], dtype=np.uint64)
-    halves = (words[:, None] >> shifts) & np.uint64(0xFFFF)
-    codes = _llr_code_table(LlrQuantizer(width))[halves.ravel()]
     return codes, pack_codes(codes, width)
 
 
@@ -1145,40 +1130,33 @@ class TestCodeTable:
 
 
 class TestCodePool:
-    """A run's soft bits are read from one packed pool of table codes.
+    """A run's soft bits are read from one shuffled, packed code table.
 
-    _prepare takes the first 2^14 raw words of the run's LLR stream; their
-    little-endian 16-bit halves index the code table, and the 2^16 codes
-    are packed into the pool. A message of n codes then takes exactly one
-    raw word of that stream; its top 13 bits pick a group g of 8 codes,
-    and the message is the pool's codes (8g + i) mod 2^16, read across the
-    wrap, with the unused low bits of its last byte zero. The counts end on
+    _prepare shuffles the 2^16-entry code table with the run's LLR stream
+    and packs it. A message of n codes then takes exactly one raw word of
+    that stream; its top 13 bits pick a group g of 8 codes, and the
+    message is the pool's codes (8g + i) mod 2^16, read across the wrap,
+    with the unused low bits of its last byte zero. The counts end on
     and off a byte and wrap the pool up to twice.
     """
 
     COUNTS = (1, 2, 3, 5, 7, 65_535, 65_537, 131_074)
 
     @pytest.mark.parametrize("width", [2, 5, 8, 16])
-    def test_pool_is_the_table_at_raw_word_halves(self, width, monkeypatch):
-        pools = []
-        pack = fhsplit.emulation.pack_codes
-        monkeypatch.setattr(fhsplit.emulation, "pack_codes",
-                            lambda codes, w: pools.append(pack(codes, w)) or pools[-1])
-        seed = 23
-        _prepare(replace(TINY, soft_bit_width=width), TrafficProfile(20e3, 5, 8), seed, 1472)
-        [pool] = pools
-        ref_rng = np.random.PCG64(np.random.SeedSequence(seed).spawn(4)[1])
-        codes, expected = raw_word_pool(width, ref_rng)
-        assert pool == expected
+    def test_pool_is_a_packed_permutation_of_the_table(self, width):
+        codes, pool = code_pool(width, np.random.PCG64(17))
+        table = _llr_code_table(LlrQuantizer(width))
         assert len(pool) == POOL_CODES * width // 8
         assert np.array_equal(unpack_codes(pool, width, POOL_CODES), codes)
+        assert np.array_equal(np.sort(codes), table)
+        assert not np.array_equal(codes, table)
 
     @pytest.mark.parametrize("width", [5, 16])
     def test_chained_messages_read_the_pool(self, width):
         cfg = replace(LTE10, soft_bit_width=width)
         rng, ref_rng = np.random.PCG64(17), np.random.PCG64(17)
-        _, pool = raw_word_pool(width, rng)
-        codes, _ = raw_word_pool(width, ref_rng)
+        _, pool = code_pool(width, rng)
+        codes, _ = code_pool(width, ref_rng)
         for n in self.COUNTS:
             [(_, payload)] = _ul_messages(1, n, cfg, pool, rng)
             assert payload == reference_pack(pool_read(codes, ref_rng, n), width), f"{n} codes"
@@ -1187,16 +1165,15 @@ class TestCodePool:
             # one raw word per message, whatever its length
             assert rng.state == ref_rng.state
 
-    def test_a_run_reads_the_pool_its_llr_stream_draws(self):
-        # The LLR stream is the second of the four seeds _prepare spawns.
-        # The pool takes its first 2^14 raw words, each scheduled message
-        # the next one, and an idle subframe none.
+    def test_a_run_reads_the_pool_its_llr_stream_shuffles(self):
+        # The LLR stream is the second of the four seeds _prepare spawns; an
+        # idle subframe takes no word from it.
         cfg, profile, seed = replace(TINY, soft_bit_width=5), TrafficProfile(20e3, 5, 8), 23
         _, scheduled, _ = _traffic_schedule(cfg, profile)
         assert 0 in scheduled and len(set(scheduled)) > 1
         _, _, (_, ul_messages), _, _ = _prepare(cfg, profile, seed, 1472)
         ref_rng = np.random.PCG64(np.random.SeedSequence(seed).spawn(4)[1])
-        codes, _ = raw_word_pool(5, ref_rng)
+        codes, _ = code_pool(5, ref_rng)
         for t, n in enumerate(scheduled):
             soft = [p for ctype, p in next(ul_messages) if ctype == CONTENT_UL_SOFT]
             expected = [reference_pack(pool_read(codes, ref_rng, n), 5)] if n else []
