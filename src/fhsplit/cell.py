@@ -7,7 +7,6 @@ shared freely between threads.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -25,13 +24,23 @@ class Direction(Enum):
 
 
 def require_ints(obj: object, *names: str) -> None:
-    """Raise ValueError unless operator.index accepts every named field of obj."""
+    """Raise ValueError unless every named field of obj is an integer.
+
+    An integer is a value operator.index accepts, numpy's included, other
+    than a bool: operator.index(True) is 1.
+    """
     for name in names:
         value = getattr(obj, name)
-        try:
-            operator.index(value)
-        except TypeError:
-            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def reject_bools(obj: object, *names: str) -> None:
+    """Raise ValueError if a named numeric field of obj is a bool (True compares as 1)."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool):
+            raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 def _as_fraction(value: Union[int, float, str, Fraction]) -> Fraction:

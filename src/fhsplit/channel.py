@@ -28,6 +28,8 @@ from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from .cell import reject_bools
+
 SUBFRAME_NS = 1_000_000
 # Uniforms drawn per call of the channel's generator; one numpy call costs
 # several scalar draws, so a block makes each decision's draw cheap.
@@ -53,6 +55,7 @@ class ChannelSpec:
     delay_us: float = 0.0
 
     def __post_init__(self) -> None:
+        reject_bools(self, "loss_rate", "reorder_rate", "delay_us")
         if not 0.0 <= self.loss_rate <= 1.0:
             raise ValueError("loss_rate must be in [0, 1]")
         if not 0.0 <= self.reorder_rate <= 1.0:

@@ -63,6 +63,8 @@ def parse_kv_text(text: str) -> Dict[str, Any]:
             node = node.setdefault(part, {})
             if not isinstance(node, dict):
                 raise ValueError(f"line {lineno}: {part!r} is both value and section")
+        if isinstance(node.get(parts[-1]), dict):
+            raise ValueError(f"line {lineno}: {parts[-1]!r} is both value and section")
         node[parts[-1]] = _coerce(value.strip())
     return root
 

@@ -54,7 +54,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
-from .cell import CellConfig, require_ints
+from .cell import CellConfig, reject_bools, require_ints
 from .channel import (
     SUBFRAME_NS,
     ChannelSpec,
@@ -75,7 +75,6 @@ from .messages import (
 )
 from .rates import rate_73_dl
 from .wire import (
-    _HEADER,
     DEFAULT_MAX_DATAGRAM,
     DEFAULT_TIMEOUT_NS,
     HEADER_LEN,
@@ -111,6 +110,7 @@ class TrafficProfile:
 
     def __post_init__(self) -> None:
         require_ints(self, "packet_size_bytes", "duration_subframes")
+        reject_bools(self, "goodput_bps")
         if not (math.isfinite(self.goodput_bps) and self.goodput_bps >= 0):
             raise ValueError(f"goodput_bps must be finite and >= 0, got {self.goodput_bps}")
         if self.packet_size_bytes < 1:
@@ -172,15 +172,16 @@ class SubframeReceiver:
     def __init__(self) -> None:
         self.malformed_headers = 0
         self._buffers: Dict[int, ReassemblyBuffer] = {}
+        # the buffer that the last decoded datagram went to
+        self._fed: Optional[ReassemblyBuffer] = None
 
     def feed(self, datagram: bytes, now_ns: int) -> List[Tuple[int, ReassemblyEvent]]:
         """Decode and accept one datagram; returns its (content_type, event) outcomes.
 
         Outcomes are Complete, Jumbled, Timeout and Malformed; a chunk that
         only advances its assembly returns []. An assembly whose deadline
-        passed before this datagram arrived times out first. Jumble
-        discards are reported from the buffer's displaced records so that
-        a discard paired with an instant Complete still surfaces.
+        passed before this datagram arrived times out first. A chunk that
+        jumbles the open assembly is offered again, to start its own.
         """
         try:
             chunk = chunk_from_datagram(datagram)
@@ -191,16 +192,17 @@ class SubframeReceiver:
         buf = self._buffers.get(ctype)
         if buf is None:
             buf = self._buffers[ctype] = ReassemblyBuffer()
+        self._fed = buf
         events: List[Tuple[int, ReassemblyEvent]] = []
         if buf.in_progress:
             expired = buf.poll_timeout(now_ns)
             if expired is not None:
                 events.append((ctype, expired))
         event = buf.accept(chunk, now_ns)
-        if buf.displaced:
-            for old, new in buf.drain_displaced():
-                events.append((ctype, Jumbled(old, new)))
-        if event is not None and not isinstance(event, Jumbled):
+        if isinstance(event, Jumbled):
+            events.append((ctype, event))
+            event = buf.accept(chunk, now_ns)
+        if event is not None:
             events.append((ctype, event))
         return events
 
@@ -210,35 +212,25 @@ class SubframeReceiver:
         """Feed (recv_ns, datagram) arrivals in order; returns feed's outcomes, joined.
 
         The events, and the receiver's state after them, are exactly those
-        of calling feed once per arrival. Each header is unpacked once to
-        find its content type; ReassemblyBuffer.advance then holds the run
-        of datagrams, from that one on, that only advance the assembly open
-        for it, without decoding a Chunk. The first datagram it does not
-        hold goes straight to feed, as does every one with no open
-        assembly, so ReassemblyBuffer.accept still produces every Complete.
-        Both run modes feed each direction's arrivals of a subframe this
-        way.
+        of calling feed once per arrival. After each fed datagram,
+        ReassemblyBuffer.advance lets the buffer of the last decoded one
+        hold the run of arrivals that only advance its open assembly,
+        without decoding a Chunk; the first arrival it does not hold is
+        fed. So ReassemblyBuffer.accept still produces every Complete, and
+        only a datagram that breaks a run while carrying a whole header
+        is unpacked twice. Both run modes feed each direction's arrivals
+        of a subframe this way.
         """
         arrivals = list(arrivals)  # any iterable; advance reads it by index
         events: List[Tuple[int, ReassemblyEvent]] = []
-        buffers = self._buffers
-        unpack = _HEADER.unpack_from
         feed = self.feed
         i, end = 0, len(arrivals)
         while i < end:
             recv_ns, datagram = arrivals[i]
-            if len(datagram) >= HEADER_LEN:
-                header = unpack(datagram)
-                buf = buffers.get(header[2])
-                if buf is not None:
-                    held = buf.advance(arrivals, i, header)
-                    if held != i:
-                        if held == end:
-                            break
-                        i = held
-                        recv_ns, datagram = arrivals[i]
             events += feed(datagram, recv_ns)
             i += 1
+            if self._fed is not None:
+                i = self._fed.advance(arrivals, i)
         return events
 
     def poll(self, now_ns: int) -> List[Tuple[int, ReassemblyEvent]]:

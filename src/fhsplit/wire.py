@@ -34,9 +34,9 @@ _U16 = 1 << 16
 _U64 = 1 << 64
 
 #: Reassembly timeout: two subframe periods, so that under continuous
-#: traffic an incomplete subframe is displaced by its successor (Jumbled)
-#: rather than racing the deadline; pure timeouts then mark subframes
-#: whose traffic never arrived at all.
+#: traffic an incomplete subframe is evicted by its successor's first
+#: chunk (Jumbled) rather than racing the deadline; pure timeouts then
+#: mark subframes whose traffic never arrived at all.
 DEFAULT_TIMEOUT_NS = 2_000_000
 
 
@@ -250,25 +250,20 @@ class ReassemblyBuffer:
 
     At most one subframe is under assembly. A chunk of the current subframe
     advances assembly (None) or finishes it (Complete, the chunks joined in
-    sender_clock order); a chunk of a newer subframe discards the partial
-    one (Jumbled) and starts the new assembly; a chunk at or below the
-    newest finished timestamp is rejected as stale. poll_timeout() expires
-    an assembly DEFAULT_TIMEOUT_NS after its first chunk.
+    sender_clock order); a chunk of a newer subframe evicts the partial
+    one and returns Jumbled without taking the chunk, which the caller
+    offers again to start its own assembly; a chunk at or below the newest
+    finished timestamp is rejected as stale. poll_timeout() expires an
+    assembly DEFAULT_TIMEOUT_NS after its first chunk.
 
     All buffered chunks must share timestamp, content_type and the
     announced num_blocks, and carry distinct sender_clock values;
     disagreement or a repeated sender_clock rejects the chunk (Malformed)
-    without touching the assembly.
-
-    Corner case: a newer-subframe chunk that single-handedly completes its
-    subframe (num_blocks == 1) returns that Complete; the displaced partial
-    subframe is still recorded in `displaced`, which collects every
-    jumble-discard (drain with drain_displaced()). Instances are
-    single-consumer, never shared.
+    without touching the assembly. Instances are single-consumer, never
+    shared.
     """
 
     def __init__(self) -> None:
-        self.displaced: List[Tuple[int, int]] = []
         self._payloads: Dict[int, bytes] = {}  # sender_clock -> chunk payload
         self._timestamp: Optional[int] = None
         self._num_blocks = 0
@@ -301,49 +296,41 @@ class ReassemblyBuffer:
             return None
         if ts > self._timestamp:
             old = self._timestamp
-            self.displaced.append((old, ts))
             self._watermark = old
             self._clear()
-            return self._start(chunk, now_ns) or Jumbled(old, ts)
+            return Jumbled(old, ts)
         return Malformed("stale", timestamp=ts)
 
-    def advance(self, arrivals: Sequence[Tuple[int, bytes]], i: int,
-                fields: Tuple[int, int, int, int, int]) -> int:
+    def advance(self, arrivals: Sequence[Tuple[int, bytes]], i: int) -> int:
         """Hold arrivals[i], arrivals[i + 1], ... while each only advances the open assembly.
 
-        arrivals are (recv_ns, datagram) pairs and fields the raw header
-        fields of arrivals[i], as _HEADER.unpack_from gives them; each later
-        header is unpacked once, here. Returns the index of the first
-        arrival not held (len(arrivals) if every one was). A datagram is
-        held exactly when feeding it through chunk_from_datagram,
-        poll_timeout and accept would time nothing out and return None from
-        accept: the header continues the open assembly (same timestamp,
-        num_blocks and content_type), size == len(datagram) <= MAX_DATAGRAM,
-        its recv_ns is before the deadline, the sender_clock is new, and at
-        least one more block is still missing after this one. Nothing else
-        changes.
+        arrivals are (recv_ns, datagram) pairs. Returns the index of the
+        first arrival not held (len(arrivals) if every one was). A
+        datagram is held exactly when feeding it through
+        chunk_from_datagram, poll_timeout and accept would time nothing
+        out and return None from accept: at least one more block is still
+        missing after this one, the header continues the open assembly
+        (same timestamp, num_blocks and content_type), size ==
+        len(datagram) <= MAX_DATAGRAM, its recv_ns is before the deadline
+        and the sender_clock is new. Nothing else changes. The first
+        condition is checked before the header is unpacked, so a
+        message's last chunk is left unread for accept.
         """
-        ts, blocks, ctype, size, clock = fields
-        if not (ts == self._timestamp and blocks == self._num_blocks
-                and ctype == self._content_type):
-            return i
-        # each later arrival must share arrivals[i]'s timestamp, num_blocks and content_type
+        ts, blocks, ctype = self._timestamp, self._num_blocks, self._content_type
         payloads, deadline = self._payloads, self._deadline
         unpack = _HEADER.unpack_from
         end = len(arrivals)
-        recv_ns, datagram = arrivals[i]
-        while (size == len(datagram) <= MAX_DATAGRAM and recv_ns < deadline
-               and clock not in payloads and len(payloads) < blocks - 1):
-            payloads[clock] = datagram[HEADER_LEN:]
-            i += 1
-            if i == end:
-                break
+        while i < end and len(payloads) < blocks - 1:
             recv_ns, datagram = arrivals[i]
             if len(datagram) < HEADER_LEN:
                 break
-            next_ts, next_blocks, next_ctype, size, clock = unpack(datagram)
-            if next_ts != ts or next_blocks != blocks or next_ctype != ctype:
+            head_ts, head_blocks, head_ctype, size, clock = unpack(datagram)
+            if not (head_ts == ts and head_blocks == blocks and head_ctype == ctype
+                    and size == len(datagram) <= MAX_DATAGRAM and recv_ns < deadline
+                    and clock not in payloads):
                 break
+            payloads[clock] = datagram[HEADER_LEN:]
+            i += 1
         return i
 
     def poll_timeout(self, now_ns: int) -> Optional[Timeout]:
@@ -354,11 +341,6 @@ class ReassemblyBuffer:
         self._watermark = self._timestamp
         self._clear()
         return event
-
-    def drain_displaced(self) -> List[Tuple[int, int]]:
-        """Return and clear the accumulated jumble-discard records."""
-        records, self.displaced = self.displaced, []
-        return records
 
     def _start(self, chunk: Chunk, now_ns: int) -> Optional[Complete]:
         self._timestamp = chunk.header.timestamp

@@ -381,6 +381,26 @@ class TestEmulate:
         assert "bad scenario" in err and f"{field} must be an integer" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("line,message", [
+        ("seed = true", "seed must be an integer, got True"),
+        ("cell.n_layers = true", "n_layers must be an integer, got True"),
+        ("channel.loss_rate = true", "loss_rate must be a number, got True"),
+        ("profile.goodput_bps = true", "goodput_bps must be a number, got True"),
+        ("cell = 5", "line 7: 'cell' is both value and section"),
+    ])
+    def test_boolean_or_clobbering_scenario_line_exits_2(self, capsys, tmp_path,
+                                                          line, message):
+        scn = tmp_path / "s.cfg"
+        scn.write_text(
+            "cell.n_sc = 600\ncell.n_layers = 2\ncell.n_ant = 4\ncell.mod_order = 4\n"
+            "profile.goodput_bps = 4e6\nprofile.duration_subframes = 5\n"
+            f"{line}\n"
+        )
+        code, _, err = run_cli(capsys, "emulate", "--scenario", str(scn))
+        assert code == 2
+        assert err.startswith("error: bad scenario") and message in err
+        assert len(err.splitlines()) == 1
+
     def test_bad_channel_rate_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys, "emulate", "--preset", "lte10", "--loss", "1.5",

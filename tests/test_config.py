@@ -56,6 +56,13 @@ class TestKvParser:
         with pytest.raises(ValueError):
             parse_kv_text("a = 1\na.b = 2\n")
 
+    @pytest.mark.parametrize("text", ["cell.n_sc = 600\ncell = 5\n",
+                                      "cell = 5\ncell.n_sc = 600\n"])
+    def test_value_and_section_conflict_rejected_in_either_order(self, text):
+        # a later plain value must not silently replace a whole section
+        with pytest.raises(ValueError, match="line 2: 'cell' is both value and section"):
+            parse_kv_text(text)
+
 
 class TestCellLoading:
     def test_minimal_dict(self):
@@ -103,7 +110,7 @@ class TestCellLoading:
     @pytest.mark.parametrize("field", ["n_sc", "n_layers", "n_ant", "mod_order",
                                        "iq_component_bits", "soft_bit_width",
                                        "symbols_per_second", "n_fft"])
-    @pytest.mark.parametrize("value", [600.5, 4.0, "4"])
+    @pytest.mark.parametrize("value", [600.5, 4.0, "4", True])
     def test_integer_fields_reject_non_integers(self, field, value):
         data = {"n_sc": 600, "n_layers": 2, "n_ant": 4, "mod_order": 4, field: value}
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
@@ -176,10 +183,21 @@ class TestScenario:
             assert self.make(max_datagram=size).max_datagram == size
 
     @pytest.mark.parametrize("field", ["seed", "max_datagram"])
-    @pytest.mark.parametrize("value", [1472.9, 1472.0, "1472"])
+    @pytest.mark.parametrize("value", [1472.9, 1472.0, "1472", True])
     def test_integer_fields_reject_non_integers(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             self.make(**{field: value})
+
+    @pytest.mark.parametrize("section,key", [("profile", "goodput_bps"),
+                                             ("channel", "loss_rate"),
+                                             ("channel", "reorder_rate"),
+                                             ("channel", "delay_us")])
+    def test_float_fields_reject_bools(self, section, key):
+        # True would run as 1: a loss_rate of True drops every datagram
+        data = {"profile": {"goodput_bps": 1e7}, "channel": {}}
+        data[section][key] = True
+        with pytest.raises(ValueError, match=f"{key} must be a number, got True"):
+            self.make(**data)
 
     def test_seed_must_not_be_negative(self):
         with pytest.raises(ValueError, match="seed must be >= 0"):

@@ -194,6 +194,7 @@ class TestPacketArrivals:
         ("packet_size_bytes", 1400.0),
         ("duration_subframes", 5.5),
         ("duration_subframes", "10"),
+        ("duration_subframes", True),
     ])
     def test_integer_fields_reject_non_integers(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
@@ -797,8 +798,10 @@ class TestFeedMany:
     def test_each_header_is_unpacked_once_before_feed(self, monkeypatch):
         run = [c.to_datagram() for c in chunk_subframe(4, 1, bytes(range(256)) * 12, 256)]
         other = chunk_subframe(4, 0, b"x" * 300, 256)[0].to_datagram()
-        # a run broken by another content type and by a duplicate
-        datagrams = run[:5] + [other, _with_header(run[4])] + run[5:]
+        short = run[7][:HEADER_LEN - 1]
+        # a run broken by another content type, a duplicate and a datagram
+        # too short for a header
+        datagrams = run[:5] + [other, _with_header(run[4])] + run[5:8] + [short] + run[8:]
         unpacks = collections.Counter()  # id(datagram) -> header unpacks
 
         class CountingHeader:
@@ -809,18 +812,20 @@ class TestFeedMany:
                 unpacks[id(data)] += 1
                 return self.inner.unpack_from(data, offset)
 
-        for module in (fhsplit.wire, fhsplit.emulation):
-            monkeypatch.setattr(module, "_HEADER", CountingHeader(module._HEADER))
-        fed = set()
+        monkeypatch.setattr(fhsplit.wire, "_HEADER", CountingHeader(fhsplit.wire._HEADER))
+        fed = []
         feed = SubframeReceiver.feed
         monkeypatch.setattr(SubframeReceiver, "feed",
-                            lambda rx, d, now_ns: fed.add(id(d)) or feed(rx, d, now_ns))
+                            lambda rx, d, now_ns: fed.append(d) or feed(rx, d, now_ns))
         out = SubframeReceiver().feed_many(list(enumerate(datagrams)))
         assert out[-1] == (1, Complete(4, bytes(range(256)) * 12))
-        assert [id(d) in fed for d in datagrams].count(True) == 4
-        # a held datagram is unpacked once; a fed one once more, by feed's decode
+        # the datagram after the short one continues the held run
+        assert list(map(id, fed)) == list(map(id, [run[0], other, datagrams[6], short,
+                                                   run[-1]]))
+        # only the datagram that breaks the run with a whole header is
+        # unpacked twice: by advance, then by feed's decode
         assert [unpacks[id(d)] for d in datagrams] == [
-            2 if id(d) in fed else 1 for d in datagrams]
+            2 if d is other else 0 if d is short else 1 for d in datagrams]
 
 
 class TestReorderedChunks:
@@ -1230,22 +1235,29 @@ class TestBenchmarkHooks:
 
     def test_content_check_sees_every_message(self, spans):
         # The benchmark checks each Complete's content at the accept hook;
-        # batched receive must still route every Complete through it.
-        tracer = spans.Tracer(fhsplit)
-        tracer.install()
-        try:
-            tracer.begin_call()
-            report = run_emulation(preset("lte20"), TrafficProfile(200e6, 1400, 4),
-                                   ChannelSpec(), seed=1, max_datagram=256)
-        finally:
-            tracer.restore()
-        c = tracer.counters
-        completed = report.dl.completed_messages + report.ul.completed_messages
+        # batched receive must still route every Complete through it once,
+        # also when a jumbling chunk is offered to accept a second time.
+        def traced(*args, **kwargs):
+            tracer = spans.Tracer(fhsplit)
+            tracer.install()
+            try:
+                tracer.begin_call()
+                report = run_emulation(*args, **kwargs)
+            finally:
+                tracer.restore()
+            completed = report.dl.completed_messages + report.ul.completed_messages
+            # a latency sample is taken for every checked Complete
+            assert len(tracer.counters.latencies_ns) == completed
+            assert tracer.counters.corrupt_completes == 0
+            return report, tracer.counters, completed
+
+        report, c, completed = traced(preset("lte20"), TrafficProfile(200e6, 1400, 4),
+                                      ChannelSpec(), seed=1, max_datagram=256)
         assert completed == report.dl.emitted_messages + report.ul.emitted_messages
-        # a latency sample is taken for every checked Complete
-        assert len(c.latencies_ns) == completed
-        assert c.corrupt_completes == 0
         assert c.useful_chunks == c.datagrams > completed
+        report, c, completed = traced(LTE10, TrafficProfile(80e6, 1400, 200),
+                                      ChannelSpec(0.01, 0.05, 50.0), seed=1)
+        assert report.dl.jumbled_messages + report.ul.jumbled_messages > 0
 
     def test_pool_is_built_once_per_call(self, spans):
         # llr.quantize_ms and llr.pack_ms time the per-run table and pool; a

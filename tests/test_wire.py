@@ -327,10 +327,11 @@ class TestReassemblyTraces:
         old = chunk_subframe(0, 0, b"c" * 3000, max_datagram=1472)
         new = chunk_subframe(1, 0, b"d" * 3000, max_datagram=1472)
         buf.accept(old[0], 0)
-        event = buf.accept(new[0], 100)
-        assert event == Jumbled(0, 1)
-        assert buf.drain_displaced() == [(0, 1)]
-        # the new assembly proceeds normally
+        # the newer chunk evicts the old assembly without being taken
+        assert buf.accept(new[0], 100) == Jumbled(0, 1)
+        assert not buf.in_progress
+        # offered again, it starts the new assembly, which proceeds normally
+        assert buf.accept(new[0], 100) is None
         assert buf.accept(new[1], 200) is None
         assert buf.accept(new[2], 300) == Complete(1, b"d" * 3000)
 
@@ -339,10 +340,12 @@ class TestReassemblyTraces:
         old = chunk_subframe(0, 0, b"e" * 3000, max_datagram=1472)
         [new] = chunk_subframe(1, 0, b"f")
         buf.accept(old[0], 0)
-        event = buf.accept(new, 100)
-        assert event == Complete(1, b"f")
-        assert buf.drain_displaced() == [(0, 1)]
-        assert buf.drain_displaced() == []
+        assert buf.accept(new, 100) == Jumbled(0, 1)
+        # the one-chunk message completes when offered again
+        assert buf.accept(new, 100) == Complete(1, b"f")
+        assert not buf.in_progress
+        # the evicted subframe is stale from then on
+        assert buf.accept(old[1], 200) == Malformed("stale", timestamp=0)
 
     def test_stale_after_complete(self):
         buf = ReassemblyBuffer()
@@ -442,8 +445,11 @@ class TestReassemblyTraces:
         c4 = chunk_subframe(4, 0, b"w" * 2)
         t3 = 20 + DEFAULT_TIMEOUT_NS
         buf.accept(c3[0], t3)
-        assert isinstance(buf.accept(c4[0], t3 + 20), Complete)
-        assert buf.drain_displaced() == [(3, 4)]
+        assert buf.accept(c4[0], t3 + 20) == Jumbled(3, 4)
+        assert buf.accept(c4[0], t3 + 20) == Complete(4, b"w" * 2)
+        # and the buffer still takes the next subframe
+        [c5] = chunk_subframe(5, 0, b"v")
+        assert buf.accept(c5, t3 + 30) == Complete(5, b"v")
 
     def test_poll_with_nothing_in_progress(self):
         buf = ReassemblyBuffer()
