@@ -10,7 +10,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from numbers import Rational, Real
+from typing import Union
 
 MODULATION_NAMES = {2: "QPSK", 4: "16QAM", 6: "64QAM", 8: "256QAM"}
 
@@ -35,20 +36,28 @@ def require_ints(obj: object, *names: str) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def reject_bools(obj: object, *names: str) -> None:
-    """Raise ValueError if a named numeric field of obj is a bool (True compares as 1)."""
+def require_reals(obj: object, *names: str) -> None:
+    """Raise ValueError unless every named field of obj is a real number.
+
+    A real number is a numbers.Real, numpy's included, other than a bool:
+    True compares as 1.
+    """
     for name in names:
         value = getattr(obj, name)
-        if isinstance(value, bool):
+        if isinstance(value, bool) or not isinstance(value, Real):
             raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 def _as_fraction(value: Union[int, float, str, Fraction]) -> Fraction:
-    # Fraction(str(x)) keeps decimal literals exact: 1.71 -> 171/100,
-    # not the nearest binary float.
-    if isinstance(value, float):
-        return Fraction(str(value))
-    return Fraction(value)
+    """The oversampling factor as an exact rational, from a number or an 'a/b' literal."""
+    try:
+        if not isinstance(value, bool):
+            # Fraction(str(x)) keeps decimal literals exact: 1.71 -> 171/100,
+            # not the nearest binary float.
+            return Fraction(value if isinstance(value, (str, Rational)) else str(value))
+    except (TypeError, ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"oversampling_factor must be a number or an a/b literal, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -67,9 +76,8 @@ class CellConfig:
         symbols_per_second: exact integer symbol rate; stored instead of
             a rounded symbol period so rates come out in exact bit/s.
         oversampling_factor: time-domain/frequency-domain rate ratio used
-            by the option 8 model; kept as an exact rational.
-        n_fft: optional FFT size; when given, the oversampling factor is
-            recomputed as n_fft / n_sc and the explicit factor is ignored.
+            by the option 8 model (FFT size / n_sc), kept as an exact
+            rational; a float, an int, a Fraction or an 'a/b' string.
     """
 
     n_sc: int
@@ -81,13 +89,11 @@ class CellConfig:
     soft_bit_width: int = 8
     symbols_per_second: int = LTE_SYMBOLS_PER_SECOND
     oversampling_factor: Fraction = Fraction(171, 100)
-    n_fft: Optional[int] = None
 
     def __post_init__(self) -> None:
         require_ints(self, "n_sc", "n_layers", "n_ant", "mod_order",
                      "iq_component_bits", "soft_bit_width", "symbols_per_second")
-        if self.n_fft is not None:
-            require_ints(self, "n_fft")
+        require_reals(self, "bw_mhz")
         if self.n_sc <= 0:
             raise ValueError(f"n_sc must be positive, got {self.n_sc}")
         if self.n_layers < 1:
@@ -105,16 +111,9 @@ class CellConfig:
             raise ValueError("soft_bit_width must be >= 1")
         if self.symbols_per_second <= 0:
             raise ValueError("symbols_per_second must be positive")
-        if self.n_fft is not None:
-            if self.n_fft < self.n_sc:
-                raise ValueError("n_fft must be >= n_sc")
-            object.__setattr__(
-                self, "oversampling_factor", Fraction(self.n_fft, self.n_sc)
-            )
-        else:
-            object.__setattr__(
-                self, "oversampling_factor", _as_fraction(self.oversampling_factor)
-            )
+        object.__setattr__(
+            self, "oversampling_factor", _as_fraction(self.oversampling_factor)
+        )
         if self.oversampling_factor < 1:
             raise ValueError("oversampling_factor must be >= 1")
 
@@ -139,12 +138,10 @@ class LinkBudget:
     propagation_us_per_km: float = 5.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "harq_rtt_ms",
-            "dl_processing_ms",
-            "ul_processing_ms",
-            "propagation_us_per_km",
-        ):
+        names = ("harq_rtt_ms", "dl_processing_ms", "ul_processing_ms",
+                 "propagation_us_per_km")
+        require_reals(self, *names)
+        for name in names:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and strictly positive, got {value}")
@@ -181,7 +178,7 @@ PRESETS = {
     "lte10": CellConfig(bw_mhz=10.0, n_sc=600, n_layers=2, n_ant=4, mod_order=4),
     "lte20": CellConfig(bw_mhz=20.0, n_sc=1200, n_layers=2, n_ant=4, mod_order=4),
     # Worst-case 100 MHz NR-like cell: 273 PRB at 30 kHz spacing, 8 layers,
-    # 32 ports, 64-QAM uplink with 5-bit soft bits.
+    # 32 ports, 64-QAM uplink with 5-bit soft bits, 4096-point FFT.
     "worst100": CellConfig(
         bw_mhz=100.0,
         n_sc=3276,
@@ -190,6 +187,6 @@ PRESETS = {
         mod_order=6,
         soft_bit_width=5,
         symbols_per_second=28_000,
-        n_fft=4096,
+        oversampling_factor=Fraction(4096, 3276),
     ),
 }

@@ -28,7 +28,7 @@ from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .cell import reject_bools
+from .cell import require_reals
 
 SUBFRAME_NS = 1_000_000
 # Uniforms drawn per call of the channel's generator; one numpy call costs
@@ -55,7 +55,7 @@ class ChannelSpec:
     delay_us: float = 0.0
 
     def __post_init__(self) -> None:
-        reject_bools(self, "loss_rate", "reorder_rate", "delay_us")
+        require_reals(self, "loss_rate", "reorder_rate", "delay_us")
         if not 0.0 <= self.loss_rate <= 1.0:
             raise ValueError("loss_rate must be in [0, 1]")
         if not 0.0 <= self.reorder_rate <= 1.0:
@@ -110,8 +110,8 @@ def parse_addr(addr: str) -> Tuple[str, int]:
     host, sep, port = addr.rpartition(":")
     if not sep or not host:
         raise ValueError(f"address {addr!r} must look like host:port")
-    if not 0 <= int(port) <= 65535:
-        raise ValueError(f"address {addr!r} has a port outside 0-65535")
+    if not (port.isdecimal() and int(port) <= 65535):
+        raise ValueError(f"address {addr!r} needs a port number in 0-65535")
     return host, int(port)
 
 

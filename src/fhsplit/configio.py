@@ -20,13 +20,14 @@ file may either use the `cell.` prefix or put the fields at top level.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 from .cell import CellConfig, require_ints
 from .channel import ChannelSpec
 from .emulation import TrafficProfile
+from .llr import check_bit_width
 from .wire import DEFAULT_MAX_DATAGRAM, chunk_count
 
 
@@ -80,18 +81,21 @@ def load_config_file(path: Union[str, Path]) -> Dict[str, Any]:
     return parse_kv_text(text)
 
 
-_CELL_FIELDS = {f.name for f in fields(CellConfig)}
+def _check_keys(cls: type, data: Dict[str, Any], what: str) -> None:
+    """Raise ValueError naming the keys of data that dataclass cls has no field for,
+    then the fields without a default that data lacks."""
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
+    missing = {f.name for f in fields(cls) if f.default is MISSING} - set(data)
+    if missing:
+        raise ValueError(f"missing {what} keys: {', '.join(sorted(missing))}")
 
 
 def cell_config_from_dict(data: Dict[str, Any]) -> CellConfig:
     if "cell" in data and isinstance(data["cell"], dict):
         data = data["cell"]
-    unknown = set(data) - _CELL_FIELDS
-    if unknown:
-        raise ValueError(f"unknown cell config keys: {', '.join(sorted(unknown))}")
-    missing = {"n_sc", "n_layers", "n_ant", "mod_order"} - set(data)
-    if missing:
-        raise ValueError(f"missing cell config keys: {', '.join(sorted(missing))}")
+    _check_keys(CellConfig, data, "cell config")
     return CellConfig(**data)
 
 
@@ -123,9 +127,7 @@ class Scenario:
         if self.mode == "socket" and self.channel != ChannelSpec():
             raise ValueError("socket mode cannot apply channel impairments")
         chunk_count(0, self.max_datagram)  # rejects a max_datagram out of range
-        if not 2 <= self.cell.soft_bit_width <= 16:
-            raise ValueError("the emulator packs soft_bit_width from 2 to 16 bits, "
-                             f"got {self.cell.soft_bit_width}")
+        check_bit_width(self.cell.soft_bit_width, "soft_bit_width")
 
 
 SCENARIO_KEYS = {f.name for f in fields(Scenario)}
@@ -140,19 +142,15 @@ def check_scenario_sections(data: Dict[str, Any]) -> None:
 
 
 def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
-    unknown = set(data) - SCENARIO_KEYS
-    if unknown:
-        raise ValueError(f"unknown scenario keys: {', '.join(sorted(unknown))}")
+    _check_keys(Scenario, data, "scenario")
     check_scenario_sections(data)
-    if "cell" not in data:
-        raise ValueError("scenario needs a cell section")
-    if "profile" not in data:
-        raise ValueError("scenario needs a profile section")
+    _check_keys(TrafficProfile, data["profile"], "profile")
     # The sections become their dataclasses; every other key is passed
     # through, and one left out takes Scenario's default.
     kwargs = dict(data, cell=cell_config_from_dict(dict(data["cell"])),
                   profile=TrafficProfile(**data["profile"]))
     if "channel" in data:
+        _check_keys(ChannelSpec, data["channel"], "channel")
         kwargs["channel"] = ChannelSpec(**data["channel"])
     return Scenario(**kwargs)
 

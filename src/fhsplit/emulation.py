@@ -54,7 +54,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
-from .cell import CellConfig, reject_bools, require_ints
+from .cell import CellConfig, require_ints, require_reals
 from .channel import (
     SUBFRAME_NS,
     ChannelSpec,
@@ -110,7 +110,7 @@ class TrafficProfile:
 
     def __post_init__(self) -> None:
         require_ints(self, "packet_size_bytes", "duration_subframes")
-        reject_bools(self, "goodput_bps")
+        require_reals(self, "goodput_bps")
         if not (math.isfinite(self.goodput_bps) and self.goodput_bps >= 0):
             raise ValueError(f"goodput_bps must be finite and >= 0, got {self.goodput_bps}")
         if self.packet_size_bytes < 1:

@@ -16,15 +16,20 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def check_bit_width(width: int, name: str = "bit_width") -> None:
+    """Raise ValueError unless width is a code width pack_codes can pack."""
+    # a signed code needs 2 bits; pack_codes packs at most 16
+    if not 2 <= width <= 16:
+        raise ValueError(f"{name} must be in [2, 16], got {width}")
+
+
 @dataclass(frozen=True)
 class LlrQuantizer:
     bit_width: int
     clip: float = 8.0
 
     def __post_init__(self) -> None:
-        # a signed code needs 2 bits; pack_codes packs at most 16
-        if not 2 <= self.bit_width <= 16:
-            raise ValueError(f"bit_width must be in [2, 16], got {self.bit_width}")
+        check_bit_width(self.bit_width)
         if not self.clip > 0:
             raise ValueError("clip must be positive")
 
@@ -67,8 +72,7 @@ def pack_codes(codes, bit_width: int) -> bytes:
     w = 8 is a plain int8 cast. Otherwise each code's 16 bits are unpacked
     from its big-endian uint16, the low w columns are kept and packed.
     """
-    if not 2 <= bit_width <= 16:
-        raise ValueError("bit_width must be in [2, 16]")
+    check_bit_width(bit_width)
     arr = np.asarray(codes).ravel()
     if arr.dtype.kind not in "iu":  # e.g. an empty list converts to float64
         arr = arr.astype(np.int64)
@@ -81,8 +85,7 @@ def pack_codes(codes, bit_width: int) -> bytes:
 
 def unpack_codes(data: bytes, bit_width: int, count: int) -> np.ndarray:
     """Inverse of pack_codes for the first `count` codes."""
-    if not 2 <= bit_width <= 16:
-        raise ValueError("bit_width must be in [2, 16]")
+    check_bit_width(bit_width)
     if count < 0:
         raise ValueError("count must be >= 0")
     needed = -(-count * bit_width // 8)

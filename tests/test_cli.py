@@ -3,6 +3,8 @@
 import functools
 import inspect
 import json
+import re
+import shlex
 from importlib import metadata
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from fhsplit.cell import preset
 from fhsplit.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = Path(__file__).resolve().parents[1] / "README.md"
 PROFILES = Path(__file__).resolve().parents[1] / "profiles"
 
 
@@ -105,12 +108,21 @@ class TestPlan:
         assert "bad cell config" in err
 
     def test_non_integer_cell_field_exits_2(self, capsys, tmp_path):
-        # a fractional subcarrier count used to print inexact rates
+        # a fractional subcarrier count used to print inexact rates; the
+        # other lines used to crash, plan a wrong option 8 or go unnamed
         cfg = tmp_path / "cell.cfg"
-        cfg.write_text("n_sc = 600.5\nn_layers = 2\nn_ant = 4\nmod_order = 4\n")
-        code, out, err = run_cli(capsys, "plan", "--config", str(cfg))
-        assert code == 2 and out == ""
-        assert "bad cell config: n_sc must be an integer" in err
+        for lines, message in [
+            ("n_sc = 600.5", "n_sc must be an integer"),
+            ("n_sc = 600\nbw_mhz = abc", "bw_mhz must be a number, got 'abc'"),
+            ("n_sc = 600\noversampling_factor = true", "oversampling_factor must be a number"),
+            ("n_sc = 600\noversampling_factor = abc", "oversampling_factor must be a number"),
+            ("n_sc = 600\nn_fft = 1024", "unknown cell config keys: n_fft"),
+        ]:
+            cfg.write_text(f"{lines}\nn_layers = 2\nn_ant = 4\nmod_order = 4\n")
+            code, out, err = run_cli(capsys, "plan", "--config", str(cfg))
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: bad cell config: {message}")
+            assert len(err.splitlines()) == 1
 
 
 class TestCompare:
@@ -387,6 +399,12 @@ class TestEmulate:
         ("channel.loss_rate = true", "loss_rate must be a number, got True"),
         ("profile.goodput_bps = true", "goodput_bps must be a number, got True"),
         ("cell = 5", "line 7: 'cell' is both value and section"),
+        ("channel.delay_us = abc", "delay_us must be a number, got 'abc'"),
+        ("profile.goodput_bps = fast", "goodput_bps must be a number, got 'fast'"),
+        ("profile.rate = 3", "unknown profile keys: rate"),
+        ("channel.loss = 0.1", "unknown channel keys: loss"),
+        ("cell.oversampling_factor = true", "oversampling_factor must be a number"),
+        ("cell.n_fft = 1024", "unknown cell config keys: n_fft"),
     ])
     def test_boolean_or_clobbering_scenario_line_exits_2(self, capsys, tmp_path,
                                                           line, message):
@@ -453,6 +471,7 @@ class TestEmulate:
         ("127.0.0.1:70000", "127.0.0.1:0"),
         ("127.0.0.1:-1", "127.0.0.1:0"),
         ("127.0.0.1:0", "127.0.0.1:70000"),
+        ("127.0.0.1:abc", "127.0.0.1:0"),
     ])
     def test_socket_port_out_of_range_exits_2(self, capsys, du_addr, ru_addr):
         code, _, err = run_cli(
@@ -621,3 +640,17 @@ class TestParser:
                 if ep.group == "console_scripts" and ep.name == "fhsplit"]
         assert len(ours) == 1
         assert ours[0].value == declared_script("fhsplit")
+
+
+class TestReadme:
+    def test_console_transcript_is_what_the_commands_print(self, capsys, tmp_path,
+                                                            monkeypatch):
+        block = README.read_text().split("```console\n", 1)[1].split("```", 1)[0]
+        runs = re.split(r"^\$ fhsplit ", block, flags=re.M)[1:]
+        assert len(runs) == 3
+        monkeypatch.chdir(tmp_path)  # emulate writes its --out directory here
+        for run in runs:
+            command, *expected = run.strip().splitlines()
+            code, out, err = run_cli(capsys, *shlex.split(command))
+            assert (code, err) == (0, "")
+            assert out.splitlines() == expected, command

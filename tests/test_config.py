@@ -1,6 +1,7 @@
 """Config parsing: key=value files, JSON files, cell and scenario schemas."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -109,12 +110,29 @@ class TestCellLoading:
 
     @pytest.mark.parametrize("field", ["n_sc", "n_layers", "n_ant", "mod_order",
                                        "iq_component_bits", "soft_bit_width",
-                                       "symbols_per_second", "n_fft"])
+                                       "symbols_per_second"])
     @pytest.mark.parametrize("value", [600.5, 4.0, "4", True])
     def test_integer_fields_reject_non_integers(self, field, value):
         data = {"n_sc": 600, "n_layers": 2, "n_ant": 4, "mod_order": 4, field: value}
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             cell_config_from_dict(data)
+
+    @pytest.mark.parametrize("literal,json_value,factor", [
+        ("1.71", 1.71, Fraction(171, 100)),
+        ("4096/3276", "4096/3276", Fraction(4096, 3276)),
+    ])
+    def test_oversampling_factor_is_exact(self, tmp_path, literal, json_value, factor):
+        cell = {"n_sc": 600, "n_layers": 2, "n_ant": 4, "mod_order": 4}
+        kv = tmp_path / "cell.cfg"
+        kv.write_text("".join(f"{k} = {v}\n" for k, v in cell.items())
+                      + f"oversampling_factor = {literal}\n")
+        js = tmp_path / "cell.json"
+        js.write_text(json.dumps({**cell, "oversampling_factor": json_value}))
+        for path in (kv, js):
+            assert load_cell_config(path).oversampling_factor == factor
+
+    def test_worst100_factor_is_fft_size_over_subcarriers(self):
+        assert preset("worst100").oversampling_factor == Fraction(4096, 3276)
 
     def test_json_suffix_dispatch(self, tmp_path):
         path = tmp_path / "x.json"
@@ -191,13 +209,27 @@ class TestScenario:
     @pytest.mark.parametrize("section,key", [("profile", "goodput_bps"),
                                              ("channel", "loss_rate"),
                                              ("channel", "reorder_rate"),
-                                             ("channel", "delay_us")])
+                                             ("channel", "delay_us"),
+                                             ("cell", "bw_mhz"),
+                                             ("cell", "oversampling_factor")])
     def test_float_fields_reject_bools(self, section, key):
-        # True would run as 1: a loss_rate of True drops every datagram
-        data = {"profile": {"goodput_bps": 1e7}, "channel": {}}
-        data[section][key] = True
-        with pytest.raises(ValueError, match=f"{key} must be a number, got True"):
-            self.make(**data)
+        # True would run as 1: a loss_rate of True drops every datagram; a
+        # string used to fail inside a comparison without naming the field
+        for value in (True, "abc"):
+            data = {"cell": {"n_sc": 600, "n_layers": 2, "n_ant": 4, "mod_order": 4},
+                    "profile": {"goodput_bps": 1e7}, "channel": {}}
+            data[section][key] = value
+            with pytest.raises(ValueError, match=f"{key} must be a number.*got {value!r}"):
+                self.make(**data)
+
+    @pytest.mark.parametrize("section,entries,message", [
+        ("profile", {"goodput_bps": 1e7, "rate": 3}, "unknown profile keys: rate"),
+        ("profile", {"packet_size_bytes": 100}, "missing profile keys: goodput_bps"),
+        ("channel", {"loss": 0.1}, "unknown channel keys: loss"),
+    ])
+    def test_section_key_errors_name_the_keys(self, section, entries, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            self.make(**{section: entries})
 
     def test_seed_must_not_be_negative(self):
         with pytest.raises(ValueError, match="seed must be >= 0"):

@@ -258,6 +258,14 @@ class TestDistanceBudget:
             with pytest.raises(ValueError, match="processing_ms must be finite"):
                 max_fronthaul_distance_km(LinkBudget(), direction, value)
 
+    @pytest.mark.parametrize("value", [True, "5"])
+    def test_non_number_fields_rejected(self, value):
+        # True would count as 1 ms; a string used to fail with a TypeError
+        for field in ("harq_rtt_ms", "dl_processing_ms", "ul_processing_ms",
+                      "propagation_us_per_km"):
+            with pytest.raises(ValueError, match=f"{field} must be a number, got {value!r}"):
+                LinkBudget(**{field: value})
+
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
             max_fronthaul_distance_km(LinkBudget(), Direction.UL, -0.1)

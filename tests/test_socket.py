@@ -26,7 +26,7 @@ class TestParseAddr:
 
     @pytest.mark.parametrize("bad", ["localhost", ":90", "h:", "h:x", "h:70000", "h:-1"])
     def test_bad_addresses(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="address"):
             parse_addr(bad)
 
 
