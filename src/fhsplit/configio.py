@@ -14,7 +14,8 @@ Two interchangeable on-disk encodings produce the same nested mapping:
 * JSON with the same structure as nested objects.
 
 Values are coerced in order: int, float, true/false, string. A cell-only
-file may either use the `cell.` prefix or put the fields at top level.
+file may either use the `cell.` prefix or put the fields at top level,
+not both. A key set twice is an error in either encoding.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .cell import CellConfig, require_ints
 from .channel import ChannelSpec
@@ -48,6 +49,7 @@ def _coerce(raw: str) -> Any:
 def parse_kv_text(text: str) -> Dict[str, Any]:
     """Parse key=value lines into a nested dict (dotted keys nest)."""
     root: Dict[str, Any] = {}
+    first_line: Dict[str, int] = {}  # key -> line that set it
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -58,6 +60,10 @@ def parse_kv_text(text: str) -> Dict[str, Any]:
         key = key.strip()
         if not key:
             raise ValueError(f"line {lineno}: empty key")
+        if key in first_line:
+            raise ValueError(f"line {lineno}: {key!r} is already set on line "
+                             f"{first_line[key]}")
+        first_line[key] = lineno
         node = root
         parts = key.split(".")
         for part in parts[:-1]:
@@ -70,11 +76,21 @@ def parse_kv_text(text: str) -> Dict[str, Any]:
     return root
 
 
+def _unique_keys(pairs: List[Tuple[str, Any]]) -> Dict[str, Any]:
+    """A JSON object's mapping; raises ValueError for a key given twice."""
+    obj: Dict[str, Any] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"{key!r} is set twice in one JSON object")
+        obj[key] = value
+    return obj
+
+
 def load_config_file(path: Union[str, Path]) -> Dict[str, Any]:
     path = Path(path)
     text = path.read_text()
     if path.suffix == ".json":
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
         if not isinstance(data, dict):
             raise ValueError(f"{path}: top-level JSON value must be an object")
         return data
@@ -94,6 +110,10 @@ def _check_keys(cls: type, data: Dict[str, Any], what: str) -> None:
 
 def cell_config_from_dict(data: Dict[str, Any]) -> CellConfig:
     if "cell" in data and isinstance(data["cell"], dict):
+        outside = set(data) & {f.name for f in fields(CellConfig)}
+        if outside:
+            raise ValueError("cell config keys set outside the cell section: "
+                             f"{', '.join(sorted(outside))}")
         data = data["cell"]
     _check_keys(CellConfig, data, "cell config")
     return CellConfig(**data)

@@ -92,6 +92,8 @@ from .wire import (
 
 CHUNK_SPACING_NS = 1_000
 CQI_PERIOD = 5
+# A busy subframe's control message carries 1 + t % DCI_PERIOD DCIs.
+DCI_PERIOD = 3
 # The backlog of offered bits holds at most this many subframes of capacity.
 MAX_BACKLOG_SUBFRAMES = 10
 LLR_SCALE = 4.0
@@ -388,7 +390,7 @@ class EmulationReport:
 def make_control(t: int, scheduled_bits: int, cfg: CellConfig) -> ControlDl:
     """Synthetic but deterministic control content for subframe t."""
     if scheduled_bits > 0:
-        dci_count = 1 + t % 3
+        dci_count = 1 + t % DCI_PERIOD
         return ControlDl(
             dci_count=dci_count,
             dci_positions=tuple(range(dci_count)),
@@ -420,8 +422,19 @@ def _emit(
             send(chunk.to_datagram(), ns)
 
 
-def _dl_messages(t, scheduled_bits, cfg, payload_rng) -> List[Tuple[int, bytes]]:
-    msgs = [(CONTENT_DL_CONTROL, encode_control(make_control(t, scheduled_bits, cfg)))]
+def _dl_messages(t, scheduled_bits, cfg, payload_rng,
+                 controls: Dict[Tuple[int, bool], bytes]) -> List[Tuple[int, bytes]]:
+    """Subframe t's downlink messages: its control payload, then its data if any.
+
+    make_control reads t only as t % DCI_PERIOD and scheduled_bits only as
+    > 0, so controls, one dict per run, holds each encoded control payload
+    under that key and at most six are made.
+    """
+    key = (t % DCI_PERIOD, scheduled_bits > 0)
+    control = controls.get(key)
+    if control is None:
+        control = controls[key] = encode_control(make_control(t, scheduled_bits, cfg))
+    msgs = [(CONTENT_DL_CONTROL, control)]
     if scheduled_bits:
         size = (scheduled_bits + 7) // 8
         # raw words cost a fraction of a Generator's byte draw on short payloads
@@ -562,9 +575,11 @@ def _prepare(
     payload_rng = np.random.PCG64(s_payload)
     llr_rng = np.random.PCG64(s_llr)
     code_table = _llr_code_table(LlrQuantizer(cfg.soft_bit_width))
-    code_pool = pack_codes(np.random.Generator(llr_rng).permutation(code_table),
-                           cfg.soft_bit_width)
-    dl_messages = (_dl_messages(t, bits, cfg, payload_rng)
+    # shuffling an index and gathering is cheaper than shuffling the table
+    order = np.random.Generator(llr_rng).permutation(len(code_table))
+    code_pool = pack_codes(code_table[order], cfg.soft_bit_width)
+    controls: Dict[Tuple[int, bool], bytes] = {}
+    dl_messages = (_dl_messages(t, bits, cfg, payload_rng, controls)
                    for t, bits in enumerate(scheduled))
     ul_messages = (_ul_messages(t, bits, cfg, code_pool, llr_rng)
                    for t, bits in enumerate(scheduled))

@@ -52,6 +52,27 @@ class _HeaderFields(NamedTuple):
     sender_clock: int = 0
 
 
+def _check_fields(timestamp: int, num_blocks: int, content_type: int,
+                  size: int, sender_clock: int, clocks: int = 1) -> None:
+    """Raise ValueError unless the fields fit their wire ranges.
+
+    clocks is the number of headers stamped sender_clock, sender_clock + 1,
+    ...; the last of them must still fit 64 bits.
+    """
+    if not 0 <= timestamp < _U64:
+        raise ValueError("timestamp out of unsigned 64-bit range")
+    if not 1 <= num_blocks < _U16:
+        raise ValueError(f"num_blocks must be in [1, 65535], got {num_blocks}")
+    if not 0 <= content_type < _U16:
+        raise ValueError("content_type out of unsigned 16-bit range")
+    if not HEADER_LEN <= size <= MAX_DATAGRAM:
+        raise ValueError(
+            f"size must be in [{HEADER_LEN}, {MAX_DATAGRAM}], got {size}"
+        )
+    if not 0 <= sender_clock <= _U64 - clocks:
+        raise ValueError("sender_clock out of unsigned 64-bit range")
+
+
 class SplitHeader(_HeaderFields):
     """One datagram's header fields, each checked against its wire range.
 
@@ -65,18 +86,7 @@ class SplitHeader(_HeaderFields):
 
     def __new__(cls, timestamp: int, num_blocks: int, content_type: int,
                 size: int, sender_clock: int = 0) -> "SplitHeader":
-        if not 0 <= timestamp < _U64:
-            raise ValueError("timestamp out of unsigned 64-bit range")
-        if not 1 <= num_blocks < _U16:
-            raise ValueError(f"num_blocks must be in [1, 65535], got {num_blocks}")
-        if not 0 <= content_type < _U16:
-            raise ValueError("content_type out of unsigned 16-bit range")
-        if not HEADER_LEN <= size <= MAX_DATAGRAM:
-            raise ValueError(
-                f"size must be in [{HEADER_LEN}, {MAX_DATAGRAM}], got {size}"
-            )
-        if not 0 <= sender_clock < _U64:
-            raise ValueError("sender_clock out of unsigned 64-bit range")
+        _check_fields(timestamp, num_blocks, content_type, size, sender_clock)
         return tuple.__new__(
             cls, (timestamp, num_blocks, content_type, size, sender_clock)
         )
@@ -187,29 +197,27 @@ def chunk_subframe(
     if not payload:
         raise ValueError("payload must not be empty")
     budget = max_datagram - HEADER_LEN
-    # The validating constructors build the last chunk: it carries every
-    # shared field and the largest sender_clock. Every other chunk is
-    # exactly max_datagram bytes, checked above.
+    # One check covers every chunk: they share timestamp, num_blocks and
+    # content_type, their clocks run from sender_clock for num_blocks, and
+    # all but the last are max_datagram bytes, which chunk_count checked.
     cut = (num_blocks - 1) * budget
     tail = payload[cut:]
-    last = Chunk(
-        SplitHeader(timestamp, num_blocks, content_type, HEADER_LEN + len(tail),
-                    sender_clock + num_blocks - 1),
-        tail,
-    )
-    if sender_clock < 0:
-        raise ValueError("sender_clock out of unsigned 64-bit range")
-    if num_blocks == 1:
-        return [last]
+    _check_fields(timestamp, num_blocks, content_type, HEADER_LEN + len(tail),
+                  sender_clock, num_blocks)
     new = tuple.__new__
-    chunks = [
-        new(Chunk, (
+    chunks: List[Chunk] = []
+    append = chunks.append
+    clock = sender_clock
+    for start in range(0, cut, budget):
+        append(new(Chunk, (
             new(SplitHeader, (timestamp, num_blocks, content_type, max_datagram, clock)),
             payload[start : start + budget],
-        ))
-        for clock, start in enumerate(range(0, cut, budget), sender_clock)
-    ]
-    chunks.append(last)
+        )))
+        clock += 1
+    append(new(Chunk, (
+        new(SplitHeader, (timestamp, num_blocks, content_type, HEADER_LEN + len(tail), clock)),
+        tail,
+    )))
     return chunks
 
 
@@ -253,8 +261,9 @@ class ReassemblyBuffer:
     sender_clock order); a chunk of a newer subframe evicts the partial
     one and returns Jumbled without taking the chunk, which the caller
     offers again to start its own assembly; a chunk at or below the newest
-    finished timestamp is rejected as stale. poll_timeout() expires an
-    assembly DEFAULT_TIMEOUT_NS after its first chunk.
+    finished timestamp is rejected as stale. A one-block chunk that finds
+    no assembly open completes at once, without opening one. poll_timeout()
+    expires an assembly DEFAULT_TIMEOUT_NS after its first chunk.
 
     All buffered chunks must share timestamp, content_type and the
     announced num_blocks, and carry distinct sender_clock values;
@@ -281,7 +290,11 @@ class ReassemblyBuffer:
         if self._timestamp is None:
             if self._watermark is not None and ts <= self._watermark:
                 return Malformed("stale", timestamp=ts)
-            return self._start(chunk, now_ns)
+            if chunk.header.num_blocks == 1:
+                self._watermark = ts
+                return Complete(ts, chunk.payload)
+            self._start(chunk, now_ns)
+            return None
         if ts == self._timestamp:
             if chunk.header.num_blocks != self._num_blocks:
                 return Malformed("inconsistent_blocks", timestamp=ts)
@@ -316,6 +329,8 @@ class ReassemblyBuffer:
         condition is checked before the header is unpacked, so a
         message's last chunk is left unread for accept.
         """
+        if self._num_blocks - len(self._payloads) < 2:
+            return i
         ts, blocks, ctype = self._timestamp, self._num_blocks, self._content_type
         payloads, deadline = self._payloads, self._deadline
         unpack = _HEADER.unpack_from
@@ -342,15 +357,12 @@ class ReassemblyBuffer:
         self._clear()
         return event
 
-    def _start(self, chunk: Chunk, now_ns: int) -> Optional[Complete]:
+    def _start(self, chunk: Chunk, now_ns: int) -> None:
         self._timestamp = chunk.header.timestamp
         self._num_blocks = chunk.header.num_blocks
         self._content_type = chunk.header.content_type
         self._payloads = {chunk.header.sender_clock: chunk.payload}
-        if self._num_blocks == 1:
-            return self._finish()
         self._deadline = now_ns + DEFAULT_TIMEOUT_NS
-        return None
 
     def _finish(self) -> Complete:
         ts = self._timestamp

@@ -38,6 +38,18 @@ def is_installed(dist_name):
     return True
 
 
+BASE_SCENARIO = ("cell.n_sc = 600", "cell.n_layers = 2", "cell.n_ant = 4",
+                 "cell.mod_order = 4", "profile.goodput_bps = 4e6",
+                 "profile.duration_subframes = 5")
+
+
+def scenario_with(line):
+    """BASE_SCENARIO's lines with line last, in place of the one that sets its key."""
+    key = line.partition("=")[0].strip()
+    kept = [b for b in BASE_SCENARIO if b.partition("=")[0].strip() != key]
+    return "\n".join([*kept, line]) + "\n"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -123,6 +135,25 @@ class TestPlan:
             assert code == 2 and out == ""
             assert err.startswith(f"error: bad cell config: {message}")
             assert len(err.splitlines()) == 1
+
+
+    @pytest.mark.parametrize("name,text,message", [
+        ("cell.cfg", "n_sc = 600\nn_layers = 2\nn_ant = 4\nmod_order = 4\nn_sc = 1200\n",
+         "line 5: 'n_sc' is already set on line 1"),
+        ("cell.json",
+         '{"n_sc": 600, "n_layers": 2, "n_ant": 4, "mod_order": 4, "n_sc": 1200}',
+         "'n_sc' is set twice in one JSON object"),
+        ("cell.cfg", "cell.n_sc = 600\ncell.n_layers = 2\ncell.n_ant = 4\n"
+         "cell.mod_order = 6\nmod_order = 2\n",
+         "cell config keys set outside the cell section: mod_order"),
+    ])
+    def test_value_given_twice_exits_2(self, capsys, tmp_path, name, text, message):
+        # each of these used to plan with one of the two values, silently
+        cfg = tmp_path / name
+        cfg.write_text(text)
+        code, out, err = run_cli(capsys, "plan", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == f"error: bad cell config: {message}\n"
 
 
 class TestCompare:
@@ -383,11 +414,7 @@ class TestEmulate:
     ])
     def test_non_integer_scenario_field_exits_2(self, capsys, tmp_path, line, field):
         scn = tmp_path / "s.cfg"
-        scn.write_text(
-            "cell.n_sc = 600\ncell.n_layers = 2\ncell.n_ant = 4\ncell.mod_order = 4\n"
-            "profile.goodput_bps = 4e6\nprofile.duration_subframes = 5\n"
-            f"{line}\n"
-        )
+        scn.write_text(scenario_with(line))
         code, _, err = run_cli(capsys, "emulate", "--scenario", str(scn))
         assert code == 2
         assert "bad scenario" in err and f"{field} must be an integer" in err
@@ -409,11 +436,7 @@ class TestEmulate:
     def test_boolean_or_clobbering_scenario_line_exits_2(self, capsys, tmp_path,
                                                           line, message):
         scn = tmp_path / "s.cfg"
-        scn.write_text(
-            "cell.n_sc = 600\ncell.n_layers = 2\ncell.n_ant = 4\ncell.mod_order = 4\n"
-            "profile.goodput_bps = 4e6\nprofile.duration_subframes = 5\n"
-            f"{line}\n"
-        )
+        scn.write_text(scenario_with(line))
         code, _, err = run_cli(capsys, "emulate", "--scenario", str(scn))
         assert code == 2
         assert err.startswith("error: bad scenario") and message in err

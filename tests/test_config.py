@@ -64,6 +64,16 @@ class TestKvParser:
         with pytest.raises(ValueError, match="line 2: 'cell' is both value and section"):
             parse_kv_text(text)
 
+    @pytest.mark.parametrize("text,message", [
+        ("n_sc = 600\nn_sc = 1200\n", "line 2: 'n_sc' is already set on line 1"),
+        ("cell.n_sc = 600\n# note\ncell.n_ant = 4\ncell.n_sc = 600\n",
+         "line 4: 'cell.n_sc' is already set on line 1"),
+    ])
+    def test_key_set_twice_rejected(self, text, message):
+        # the later line used to replace the earlier one silently
+        with pytest.raises(ValueError, match=message):
+            parse_kv_text(text)
+
 
 class TestCellLoading:
     def test_minimal_dict(self):
@@ -133,6 +143,24 @@ class TestCellLoading:
 
     def test_worst100_factor_is_fft_size_over_subcarriers(self):
         assert preset("worst100").oversampling_factor == Fraction(4096, 3276)
+
+    @pytest.mark.parametrize("text", [
+        '{"n_sc": 600, "n_sc": 1200}',
+        '{"cell": {"n_sc": 600, "n_ant": 4, "n_sc": 1200}}',
+    ])
+    def test_json_key_set_twice_rejected(self, tmp_path, text):
+        path = tmp_path / "cell.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="'n_sc' is set twice"):
+            load_config_file(path)
+
+    def test_cell_field_outside_the_cell_section_rejected(self):
+        # the top-level mod_order used to be ignored for the section's
+        data = {"cell": {"n_sc": 600, "n_layers": 2, "n_ant": 4, "mod_order": 6},
+                "mod_order": 2, "seed": 7}
+        with pytest.raises(ValueError,
+                           match="keys set outside the cell section: mod_order$"):
+            cell_config_from_dict(data)
 
     def test_json_suffix_dispatch(self, tmp_path):
         path = tmp_path / "x.json"

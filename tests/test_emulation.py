@@ -33,6 +33,7 @@ from fhsplit.wire import (
     chunk_subframe,
 )
 from fhsplit.emulation import (
+    CONTENT_DL_CONTROL,
     CONTENT_DL_DATA,
     CONTENT_UL_SOFT,
     CQI_PERIOD,
@@ -49,6 +50,7 @@ from fhsplit.emulation import (
     _prepare,
     _traffic_schedule,
     _ul_messages,
+    encode_control,
     make_control,
     run_emulation,
     subframe_capacity_bits,
@@ -213,6 +215,27 @@ class TestControlSynthesis:
     def test_idle_subframes_are_empty(self):
         ctrl = make_control(4, 0, LTE10)
         assert ctrl.dci_count == 0 and ctrl.dci_positions == ()
+
+    def test_a_run_makes_each_distinct_control_payload_once(self, monkeypatch):
+        # 20 kbit/s of 5-byte packets on TINY alternates idle and busy
+        # subframes, so 40 subframes meet every (t % 3, busy) pair
+        cfg, profile = TINY, TrafficProfile(20e3, 5, 40)
+        _, scheduled, _ = _traffic_schedule(cfg, profile)
+        keys = {(t % 3, bits > 0) for t, bits in enumerate(scheduled)}
+        assert len(keys) == 6
+        made = []
+
+        def counting_make_control(t, scheduled_bits, cell):
+            made.append(t)
+            return make_control(t, scheduled_bits, cell)
+
+        monkeypatch.setattr(fhsplit.emulation, "make_control", counting_make_control)
+        _, _, (dl_messages, _), _, _ = _prepare(cfg, profile, 5, 1472)
+        for t, bits in enumerate(scheduled):
+            [(ctype, control), *_] = next(dl_messages)
+            assert ctype == CONTENT_DL_CONTROL
+            assert control == encode_control(make_control(t, bits, cfg)), f"subframe {t}"
+        assert len(made) == len(keys)
 
 
 class TestCleanChannelRuns:
@@ -1032,7 +1055,7 @@ class TestDownlinkPayloads:
         h = hashlib.sha256()
         for n in self.SIZES:
             # a bit count off a byte boundary still fills its last byte
-            [_, (ctype, payload)] = _dl_messages(1, 8 * n - n % 8, LTE10, rng)
+            [_, (ctype, payload)] = _dl_messages(1, 8 * n - n % 8, LTE10, rng, {})
             assert ctype == CONTENT_DL_DATA
             assert payload == self.reference(ref_rng, n), f"{n} bytes"
             assert rng.state == ref_rng.state

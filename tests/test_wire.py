@@ -198,28 +198,45 @@ class TestChunking:
             chunk_from_datagram(raw[:-1])
 
 
+ONE_CHUNK, THREE_CHUNKS = b"x", b"x" * 3000
+
+
+def with_both_payloads(values):
+    """Each value with a three-chunk payload (id: the value) and a one-chunk one."""
+    return ([pytest.param(v, THREE_CHUNKS, id=str(v)) for v in values]
+            + [pytest.param(v, ONE_CHUNK, id=f"{v}-one_chunk") for v in values])
+
+
+BOTH_PAYLOADS = pytest.mark.parametrize(
+    "payload", [THREE_CHUNKS, ONE_CHUNK], ids=["three_chunks", "one_chunk"])
+
+
 class TestChunkingBoundary:
     """chunk_subframe rejects every header field the constructors reject."""
 
-    @pytest.mark.parametrize("timestamp", [-1, 1 << 64, (1 << 64) + 5])
-    def test_rejects_timestamp_out_of_range(self, timestamp):
+    @pytest.mark.parametrize("timestamp,payload",
+                             with_both_payloads([-1, 1 << 64, (1 << 64) + 5]))
+    def test_rejects_timestamp_out_of_range(self, timestamp, payload):
         with pytest.raises(ValueError, match="timestamp"):
-            chunk_subframe(timestamp, 0, b"x" * 3000)
+            chunk_subframe(timestamp, 0, payload)
 
-    @pytest.mark.parametrize("content_type", [-1, 1 << 16])
-    def test_rejects_content_type_out_of_range(self, content_type):
+    @pytest.mark.parametrize("content_type,payload", with_both_payloads([-1, 1 << 16]))
+    def test_rejects_content_type_out_of_range(self, content_type, payload):
         with pytest.raises(ValueError, match="content_type"):
-            chunk_subframe(0, content_type, b"x" * 3000)
+            chunk_subframe(0, content_type, payload)
 
-    def test_rejects_negative_sender_clock(self):
-        # the last chunk's clock (-1 + 2) is in range; the first is not
+    @BOTH_PAYLOADS
+    def test_rejects_negative_sender_clock(self, payload):
+        # with three chunks the last clock (-1 + 2) is in range; the first is not
         with pytest.raises(ValueError, match="sender_clock"):
-            chunk_subframe(0, 0, b"x" * 3000, sender_clock=-1)
+            chunk_subframe(0, 0, payload, sender_clock=-1)
 
-    def test_rejects_last_sender_clock_reaching_2_64(self):
-        # three chunks stamped 2^64 - 2, 2^64 - 1, 2^64: only the last overflows
+    @BOTH_PAYLOADS
+    def test_rejects_last_sender_clock_reaching_2_64(self, payload):
+        # the chunks are stamped up to 2^64: only the last overflows
+        first = (1 << 64) - chunk_count(len(payload)) + 1
         with pytest.raises(ValueError, match="sender_clock"):
-            chunk_subframe(0, 0, b"x" * 3000, sender_clock=(1 << 64) - 2)
+            chunk_subframe(0, 0, payload, sender_clock=first)
 
     def test_last_sender_clock_may_be_2_64_minus_1(self):
         chunks = chunk_subframe(0, 0, b"x" * 3000, sender_clock=(1 << 64) - 3)
@@ -454,3 +471,43 @@ class TestReassemblyTraces:
     def test_poll_with_nothing_in_progress(self):
         buf = ReassemblyBuffer()
         assert buf.poll_timeout(10**12) is None
+
+
+class TestOneBlockChunk:
+    """A one-block message completes without opening an assembly."""
+
+    def test_idle_buffer_completes_and_keeps_only_the_watermark(self):
+        buf = ReassemblyBuffer()
+        [chunk] = chunk_subframe(6, 2, b"q" * 64, sender_clock=900)
+        assert buf.accept(chunk, 10) == Complete(6, b"q" * 64)
+        fresh = vars(ReassemblyBuffer())
+        assert vars(buf) == {**fresh, "_watermark": 6}
+        # nothing is open for advance to extend
+        datagram = chunk.to_datagram()
+        assert buf.advance([(20, datagram)], 0) == 0
+
+    def test_the_same_chunk_again_is_stale(self):
+        buf = ReassemblyBuffer()
+        [chunk] = chunk_subframe(6, 2, b"q")
+        assert buf.accept(chunk, 10) == Complete(6, b"q")
+        assert buf.accept(chunk, 20) == Malformed("stale", timestamp=6)
+        assert not buf.in_progress
+
+    def test_newer_chunk_jumbles_an_open_assembly_then_completes(self):
+        buf = ReassemblyBuffer()
+        old = chunk_subframe(3, 0, b"o" * 3000)
+        [new] = chunk_subframe(4, 0, b"n")
+        assert buf.accept(old[0], 0) is None
+        assert buf.accept(new, 5) == Jumbled(3, 4)
+        assert buf.accept(new, 5) == Complete(4, b"n")
+        assert vars(buf) == {**vars(ReassemblyBuffer()), "_watermark": 4}
+
+    def test_same_timestamp_other_block_count_is_inconsistent(self):
+        buf = ReassemblyBuffer()
+        chunks = chunk_subframe(8, 0, b"p" * 3000)
+        [single] = chunk_subframe(8, 0, b"s")
+        assert buf.accept(chunks[0], 0) is None
+        assert buf.accept(single, 1) == Malformed("inconsistent_blocks", timestamp=8)
+        # the open assembly is untouched and still completes
+        assert buf.accept(chunks[1], 2) is None
+        assert buf.accept(chunks[2], 3) == Complete(8, b"p" * 3000)
