@@ -136,7 +136,6 @@ class TestPlan:
             assert err.startswith(f"error: bad cell config: {message}")
             assert len(err.splitlines()) == 1
 
-
     @pytest.mark.parametrize("name,text,message", [
         ("cell.cfg", "n_sc = 600\nn_layers = 2\nn_ant = 4\nmod_order = 4\nn_sc = 1200\n",
          "line 5: 'n_sc' is already set on line 1"),
