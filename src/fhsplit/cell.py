@@ -94,6 +94,8 @@ class CellConfig:
         require_ints(self, "n_sc", "n_layers", "n_ant", "mod_order",
                      "iq_component_bits", "soft_bit_width", "symbols_per_second")
         require_reals(self, "bw_mhz")
+        if not (math.isfinite(self.bw_mhz) and self.bw_mhz >= 0):
+            raise ValueError(f"bw_mhz must be finite and >= 0, got {self.bw_mhz}")
         if self.n_sc <= 0:
             raise ValueError(f"n_sc must be positive, got {self.n_sc}")
         if self.n_layers < 1:

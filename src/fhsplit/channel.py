@@ -107,6 +107,8 @@ class SimulatedChannel:
 
 def parse_addr(addr: str) -> Tuple[str, int]:
     """Parse 'host:port' into a socket address tuple; the port must be in 0-65535."""
+    if not isinstance(addr, str):
+        raise ValueError(f"address {addr!r} must be a host:port string")
     host, sep, port = addr.rpartition(":")
     if not sep or not host:
         raise ValueError(f"address {addr!r} must look like host:port")

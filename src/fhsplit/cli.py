@@ -274,7 +274,7 @@ def cmd_emulate(args: argparse.Namespace) -> int:
             return _report_write_failed(exc)
     report = None
     try:
-        if scenario.mode == "socket":
+        if scenario.du_addr is not None:
             report = run_socket_emulation(
                 scenario.cell,
                 scenario.profile,
@@ -403,8 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"default: {Scenario.channel.delay_us:g}")
     p_emu.add_argument("--seed", type=int, help=f"default: {Scenario.seed}")
     p_emu.add_argument("--max-datagram", type=int, help=f"default: {Scenario.max_datagram}")
-    p_emu.add_argument("--mode", choices=("sim", "socket"), help=f"default: {Scenario.mode}")
-    p_emu.add_argument("--du-addr", help="DU bind address, host:port")
+    p_emu.add_argument("--du-addr", help="DU bind address, host:port; with --ru-addr, "
+                       "the run uses UDP sockets")
     p_emu.add_argument("--ru-addr", help="RU bind address, host:port")
     p_emu.add_argument("--out", help="directory for report.csv and summary.json")
     p_emu.set_defaults(func=cmd_emulate)

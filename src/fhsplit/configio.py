@@ -9,7 +9,6 @@ Two interchangeable on-disk encodings produce the same nested mapping:
       cell.mod_order = 4
       profile.goodput_bps = 30000000
       channel.loss_rate = 0.01
-      mode = sim
 
 * JSON with the same structure as nested objects.
 
@@ -26,7 +25,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .cell import CellConfig, require_ints
-from .channel import ChannelSpec
+from .channel import ChannelSpec, parse_addr
 from .emulation import TrafficProfile
 from .llr import check_bit_width
 from .wire import DEFAULT_MAX_DATAGRAM, chunk_count
@@ -125,12 +124,15 @@ def load_cell_config(path: Union[str, Path]) -> CellConfig:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A full emulation run: cell, offered traffic, channel and mode."""
+    """A full emulation run: cell, offered traffic and channel.
+
+    A run that gives both bind addresses runs over UDP sockets; one that
+    gives neither is simulated.
+    """
 
     cell: CellConfig
     profile: TrafficProfile
     channel: ChannelSpec = ChannelSpec()
-    mode: str = "sim"
     seed: int = 0
     max_datagram: int = DEFAULT_MAX_DATAGRAM
     du_addr: Optional[str] = None
@@ -140,12 +142,13 @@ class Scenario:
         require_ints(self, "seed", "max_datagram")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.mode not in ("sim", "socket"):
-            raise ValueError(f"mode must be 'sim' or 'socket', got {self.mode!r}")
-        if self.mode == "socket" and not (self.du_addr and self.ru_addr):
-            raise ValueError("socket mode needs du_addr and ru_addr")
-        if self.mode == "socket" and self.channel != ChannelSpec():
-            raise ValueError("socket mode cannot apply channel impairments")
+        if (self.du_addr is None) != (self.ru_addr is None):
+            raise ValueError("a socket run needs both du_addr and ru_addr")
+        if self.du_addr is not None:
+            parse_addr(self.du_addr)
+            parse_addr(self.ru_addr)
+            if self.channel != ChannelSpec():
+                raise ValueError("a socket run cannot apply channel impairments")
         chunk_count(0, self.max_datagram)  # rejects a max_datagram out of range
         check_bit_width(self.cell.soft_bit_width, "soft_bit_width")
 

@@ -50,7 +50,7 @@ import selectors
 import time
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -209,7 +209,7 @@ class SubframeReceiver:
         return events
 
     def feed_many(
-        self, arrivals: Iterable[Tuple[int, bytes]]
+        self, arrivals: Sequence[Tuple[int, bytes]]
     ) -> List[Tuple[int, ReassemblyEvent]]:
         """Feed (recv_ns, datagram) arrivals in order; returns feed's outcomes, joined.
 
@@ -221,9 +221,8 @@ class SubframeReceiver:
         fed. So ReassemblyBuffer.accept still produces every Complete, and
         only a datagram that breaks a run while carrying a whole header
         is unpacked twice. Both run modes feed each direction's arrivals
-        of a subframe this way.
+        of a subframe this way; advance reads arrivals by index.
         """
-        arrivals = list(arrivals)  # any iterable; advance reads it by index
         events: List[Tuple[int, ReassemblyEvent]] = []
         feed = self.feed
         i, end = 0, len(arrivals)

@@ -92,13 +92,10 @@ def unpack_codes(data: bytes, bit_width: int, count: int) -> np.ndarray:
     if len(data) < needed:
         raise ValueError(f"need {needed} bytes for {count} codes, got {len(data)}")
     raw = np.frombuffer(data, dtype=np.uint8, count=needed)
-    if bit_width == 8:
-        unsigned = raw.astype(np.int32)
-    else:
-        # each code's w bits as the low columns of a 16-bit row
-        bits = np.zeros((count, 16), dtype=np.uint8)
-        bits[:, 16 - bit_width:] = np.unpackbits(raw, count=count * bit_width).reshape(
-            count, bit_width)
-        unsigned = np.packbits(bits).view(">u2").astype(np.int32)
+    # each code's w bits as the low columns of a 16-bit row
+    bits = np.zeros((count, 16), dtype=np.uint8)
+    bits[:, 16 - bit_width:] = np.unpackbits(raw, count=count * bit_width).reshape(
+        count, bit_width)
+    unsigned = np.packbits(bits).view(">u2").astype(np.int32)
     sign_bit = 1 << (bit_width - 1)
     return unsigned - ((unsigned & sign_bit) << 1)

@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .cell import CellConfig, Direction, LinkBudget, MODULATION_NAMES
+from .cell import CellConfig, Direction, LinkBudget
 
 RateBps = Union[int, Fraction]
 
@@ -70,18 +70,17 @@ def efficiency_ratio(
 ) -> Fraction:
     """7.2-over-7.3 bandwidth ratio for one direction.
 
-    Downlink: 2*IQ / O_m. Uplink: 2*IQ / (O_m * S_bw). Values above 1 mean
-    the bit-carrying split needs less fronthaul than the I/Q-carrying one.
+    The quotient of the rate models for a one-subcarrier cell, so
+    CellConfig checks every argument. Downlink: 2*IQ / O_m. Uplink:
+    2*IQ / (O_m * S_bw), and soft_bit_width is required. Values above 1
+    mean the bit-carrying split needs less fronthaul than the I/Q-carrying
+    one.
     """
-    if mod_order not in MODULATION_NAMES:
-        raise ValueError(f"mod_order must be one of {sorted(MODULATION_NAMES)}")
-    if iq_component_bits < 1:
-        raise ValueError("iq_component_bits must be >= 1")
-    if direction is Direction.DL:
-        return Fraction(2 * iq_component_bits, mod_order)
-    if soft_bit_width is None or soft_bit_width < 1:
-        raise ValueError("uplink ratio needs soft_bit_width >= 1")
-    return Fraction(2 * iq_component_bits, mod_order * soft_bit_width)
+    dl = direction is Direction.DL
+    cell = CellConfig(n_sc=1, n_layers=1, n_ant=1, mod_order=mod_order,
+                      iq_component_bits=iq_component_bits,
+                      **({} if dl else {"soft_bit_width": soft_bit_width}))
+    return Fraction(rate_72(cell), rate_73_dl(cell) if dl else rate_73_ul(cell))
 
 
 def max_fronthaul_distance_km(

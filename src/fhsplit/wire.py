@@ -118,32 +118,16 @@ def decode_header(data: bytes) -> SplitHeader:
     return tuple.__new__(SplitHeader, fields)
 
 
-class _ChunkFields(NamedTuple):
-    header: SplitHeader
-    payload: bytes
-
-
-class Chunk(_ChunkFields):
+class Chunk(NamedTuple):
     """One datagram's worth of a subframe: header plus payload slice.
 
-    The constructor (and _make/_replace) check the size field against the
-    payload length; chunk_from_datagram and chunk_subframe build chunks
-    whose sizes they have already checked.
+    A plain tuple: chunk_subframe and chunk_from_datagram, the only places
+    that make chunks from bytes, check the size field against the payload
+    length where the bytes are made or read.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, header: SplitHeader, payload: bytes) -> "Chunk":
-        if len(payload) + HEADER_LEN != header.size:
-            raise ValueError(
-                f"payload length {len(payload)} does not match "
-                f"size field {header.size}"
-            )
-        return tuple.__new__(cls, (header, payload))
-
-    @classmethod
-    def _make(cls, fields) -> "Chunk":
-        return cls(*fields)
+    header: SplitHeader
+    payload: bytes
 
     def to_datagram(self) -> bytes:
         header, payload = self

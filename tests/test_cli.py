@@ -126,6 +126,9 @@ class TestPlan:
         for lines, message in [
             ("n_sc = 600.5", "n_sc must be an integer"),
             ("n_sc = 600\nbw_mhz = abc", "bw_mhz must be a number, got 'abc'"),
+            ("n_sc = 600\nbw_mhz = nan", "bw_mhz must be finite and >= 0, got nan"),
+            ("n_sc = 600\nbw_mhz = inf", "bw_mhz must be finite and >= 0, got inf"),
+            ("n_sc = 600\nbw_mhz = -10", "bw_mhz must be finite and >= 0, got -10"),
             ("n_sc = 600\noversampling_factor = true", "oversampling_factor must be a number"),
             ("n_sc = 600\noversampling_factor = abc", "oversampling_factor must be a number"),
             ("n_sc = 600\nn_fft = 1024", "unknown cell config keys: n_fft"),
@@ -431,6 +434,7 @@ class TestEmulate:
         ("channel.loss = 0.1", "unknown channel keys: loss"),
         ("cell.oversampling_factor = true", "oversampling_factor must be a number"),
         ("cell.n_fft = 1024", "unknown cell config keys: n_fft"),
+        ("mode = sim", "unknown scenario keys: mode"),
     ])
     def test_boolean_or_clobbering_scenario_line_exits_2(self, capsys, tmp_path,
                                                           line, message):
@@ -482,7 +486,7 @@ class TestEmulate:
         monkeypatch.setattr(fhsplit.emulation, "UdpEndpoint",
                             lambda addr: opened.append(addr))
         code, _, err = run_cli(
-            capsys, "emulate", "--mode", "socket", "--loss", "0.1",
+            capsys, "emulate", "--loss", "0.1",
             "--du-addr", "127.0.0.1:0", "--ru-addr", "127.0.0.1:0",
         )
         assert code == 2
@@ -497,24 +501,75 @@ class TestEmulate:
     ])
     def test_socket_port_out_of_range_exits_2(self, capsys, du_addr, ru_addr):
         code, _, err = run_cli(
-            capsys, "emulate", "--mode", "socket", "--du-addr", du_addr,
+            capsys, "emulate", "--du-addr", du_addr,
             "--ru-addr", ru_addr, "--subframes", "2",
         )
         assert code == 2
         assert err.startswith("error:") and "0-65535" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv,lines", [
+        (("--du-addr", "127.0.0.1:0"), ()),
+        (("--ru-addr", "127.0.0.1:0"), ()),
+        ((), ("du_addr = 127.0.0.1:0",)),
+        ((), ("ru_addr = 127.0.0.1:0",)),
+    ], ids=["du-flag", "ru-flag", "du-file", "ru-file"])
+    def test_one_address_exits_2_before_binding(self, capsys, tmp_path, monkeypatch,
+                                                argv, lines):
+        # the addresses select socket mode; one alone used to be ignored
+        opened = []
+        monkeypatch.setattr(fhsplit.emulation, "UdpEndpoint",
+                            lambda addr: opened.append(addr))
+        scn = tmp_path / "s.cfg"
+        scn.write_text("\n".join([*BASE_SCENARIO, *lines]) + "\n")
+        code, out, err = run_cli(capsys, "emulate", "--scenario", str(scn), *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: bad scenario: a socket run needs both du_addr and ru_addr\n"
+        assert opened == []
+
+    @pytest.mark.parametrize("name,text,value", [
+        ("s.cfg", "du_addr = 5000\nru_addr = 127.0.0.1:0\n", "5000"),
+        ("s.cfg", "du_addr = 127.0.0.1:0\nru_addr = true\n", "True"),
+        ("s.json", '{"du_addr": 5000, "ru_addr": "127.0.0.1:0"}', "5000"),
+    ])
+    def test_non_string_address_exits_2_before_binding(self, capsys, tmp_path,
+                                                       monkeypatch, name, text, value):
+        # a number used to end in an AttributeError traceback and exit 1
+        opened = []
+        monkeypatch.setattr(fhsplit.emulation, "UdpEndpoint",
+                            lambda addr: opened.append(addr))
+        scn = tmp_path / name
+        if name.endswith(".json"):
+            scn.write_text(json.dumps({
+                "cell": {"n_sc": 600, "n_layers": 2, "n_ant": 4, "mod_order": 4},
+                "profile": {"goodput_bps": 4e6, "duration_subframes": 5},
+                **json.loads(text)}))
+        else:
+            scn.write_text("\n".join(BASE_SCENARIO) + "\n" + text)
+        code, out, err = run_cli(capsys, "emulate", "--scenario", str(scn))
+        assert (code, out) == (2, "")
+        assert err == f"error: bad scenario: address {value} must be a host:port string\n"
+        assert opened == []
+
+    def test_mode_flag_is_gone(self, capsys):
+        # the addresses select the mode, so there is no --mode to ignore
+        with pytest.raises(SystemExit) as exc:
+            main(["emulate", "--mode", "sim"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mode sim" in capsys.readouterr().err
+
 
 # A sim-mode scenario that names every entry an emulate flag can write
-# except the cell's optional fields; its addresses are for socket mode.
+# except the cell's optional fields and the two addresses, which would
+# make it a socket run.
 OVERLAY_SCENARIO = (
     "cell.n_sc = 600\ncell.n_layers = 2\ncell.n_ant = 4\ncell.mod_order = 4\n"
     "profile.goodput_bps = 4e6\nprofile.packet_size_bytes = 1000\n"
     "profile.duration_subframes = 40\n"
     "channel.loss_rate = 0.0\nchannel.reorder_rate = 0.0\nchannel.delay_us = 0\n"
     "seed = 2\nmax_datagram = 1400\n"
-    "du_addr = 127.0.0.1:1\nru_addr = 127.0.0.1:2\n"
 )
+SOCKET_ARGV = ("--du-addr", "127.0.0.1:5000", "--ru-addr", "127.0.0.1:5001")
 
 
 @pytest.fixture
@@ -553,12 +608,10 @@ class TestScenarioOverlay:
         (("--reorder", "0.5"), "channel.reorder_rate", 0.5),
         (("--delay-us", "50"), "channel.delay_us", 50.0),
         (("--max-datagram", "256"), "max_datagram", 256),
-        (("--mode", "socket", "--du-addr", "127.0.0.1:5000"), "du_addr",
-         "127.0.0.1:5000"),
-        (("--mode", "socket", "--ru-addr", "127.0.0.1:5001"), "ru_addr",
-         "127.0.0.1:5001"),
+        (SOCKET_ARGV, "du_addr", "127.0.0.1:5000"),
+        (SOCKET_ARGV, "ru_addr", "127.0.0.1:5001"),
         (("--seed", "5"), "seed", 5),
-        (("--mode", "socket"), "mode", "socket"),
+        (SOCKET_ARGV, "mode", "socket"),
     ])
     def test_flag_reaches_the_run(self, capsys, tmp_path, run_args, argv, entry, value):
         scn = tmp_path / "s.cfg"
@@ -630,7 +683,7 @@ class TestScenarioOverlay:
         scn = tmp_path / "s.cfg"
         scn.write_text(OVERLAY_SCENARIO)
         code, _, err = run_cli(capsys, "emulate", "--scenario", str(scn),
-                               "--mode", "socket", "--loss", "0.1")
+                               *SOCKET_ARGV, "--loss", "0.1")
         assert code == 2
         assert err.startswith("error: bad scenario:") and "impairments" in err
         assert opened == []

@@ -179,7 +179,8 @@ class TestScenario:
 
     def test_defaults(self):
         s = self.make()
-        assert s.mode == "sim" and s.seed == 0 and s.max_datagram == 1472
+        assert s.du_addr is s.ru_addr is None
+        assert s.seed == 0 and s.max_datagram == 1472
         assert s.channel == ChannelSpec()
         assert s.profile.goodput_bps == 1e7
 
@@ -205,10 +206,12 @@ class TestScenario:
             self.make(**{section: [1]})
 
     def test_socket_mode_needs_addresses(self):
-        with pytest.raises(ValueError, match="socket"):
-            self.make(mode="socket")
-        s = self.make(mode="socket", du_addr="127.0.0.1:1", ru_addr="127.0.0.1:2")
-        assert s.mode == "socket"
+        # the addresses select socket mode, so one alone cannot be ignored
+        for one in ({"du_addr": "127.0.0.1:1"}, {"ru_addr": "127.0.0.1:2"}):
+            with pytest.raises(ValueError, match="needs both du_addr and ru_addr"):
+                self.make(**one)
+        s = self.make(du_addr="127.0.0.1:1", ru_addr="127.0.0.1:2")
+        assert (s.du_addr, s.ru_addr) == ("127.0.0.1:1", "127.0.0.1:2")
 
     def test_soft_bit_width_must_be_packable(self):
         cell = {"n_sc": 600, "n_layers": 2, "n_ant": 4, "mod_order": 4}
@@ -269,10 +272,12 @@ class TestScenario:
         assert s.seed == 7 and s.max_datagram == 1000
 
     @pytest.mark.parametrize("section,key", [("profile", "goodput_bps"),
-                                             ("channel", "delay_us")])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+                                             ("channel", "delay_us"),
+                                             ("cell", "bw_mhz")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
     def test_non_finite_values_rejected(self, section, key, value):
-        data = {"profile": {"goodput_bps": 1e7}, "channel": {}}
+        data = {"cell": {"n_sc": 600, "n_layers": 2, "n_ant": 4, "mod_order": 4},
+                "profile": {"goodput_bps": 1e7}, "channel": {}}
         data[section][key] = value
         with pytest.raises(ValueError, match=f"{key} must be finite"):
             self.make(**data)
@@ -282,13 +287,15 @@ class TestScenario:
         for channel in ({"loss_rate": 0.1}, {"reorder_rate": 0.1},
                         {"delay_us": 5.0}):
             with pytest.raises(ValueError, match="impairments"):
-                self.make(mode="socket", channel=channel, **addrs)
-        s = self.make(mode="socket", channel={"loss_rate": 0.0}, **addrs)
+                self.make(channel=channel, **addrs)
+        s = self.make(channel={"loss_rate": 0.0}, **addrs)
         assert s.channel == ChannelSpec()
 
     def test_bad_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            self.make(mode="banana")
+        # the addresses select the mode; a mode key is unknown
+        for mode in ("sim", "socket"):
+            with pytest.raises(ValueError, match="^unknown scenario keys: mode$"):
+                self.make(mode=mode)
 
     def test_demo_scenario_file_loads(self):
         s = load_scenario(PROFILES / "demo_scenario.cfg")

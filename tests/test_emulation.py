@@ -798,7 +798,7 @@ class TestFeedMany:
                             lambda rx, d, now_ns: fed.append(d) or feed(rx, d, now_ns))
         payload = bytes(range(256)) * 12
         datagrams = [c.to_datagram() for c in chunk_subframe(4, 1, payload, 256)]
-        out = SubframeReceiver().feed_many((i, d) for i, d in enumerate(datagrams))
+        out = SubframeReceiver().feed_many(list(enumerate(datagrams)))
         assert out == [(1, Complete(4, payload))]
         assert fed == [datagrams[0], datagrams[-1]]
 

@@ -133,6 +133,18 @@ class TestEfficiencyRatios:
         with pytest.raises(ValueError):
             efficiency_ratio(Direction.DL, 5)
 
+    @pytest.mark.parametrize("kwargs,field", [
+        ({"direction": Direction.UL, "soft_bit_width": True}, "soft_bit_width"),
+        ({"direction": Direction.DL, "iq_component_bits": True}, "iq_component_bits"),
+        ({"direction": Direction.UL, "soft_bit_width": 8, "iq_component_bits": False},
+         "iq_component_bits"),
+        ({"direction": Direction.DL, "iq_component_bits": 16.0}, "iq_component_bits"),
+    ])
+    def test_non_integer_width_named(self, kwargs, field):
+        # a bool used to count as 1 and a float to raise TypeError
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            efficiency_ratio(mod_order=4, **kwargs)
+
 
 cell_configs = st.builds(
     CellConfig,

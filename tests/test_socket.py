@@ -15,7 +15,7 @@ import pytest
 from fhsplit import emulation
 from fhsplit.cell import CellConfig, preset
 from fhsplit.channel import UdpEndpoint, parse_addr
-from fhsplit.emulation import TrafficProfile, run_socket_emulation
+from fhsplit.emulation import TrafficProfile, run_emulation, run_socket_emulation
 
 LTE10 = preset("lte10")
 
@@ -24,9 +24,11 @@ class TestParseAddr:
     def test_host_port(self):
         assert parse_addr("127.0.0.1:9000") == ("127.0.0.1", 9000)
 
-    @pytest.mark.parametrize("bad", ["localhost", ":90", "h:", "h:x", "h:70000", "h:-1"])
+    # a non-string used to raise AttributeError from str.rpartition
+    @pytest.mark.parametrize("bad", ["localhost", ":90", "h:", "h:x", "h:70000", "h:-1",
+                                     5000, True, None])
     def test_bad_addresses(self, bad):
-        with pytest.raises(ValueError, match="address"):
+        with pytest.raises(ValueError, match=f"address {bad!r} "):
             parse_addr(bad)
 
 
@@ -101,6 +103,25 @@ class TestSocketRun:
         # loopback should deliver nearly everything
         assert totals["completes"] >= 0.9 * emitted
         assert report.mean_dl_bps > 0 and report.mean_ul_bps > 0
+
+    @pytest.mark.parametrize("max_datagram", [1472, 256])
+    def test_meters_the_same_emissions_as_sim_mode(self, max_datagram):
+        # both modes share one set-up and loop, so the sender side of the
+        # meter is the same; only arrivals depend on the wall clock
+        profile = TrafficProfile(goodput_bps=20e6, duration_subframes=40)
+        sim = run_emulation(LTE10, profile, seed=5, max_datagram=max_datagram)
+        sock = run_socket_emulation(LTE10, profile, "127.0.0.1:0", "127.0.0.1:0",
+                                    seed=5, max_datagram=max_datagram)
+        assert not sock.incomplete
+
+        def emissions(report):
+            return ([(r.offered_bits, r.dl_bits, r.ul_bits) for r in report.rows],
+                    report.offered_dropped_bits,
+                    [(d.emitted_messages, d.emitted_payload_bits, d.wire_bits,
+                      d.min_chunk_payload) for d in (report.dl, report.ul)])
+
+        assert emissions(sock) == emissions(sim)
+        assert sim.offered_dropped_bits == 0 and sim.dl.emitted_messages == 80
 
     def test_runs_on_the_calling_thread(self, monkeypatch):
         def no_thread(thread):
