@@ -9,7 +9,7 @@ is the downlink one scaled by the soft-bit width.
 
 Usage:
     python scripts/goodput_sweep.py --preset lte10 --subframes 1000
-    python scripts/goodput_sweep.py --points 16 --loss 0.01 --plot
+    python scripts/goodput_sweep.py --points 16 --loss 0.01
 """
 
 import argparse
@@ -38,8 +38,6 @@ def main(argv=None) -> int:
     parser.add_argument("--reorder", type=float, default=0.0)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="goodput_sweep.csv")
-    parser.add_argument("--plot", action="store_true",
-                        help="also plot the curves (needs matplotlib)")
     args = parser.parse_args(argv)
 
     cfg = preset(args.preset)
@@ -80,22 +78,6 @@ def main(argv=None) -> int:
         writer.writerows(rows)
     print(f"wrote {out}")
 
-    if args.plot:
-        try:
-            import matplotlib.pyplot as plt
-        except ImportError:
-            print("matplotlib not installed; skipping plot", file=sys.stderr)
-            return 1
-        xs = [r["offered_mbps"] for r in rows]
-        fig, ax = plt.subplots()
-        ax.plot(xs, [r["dl_mbps"] for r in rows], marker="o", label="downlink")
-        ax.plot(xs, [r["ul_mbps"] for r in rows], marker="s", label="uplink")
-        ax.axvline(capacity_mbps, linestyle="--", color="gray", label="capacity")
-        ax.set_xlabel("offered goodput [Mbit/s]")
-        ax.set_ylabel("fronthaul consumption [Mbit/s]")
-        ax.legend()
-        fig.savefig(out.with_suffix(".png"), dpi=150)
-        print(f"wrote {out.with_suffix('.png')}")
     return 0
 
 

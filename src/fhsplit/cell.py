@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from numbers import Rational, Real
-from typing import Union
+from typing import Optional, Union
 
 MODULATION_NAMES = {2: "QPSK", 4: "16QAM", 6: "64QAM", 8: "256QAM"}
 
@@ -24,28 +24,45 @@ class Direction(Enum):
     UL = "ul"
 
 
-def require_ints(obj: object, *names: str) -> None:
-    """Raise ValueError unless every named field of obj is an integer.
+def check_int(value: object, name: str, minimum: Optional[int] = None) -> None:
+    """Raise ValueError unless value is an integer, and >= minimum if one is given.
 
     An integer is a value operator.index accepts, numpy's included, other
     than a bool: operator.index(True) is 1.
     """
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
-def require_reals(obj: object, *names: str) -> None:
-    """Raise ValueError unless every named field of obj is a real number.
+def check_real(value: object, name: str, positive: bool = False,
+               at_most_one: bool = False) -> None:
+    """Raise ValueError unless value is a finite real number >= 0 (> 0 if positive).
 
-    A real number is a numbers.Real, numpy's included, other than a bool:
-    True compares as 1.
+    at_most_one adds <= 1. Any numbers.Real but a bool; an int past the float range is not finite.
     """
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        ok = math.isfinite(value) and (value > 0 if positive else value >= 0)
+    except OverflowError:  # an int beyond the float range
+        ok = False
+    if not ok or (at_most_one and value > 1):
+        rule = "in [0, 1]" if at_most_one else "> 0" if positive else ">= 0"
+        raise ValueError(f"{name} must be finite and {rule}, got {value}")
+
+
+def require_ints(obj: object, *names: str, minimum: Optional[int] = None) -> None:
+    """check_int for every named field of obj."""
     for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, Real):
-            raise ValueError(f"{name} must be a number, got {value!r}")
+        check_int(getattr(obj, name), name, minimum)
+
+
+def require_reals(obj: object, *names: str, **bounds: bool) -> None:
+    """check_real, with the same bounds, for every named field of obj."""
+    for name in names:
+        check_real(getattr(obj, name), name, **bounds)
 
 
 def _as_fraction(value: Union[int, float, str, Fraction]) -> Fraction:
@@ -91,33 +108,20 @@ class CellConfig:
     oversampling_factor: Fraction = Fraction(171, 100)
 
     def __post_init__(self) -> None:
-        require_ints(self, "n_sc", "n_layers", "n_ant", "mod_order",
-                     "iq_component_bits", "soft_bit_width", "symbols_per_second")
-        require_reals(self, "bw_mhz")
-        if not (math.isfinite(self.bw_mhz) and self.bw_mhz >= 0):
-            raise ValueError(f"bw_mhz must be finite and >= 0, got {self.bw_mhz}")
-        if self.n_sc <= 0:
-            raise ValueError(f"n_sc must be positive, got {self.n_sc}")
-        if self.n_layers < 1:
-            raise ValueError(f"n_layers must be >= 1, got {self.n_layers}")
-        if self.n_ant < 1:
-            raise ValueError(f"n_ant must be >= 1, got {self.n_ant}")
+        require_ints(self, "n_sc", "n_layers", "n_ant", "iq_component_bits",
+                     "soft_bit_width", "symbols_per_second", minimum=1)
+        require_ints(self, "mod_order")
         if self.mod_order not in MODULATION_NAMES:
             raise ValueError(
                 f"mod_order must be one of {sorted(MODULATION_NAMES)}, "
                 f"got {self.mod_order}"
             )
-        if self.iq_component_bits < 1:
-            raise ValueError("iq_component_bits must be >= 1")
-        if self.soft_bit_width < 1:
-            raise ValueError("soft_bit_width must be >= 1")
-        if self.symbols_per_second <= 0:
-            raise ValueError("symbols_per_second must be positive")
+        require_reals(self, "bw_mhz")
         object.__setattr__(
             self, "oversampling_factor", _as_fraction(self.oversampling_factor)
         )
         if self.oversampling_factor < 1:
-            raise ValueError("oversampling_factor must be >= 1")
+            raise ValueError(f"oversampling_factor must be >= 1, got {self.oversampling_factor}")
 
     @property
     def modulation_name(self) -> str:
@@ -140,13 +144,8 @@ class LinkBudget:
     propagation_us_per_km: float = 5.0
 
     def __post_init__(self) -> None:
-        names = ("harq_rtt_ms", "dl_processing_ms", "ul_processing_ms",
-                 "propagation_us_per_km")
-        require_reals(self, *names)
-        for name in names:
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and strictly positive, got {value}")
+        require_reals(self, "harq_rtt_ms", "dl_processing_ms", "ul_processing_ms",
+                      "propagation_us_per_km", positive=True)
         if self.dl_processing_ms > self.harq_rtt_ms:
             raise ValueError("dl_processing_ms exceeds harq_rtt_ms")
         if self.ul_processing_ms > self.harq_rtt_ms:
@@ -159,10 +158,11 @@ class LinkBudget:
         return self.ul_processing_ms
 
     def propagation_delay_us(self, distance_km: float) -> float:
-        """One-way fiber propagation delay over distance_km."""
-        if not (math.isfinite(distance_km) and distance_km >= 0):
-            raise ValueError(f"distance_km must be finite and >= 0, got {distance_km}")
-        return distance_km * self.propagation_us_per_km
+        """One-way fiber propagation delay over distance_km; a float, so finite."""
+        check_real(distance_km, "distance_km")
+        delay_us = distance_km * self.propagation_us_per_km
+        check_real(delay_us, f"the propagation delay over distance_km {distance_km:g}")
+        return delay_us
 
 
 def preset(name: str) -> CellConfig:

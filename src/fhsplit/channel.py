@@ -19,7 +19,6 @@ seed.
 
 from __future__ import annotations
 
-import math
 import socket
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -55,13 +54,8 @@ class ChannelSpec:
     delay_us: float = 0.0
 
     def __post_init__(self) -> None:
-        require_reals(self, "loss_rate", "reorder_rate", "delay_us")
-        if not 0.0 <= self.loss_rate <= 1.0:
-            raise ValueError("loss_rate must be in [0, 1]")
-        if not 0.0 <= self.reorder_rate <= 1.0:
-            raise ValueError("reorder_rate must be in [0, 1]")
-        if not (math.isfinite(self.delay_us) and self.delay_us >= 0):
-            raise ValueError(f"delay_us must be finite and >= 0, got {self.delay_us}")
+        require_reals(self, "loss_rate", "reorder_rate", at_most_one=True)
+        require_reals(self, "delay_us")
 
 
 class SimulatedChannel:

@@ -80,7 +80,11 @@ def cmd_plan(args: argparse.Namespace) -> int:
     if args.format == "csv":
         sys.stdout.write(table_to_csv(rows))
     elif args.format == "json":
-        sys.stdout.write(table_to_json(rows))
+        try:
+            sys.stdout.write(table_to_json(rows))
+        except OverflowError:
+            raise CliError(f"the rates of cell config {args.config} are too large for "
+                           "JSON numbers; --format csv prints them exactly") from None
     else:
         label = f"{cfg.bw_mhz:g} MHz, " if cfg.bw_mhz else ""
         print(
@@ -97,6 +101,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     mods = sorted(MODULATION_NAMES)
+    for i, w in enumerate(args.soft_bit_width):
+        if w in args.soft_bit_width[:i]:
+            raise CliError(f"--soft-bit-width {w} is given twice")
     try:
         rows = [("dl", m, MODULATION_NAMES[m], "",
                  efficiency_ratio(Direction.DL, m, iq_component_bits=args.iq_bits))
@@ -117,7 +124,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             }
             for d, m, name, w, r in rows
         ]
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     elif args.format == "csv":
         print("direction,mod_order,mod_scheme,soft_bit_width,ratio")
         for d, m, name, w, r in rows:
@@ -163,7 +170,7 @@ def cmd_budget(args: argparse.Namespace) -> int:
         payload["propagation_delay_us"] = delay_us
         payload["distance_km"] = args.distance_km
     if args.format == "json":
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     else:
         print(f"HARQ round trip: {budget.harq_rtt_ms:g} ms")
         for direction in ("dl", "ul"):
@@ -204,7 +211,7 @@ def cmd_header(args: argparse.Namespace) -> int:
         raise CliError(f"undecodable header: {exc}") from exc
     payload = header._asdict()
     if args.format == "json":
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     else:
         for key, value in payload.items():
             print(f"{key}: {value}")

@@ -139,9 +139,8 @@ class Scenario:
     ru_addr: Optional[str] = None
 
     def __post_init__(self) -> None:
-        require_ints(self, "seed", "max_datagram")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        require_ints(self, "seed", minimum=0)
+        require_ints(self, "max_datagram")
         if (self.du_addr is None) != (self.ru_addr is None):
             raise ValueError("a socket run needs both du_addr and ru_addr")
         if self.du_addr is not None:
@@ -168,9 +167,10 @@ def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
     _check_keys(Scenario, data, "scenario")
     check_scenario_sections(data)
     _check_keys(TrafficProfile, data["profile"], "profile")
+    _check_keys(CellConfig, data["cell"], "cell config")  # not a cell file: no cell.cell.
     # The sections become their dataclasses; every other key is passed
     # through, and one left out takes Scenario's default.
-    kwargs = dict(data, cell=cell_config_from_dict(dict(data["cell"])),
+    kwargs = dict(data, cell=CellConfig(**data["cell"]),
                   profile=TrafficProfile(**data["profile"]))
     if "channel" in data:
         _check_keys(ChannelSpec, data["channel"], "channel")

@@ -45,7 +45,6 @@ import csv
 import functools
 import io
 import json
-import math
 import selectors
 import time
 from dataclasses import asdict, astuple, dataclass, fields
@@ -111,14 +110,8 @@ class TrafficProfile:
     duration_subframes: int = 1000
 
     def __post_init__(self) -> None:
-        require_ints(self, "packet_size_bytes", "duration_subframes")
+        require_ints(self, "packet_size_bytes", "duration_subframes", minimum=1)
         require_reals(self, "goodput_bps")
-        if not (math.isfinite(self.goodput_bps) and self.goodput_bps >= 0):
-            raise ValueError(f"goodput_bps must be finite and >= 0, got {self.goodput_bps}")
-        if self.packet_size_bytes < 1:
-            raise ValueError("packet_size_bytes must be >= 1")
-        if self.duration_subframes < 1:
-            raise ValueError("duration_subframes must be >= 1")
 
 
 def subframe_capacity_bits(cfg: CellConfig) -> int:

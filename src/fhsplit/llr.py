@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cell import check_int, require_ints, require_reals
+
 
 def check_bit_width(width: int, name: str = "bit_width") -> None:
     """Raise ValueError unless width is a code width pack_codes can pack."""
@@ -29,9 +31,9 @@ class LlrQuantizer:
     clip: float = 8.0
 
     def __post_init__(self) -> None:
+        require_ints(self, "bit_width")
         check_bit_width(self.bit_width)
-        if not self.clip > 0:
-            raise ValueError("clip must be positive")
+        require_reals(self, "clip", positive=True)
 
     @property
     def max_code(self) -> int:
@@ -86,8 +88,7 @@ def pack_codes(codes, bit_width: int) -> bytes:
 def unpack_codes(data: bytes, bit_width: int, count: int) -> np.ndarray:
     """Inverse of pack_codes for the first `count` codes."""
     check_bit_width(bit_width)
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    check_int(count, "count", minimum=0)
     needed = -(-count * bit_width // 8)
     if len(data) < needed:
         raise ValueError(f"need {needed} bytes for {count} codes, got {len(data)}")

@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .cell import CellConfig, Direction, LinkBudget
+from .cell import CellConfig, Direction, LinkBudget, check_real
 
 RateBps = Union[int, Fraction]
 
@@ -71,12 +71,14 @@ def efficiency_ratio(
     """7.2-over-7.3 bandwidth ratio for one direction.
 
     The quotient of the rate models for a one-subcarrier cell, so
-    CellConfig checks every argument. Downlink: 2*IQ / O_m. Uplink:
-    2*IQ / (O_m * S_bw), and soft_bit_width is required. Values above 1
-    mean the bit-carrying split needs less fronthaul than the I/Q-carrying
-    one.
+    CellConfig checks every argument. Downlink: 2*IQ / O_m, and
+    soft_bit_width must be left out. Uplink: 2*IQ / (O_m * S_bw), and
+    soft_bit_width is required. Values above 1 mean the bit-carrying split
+    needs less fronthaul than the I/Q-carrying one.
     """
     dl = direction is Direction.DL
+    if dl and soft_bit_width is not None:
+        raise ValueError(f"the downlink ratio takes no soft_bit_width, got {soft_bit_width!r}")
     cell = CellConfig(n_sc=1, n_layers=1, n_ant=1, mod_order=mod_order,
                       iq_component_bits=iq_component_bits,
                       **({} if dl else {"soft_bit_width": soft_bit_width}))
@@ -91,8 +93,7 @@ def max_fronthaul_distance_km(
     The direction's frame deadline minus the actual processing time is
     what remains for one-way propagation, charged once per direction.
     """
-    if not (math.isfinite(processing_ms) and processing_ms >= 0):
-        raise ValueError(f"processing_ms must be finite and >= 0, got {processing_ms}")
+    check_real(processing_ms, "processing_ms")
     deadline = budget.deadline_ms(direction)
     margin_ms = deadline - processing_ms
     if margin_ms < 0:
@@ -100,7 +101,9 @@ def max_fronthaul_distance_km(
             f"processing time {processing_ms} ms exceeds the "
             f"{deadline} ms {direction.value} deadline"
         )
-    return margin_ms * 1000.0 / budget.propagation_us_per_km
+    distance_km = margin_ms * 1000.0 / budget.propagation_us_per_km
+    check_real(distance_km, f"the max distance at {budget.propagation_us_per_km:g} us/km")
+    return distance_km
 
 
 def mbps_tenths(rate_bps: RateBps) -> int:
@@ -162,4 +165,4 @@ def table_to_json(rows: Sequence[CapacityRow]) -> str:
         ],
         "notes": [OPTION8_NOTE],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"

@@ -139,6 +139,19 @@ class TestPlan:
             assert err.startswith(f"error: bad cell config: {message}")
             assert len(err.splitlines()) == 1
 
+    def test_rates_beyond_json_numbers_exit_2(self, capsys, tmp_path):
+        # the exact rates print as csv; as JSON floats they used to end in
+        # an OverflowError traceback
+        cfg = tmp_path / "cell.cfg"
+        cfg.write_text(f"n_sc = {10 ** 400}\nn_layers = 1\nn_ant = 1\nmod_order = 2\n")
+        code, out, err = run_cli(capsys, "plan", "--config", str(cfg), "--format", "json")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: the rates of cell config {cfg} are too large")
+        assert len(err.splitlines()) == 1
+        code, out, _ = run_cli(capsys, "plan", "--config", str(cfg), "--format", "csv")
+        assert code == 0
+        assert f"7.3,dl,{28 * 10 ** 397}.0" in out.splitlines()
+
     @pytest.mark.parametrize("name,text,message", [
         ("cell.cfg", "n_sc = 600\nn_layers = 2\nn_ant = 4\nmod_order = 4\nn_sc = 1200\n",
          "line 5: 'n_sc' is already set on line 1"),
@@ -221,6 +234,14 @@ class TestInvalidValues:
         (("budget", "--dl-deadline-ms", "inf"), "dl_processing_ms"),
         (("budget", "--dl-processing-ms", "nan"), "processing_ms"),
         (("budget", "--ul-processing-ms=-inf"), "processing_ms"),
+        # results beyond the float range used to print inf, or Infinity in JSON
+        (("budget", "--distance-km", "1e308", "--us-per-km", "10", "--format", "json"),
+         "distance_km 1e+308"),
+        (("budget", "--distance-km", "1e308", "--us-per-km", "10"), "distance_km 1e+308"),
+        (("budget", "--us-per-km", "1e-320"), "max distance at 9.99989e-321 us/km"),
+        (("budget", "--us-per-km", "1e-320", "--format", "json"), "9.99989e-321 us/km"),
+        # a repeated width used to print its uplink rows twice
+        (("compare", "--soft-bit-width", "8", "4", "8"), "--soft-bit-width 8 is given twice"),
     ])
     def test_rejected_with_exit_2_and_one_line(self, capsys, argv, field):
         code, out, err = run_cli(capsys, *argv)
@@ -444,6 +465,21 @@ class TestEmulate:
         assert code == 2
         assert err.startswith("error: bad scenario") and message in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("name,text", [
+        ("s.cfg", "\n".join(line.replace("cell.", "cell.cell.") for line in BASE_SCENARIO)),
+        ("s.json", json.dumps({"cell": {"cell": {"n_sc": 600, "n_layers": 2, "n_ant": 4,
+                                                 "mod_order": 4}},
+                               "profile": {"goodput_bps": 4e6, "duration_subframes": 5}})),
+    ])
+    def test_nested_cell_section_exits_2(self, capsys, tmp_path, name, text):
+        # a scenario's cell section is the cell; it used to be unwrapped
+        # once more, as a cell file's is, so cell.cell.n_sc ran as n_sc
+        scn = tmp_path / name
+        scn.write_text(text)
+        code, out, err = run_cli(capsys, "emulate", "--scenario", str(scn))
+        assert (code, out) == (2, "")
+        assert err == "error: bad scenario: unknown cell config keys: cell\n"
 
     def test_bad_channel_rate_exits_2(self, capsys):
         code, _, err = run_cli(

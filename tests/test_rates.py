@@ -129,6 +129,12 @@ class TestEfficiencyRatios:
         with pytest.raises(ValueError):
             efficiency_ratio(Direction.UL, 4)
 
+    @pytest.mark.parametrize("width", [8, 0, "x"])
+    def test_downlink_takes_no_soft_bit_width(self, width):
+        with pytest.raises(ValueError, match=f"downlink ratio takes no soft_bit_width, "
+                                             f"got {width!r}"):
+            efficiency_ratio(Direction.DL, 4, width)
+
     def test_bad_mod_order(self):
         with pytest.raises(ValueError):
             efficiency_ratio(Direction.DL, 5)
