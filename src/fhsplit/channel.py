@@ -129,8 +129,12 @@ class UdpEndpoint:
         return f"{host}:{port}"
 
     def reserve_rcvbuf(self, nbytes: int) -> None:
-        """Grow the receive buffer to nbytes; Linux caps it at net.core.rmem_max."""
-        if self.sock.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF) < nbytes:
+        """Grow the receive buffer to nbytes; Linux caps it at net.core.rmem_max.
+
+        Linux reports twice the size it keeps, the half on top for its own
+        bookkeeping (socket(7)), so the request is compared in that form.
+        """
+        if self.sock.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF) < 2 * nbytes:
             self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, nbytes)
 
     def send_to(self, datagram: bytes, peer: Tuple[str, int]) -> None:

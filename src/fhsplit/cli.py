@@ -106,13 +106,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
             raise CliError(f"--soft-bit-width {w} is given twice")
     try:
         rows = [("dl", m, MODULATION_NAMES[m], "",
-                 efficiency_ratio(Direction.DL, m, iq_component_bits=args.iq_bits))
+                 float(efficiency_ratio(Direction.DL, m, iq_component_bits=args.iq_bits)))
                 for m in mods]
         rows += [("ul", m, MODULATION_NAMES[m], w,
-                  efficiency_ratio(Direction.UL, m, w, iq_component_bits=args.iq_bits))
+                  float(efficiency_ratio(Direction.UL, m, w, iq_component_bits=args.iq_bits)))
                  for w in args.soft_bit_width for m in mods]
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    except OverflowError:
+        raise CliError(f"--iq-bits {args.iq_bits} makes the ratios too large "
+                       "for a float") from None
     if args.format == "json":
         payload = [
             {
@@ -120,7 +123,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 "mod_order": m,
                 "mod_scheme": name,
                 "soft_bit_width": w if w != "" else None,
-                "ratio": round(float(r), 1),
+                "ratio": round(r, 1),
             }
             for d, m, name, w, r in rows
         ]
@@ -128,11 +131,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     elif args.format == "csv":
         print("direction,mod_order,mod_scheme,soft_bit_width,ratio")
         for d, m, name, w, r in rows:
-            print(f"{d},{m},{name},{w},{float(r):.1f}")
+            print(f"{d},{m},{name},{w},{r:.1f}")
     else:
         print(f"{'direction':<11}{'modulation':<12}{'soft bits':<11}{'ratio':>6}")
         for d, m, name, w, r in rows:
-            print(f"{d:<11}{name:<12}{str(w) or '-':<11}{float(r):>6.1f}")
+            print(f"{d:<11}{name:<12}{str(w) or '-':<11}{r:>6.1f}")
         print("ratio = I/Q split bandwidth over bit split bandwidth (>1 favors bits)")
     return 0
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
+import gc
 import io
 import json
 import selectors
@@ -597,29 +598,38 @@ def _run_loop(
     every open assembly as a timeout. An OSError, which only socket I/O
     raises, ends the run early and marks the report incomplete.
     """
-    duration = len(offered)
-    dl_meter, ul_meter = _DirMeter(duration), _DirMeter(duration)
-    dirs = [(stream, send, deliver_until, SubframeReceiver(), meter)
-            for stream, (send, deliver_until), meter
-            in zip(messages, links, (dl_meter, ul_meter))]
-    incomplete = False
+    # A run makes no reference cycles (tests/test_emulation.py checks), so
+    # reference counting frees all it drops and the cyclic collector would
+    # only sweep the thousands of live chunk and queue tuples for nothing.
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        for t in range(duration):
-            base_ns = start_ns + t * SUBFRAME_NS
-            for stream, send, _, _, meter in dirs:
-                _emit(meter, send, next(stream), t, base_ns, max_datagram)
-            end_ns = base_ns + SUBFRAME_NS
+        duration = len(offered)
+        dl_meter, ul_meter = _DirMeter(duration), _DirMeter(duration)
+        dirs = [(stream, send, deliver_until, SubframeReceiver(), meter)
+                for stream, (send, deliver_until), meter
+                in zip(messages, links, (dl_meter, ul_meter))]
+        incomplete = False
+        try:
+            for t in range(duration):
+                base_ns = start_ns + t * SUBFRAME_NS
+                for stream, send, _, _, meter in dirs:
+                    _emit(meter, send, next(stream), t, base_ns, max_datagram)
+                end_ns = base_ns + SUBFRAME_NS
+                for _, _, deliver_until, rx, meter in dirs:
+                    meter.record_events(rx.feed_many(deliver_until(end_ns - 1)))
+            end_ns = start_ns + duration * SUBFRAME_NS + settle_ns
             for _, _, deliver_until, rx, meter in dirs:
-                meter.record_events(rx.feed_many(deliver_until(end_ns - 1)))
-        end_ns = start_ns + duration * SUBFRAME_NS + settle_ns
-        for _, _, deliver_until, rx, meter in dirs:
-            # The one poll changes no report; perfbench/spans.py times
-            # SubframeReceiver.poll, and TestBenchmarkHooks needs it to run.
-            meter.record_events(rx.feed_many(deliver_until(end_ns)) + rx.poll(end_ns))
-    except OSError:
-        incomplete = True
-    return _finalize(offered, dl_meter, ul_meter, dropped_bits,
-                     seed, goodput_bps, incomplete)
+                # The one poll changes no report; perfbench/spans.py times
+                # SubframeReceiver.poll, and TestBenchmarkHooks needs it to run.
+                meter.record_events(rx.feed_many(deliver_until(end_ns)) + rx.poll(end_ns))
+        except OSError:
+            incomplete = True
+        return _finalize(offered, dl_meter, ul_meter, dropped_bits,
+                         seed, goodput_bps, incomplete)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def run_emulation(
@@ -678,7 +688,9 @@ def run_socket_emulation(
         selector = stack.enter_context(selectors.DefaultSelector())
         # One direction's largest subframe is the largest message plus one
         # short one (control or CQI), each datagram at most max_datagram
-        # bytes; Linux charges under 1 KiB more per datagram on loopback.
+        # bytes; Linux charges under 1 KiB more per datagram up to a page,
+        # and the doubling reserve_rcvbuf allows for covers the larger
+        # charge above one.
         rcvbuf = (chunk_count(largest, max_datagram) + 1) * (max_datagram + 1024)
         # The RU receives the downlink and the DU the uplink.
         dl_inbox: List[Tuple[int, bytes]] = []

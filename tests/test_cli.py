@@ -242,6 +242,11 @@ class TestInvalidValues:
         (("budget", "--us-per-km", "1e-320", "--format", "json"), "9.99989e-321 us/km"),
         # a repeated width used to print its uplink rows twice
         (("compare", "--soft-bit-width", "8", "4", "8"), "--soft-bit-width 8 is given twice"),
+        # ratios beyond the float range used to end in an OverflowError traceback
+        *(pytest.param(("compare", "--iq-bits", str(10 ** 400), "--format", fmt),
+                       f"--iq-bits {10 ** 400} makes the ratios too large for a float",
+                       id=f"compare-iq-bits-10**400-{fmt}")
+          for fmt in ("plain", "csv", "json")),
     ])
     def test_rejected_with_exit_2_and_one_line(self, capsys, argv, field):
         code, out, err = run_cli(capsys, *argv)

@@ -1,6 +1,7 @@
 """Emulation tests: scheduling, conservation, channel effects, determinism."""
 
 import collections
+import contextlib
 import gc
 import hashlib
 import importlib.util
@@ -23,6 +24,7 @@ from fhsplit.cell import CellConfig, preset
 from fhsplit.channel import SUBFRAME_NS, UNIFORM_BLOCK, ChannelSpec, SimulatedChannel
 from fhsplit.llr import LlrQuantizer, pack_codes, unpack_codes
 from fhsplit.wire import (
+    DEFAULT_MAX_DATAGRAM,
     DEFAULT_TIMEOUT_NS,
     HEADER_LEN,
     MAX_DATAGRAM,
@@ -48,11 +50,13 @@ from fhsplit.emulation import (
     _llr_code_table,
     _llr_quantiles,
     _prepare,
+    _run_loop,
     _traffic_schedule,
     _ul_messages,
     encode_control,
     make_control,
     run_emulation,
+    run_socket_emulation,
     subframe_capacity_bits,
 )
 from test_quantizer import reference_pack
@@ -465,6 +469,101 @@ class TestDeterminism:
         assert not summary["incomplete"]
 
 
+@contextlib.contextmanager
+def collector(enabled):
+    """Run the body with the cyclic collector on or off, then restore it."""
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    """_run_loop pauses the cyclic collector, which is safe only while a run
+    leaves no reference cycle behind for it to free."""
+
+    # One short run in the shape of each perfbench workload, the impaired
+    # lte10 one included.
+    SHAPES = {
+        "worst100-3g": (preset("worst100"), TrafficProfile(3e9, 1400, 2),
+                        ChannelSpec(), DEFAULT_MAX_DATAGRAM),
+        "lte20-dg256": (preset("lte20"), TrafficProfile(200e6, 1400, 3), ChannelSpec(), 256),
+        "lte10-light-impaired": (LTE10, TrafficProfile(2e6, 200, 200),
+                                 ChannelSpec(0.01, 0.05, 50.0), DEFAULT_MAX_DATAGRAM),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_a_run_leaves_no_cycles(self, shape):
+        cfg, profile, channel, max_datagram = self.SHAPES[shape]
+        with collector(False):
+            gc.collect()
+            report = run_emulation(cfg, profile, channel, seed=1, max_datagram=max_datagram)
+            assert gc.collect() == 0
+        assert report.ul.completed_messages > 0
+
+    def test_a_socket_run_leaves_no_cycles(self):
+        with collector(False):
+            gc.collect()
+            report = run_socket_emulation(LTE10, TrafficProfile(6e6, 1400, 20),
+                                          "127.0.0.1:0", "127.0.0.1:0", seed=3)
+            assert gc.collect() == 0
+        assert report.ul.completed_messages > 0
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_the_callers_collector_state_is_restored(self, enabled):
+        with collector(enabled):
+            run_emulation(LTE10, TrafficProfile(2e6, 200, 20), seed=1)
+            assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_the_state_is_restored_when_the_loop_raises(self, enabled):
+        offered, dropped_bits, messages, _, _ = _prepare(
+            LTE10, TrafficProfile(2e6, 200, 20), 1, DEFAULT_MAX_DATAGRAM)
+        during = []
+
+        def send(datagram, send_ns):
+            during.append(gc.isenabled())
+            raise RuntimeError("link down")
+
+        link = (send, lambda until_ns: [])
+        with collector(enabled):
+            with pytest.raises(RuntimeError, match="link down"):
+                _run_loop(offered, dropped_bits, messages, (link, link),
+                          0, 0, 1, 2e6, DEFAULT_MAX_DATAGRAM)
+            assert gc.isenabled() is enabled
+        assert during == [False]
+
+    def test_no_collection_runs_during_the_loop(self, monkeypatch):
+        # Counted around _run_loop alone: once the collector is back on, a
+        # young pass may run as the caller frees the run's message streams.
+        passes = []
+
+        def count(phase, info):
+            if phase == "start":
+                passes.append(info["generation"])
+
+        def counted(*args):
+            gc.callbacks.append(count)
+            try:
+                return _run_loop(*args)
+            finally:
+                gc.callbacks.remove(count)
+
+        monkeypatch.setattr(fhsplit.emulation, "_run_loop", counted)
+        cfg, profile, channel, max_datagram = self.SHAPES["worst100-3g"]
+        threshold = gc.get_threshold()
+        # Any tracked allocation would start a pass, whatever the free lists hold.
+        gc.set_threshold(1)
+        try:
+            with collector(True):
+                run_emulation(cfg, profile, channel, seed=1, max_datagram=max_datagram)
+        finally:
+            gc.set_threshold(*threshold)
+        assert passes == []
+
+
 class TestSimulatedChannel:
     def test_identity_preserves_order_and_content(self):
         chan = SimulatedChannel(ChannelSpec(), seed=0)
@@ -594,12 +693,9 @@ class TestChannelUniformBlocks:
         for i in range(10):
             chan.send(b"x", i)  # draws the first block
         ref = weakref.ref(chan)
-        gc.disable()
-        try:
+        with collector(False):
             del chan
             assert ref() is None
-        finally:
-            gc.enable()
 
 
 class TestReceiver:

@@ -9,6 +9,7 @@ import socket
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ from fhsplit.channel import UdpEndpoint, parse_addr
 from fhsplit.emulation import TrafficProfile, run_emulation, run_socket_emulation
 
 LTE10 = preset("lte10")
+LTE20 = preset("lte20")
 
 
 class TestParseAddr:
@@ -122,6 +124,34 @@ class TestSocketRun:
 
         assert emissions(sock) == emissions(sim)
         assert sim.offered_dropped_bits == 0 and sim.dl.emitted_messages == 80
+
+    @pytest.mark.parametrize("max_datagram", [4000, 9000])
+    def test_large_datagrams_are_not_dropped(self, monkeypatch, max_datagram):
+        # Linux reports twice the receive buffer it keeps. Compared with the
+        # request as it was, the buffer never grew at these sizes, and the
+        # kernel's drops were metered as jumbles (at 9000 B, 60 of 360
+        # uplink messages completed over 300 subframes).
+        try:
+            rmem_max = int(Path("/proc/sys/net/core/rmem_max").read_text())
+        except OSError:
+            pytest.skip("net.core.rmem_max cannot be read")
+        requests = []
+
+        class RecordingEndpoint(UdpEndpoint):
+            def reserve_rcvbuf(self, nbytes):
+                requests.append(nbytes)
+                super().reserve_rcvbuf(nbytes)
+
+        monkeypatch.setattr(emulation, "UdpEndpoint", RecordingEndpoint)
+        report = run_socket_emulation(LTE20, TrafficProfile(134e6, 1400, 100),
+                                      "127.0.0.1:0", "127.0.0.1:0", seed=1,
+                                      max_datagram=max_datagram)
+        if rmem_max < max(requests):
+            pytest.skip(f"net.core.rmem_max is {rmem_max} bytes, below the "
+                        f"{max(requests)} bytes a subframe needs")
+        assert not report.incomplete
+        assert report.dl.jumbled_messages == report.ul.jumbled_messages == 0
+        assert report.ul.completed_messages > 0
 
     def test_runs_on_the_calling_thread(self, monkeypatch):
         def no_thread(thread):
