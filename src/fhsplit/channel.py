@@ -11,10 +11,10 @@ deliver_until sorts, which keeps ties in send order and takes linear time
 on the already-sorted runs, then cuts off the datagrams that are due.
 Each loss and each reorder decision takes one uniform of the channel's
 seeded stream, loss first, and only when its rate is above zero, so a
-clean channel draws nothing. The uniforms are drawn UNIFORM_BLOCK at a
-time and used in order, which gives exactly the values one draw per
-decision would. Behaviour is a pure function of the parameters and the
-seed.
+clean channel draws nothing. A uniform is one raw 64-bit word w of a bare
+PCG64(seed), as (w >> 11) * 2**-53: the value Generator.random makes of
+the same word. Words are read UNIFORM_BLOCK at a time and used in order.
+Behaviour is a pure function of the parameters and the seed.
 """
 
 from __future__ import annotations
@@ -23,28 +23,29 @@ import socket
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Tuple
 
 import numpy as np
 
 from .cell import require_reals
 
 SUBFRAME_NS = 1_000_000
-# Uniforms drawn per call of the channel's generator; one numpy call costs
-# several scalar draws, so a block makes each decision's draw cheap.
+# Raw words read per call of the channel's bit generator; one numpy call
+# costs several scalar draws, so a block makes each decision's draw cheap.
 UNIFORM_BLOCK = 1024
 _DELIVERY_NS = itemgetter(0)
 
 
-def _uniforms(random: Callable[[int], np.ndarray]) -> Iterator[float]:
-    """Every value of random(UNIFORM_BLOCK), block after block, as floats.
+def _uniforms(random_raw: Callable[[int], np.ndarray]) -> Iterator[float]:
+    """The uniform of every word of random_raw(UNIFORM_BLOCK), block after block.
 
-    A module-level generator over the bound method, so that it holds no
-    reference back to the channel that reads it: a reference cycle would
-    keep each run's channels alive until the cyclic collector ran.
+    A word's top 53 bits times 2**-53 is exact in a float64. A module-level
+    generator over the bound method, so that it holds no reference back to
+    the channel that reads it: a reference cycle would keep each run's
+    channels alive until the cyclic collector ran.
     """
     while True:
-        yield from random(UNIFORM_BLOCK).tolist()
+        yield from ((random_raw(UNIFORM_BLOCK) >> 11) * 2.0 ** -53).tolist()
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ class SimulatedChannel:
         self.spec = spec
         self.delay_ns = int(spec.delay_us * 1000)
         self._impaired = spec.loss_rate > 0 or spec.reorder_rate > 0
-        self._uniform = _uniforms(np.random.Generator(np.random.PCG64(seed)).random).__next__
+        self._uniform = _uniforms(np.random.PCG64(seed).random_raw).__next__
         self._pending: List[Tuple[int, bytes]] = []  # (delivery_ns, datagram)
         self.sent = 0
         self.dropped = 0
@@ -121,7 +122,6 @@ class UdpEndpoint:
         except BaseException:
             self.sock.close()
             raise
-        self.sock.settimeout(0.01)
 
     @property
     def address(self) -> str:
@@ -139,13 +139,6 @@ class UdpEndpoint:
 
     def send_to(self, datagram: bytes, peer: Tuple[str, int]) -> None:
         self.sock.sendto(datagram, peer)
-
-    def recv(self) -> Optional[bytes]:
-        try:
-            data, _ = self.sock.recvfrom(65_535)
-            return data
-        except socket.timeout:
-            return None
 
     def close(self) -> None:
         self.sock.close()

@@ -47,6 +47,7 @@ import gc
 import io
 import json
 import selectors
+import socket
 import time
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
@@ -697,21 +698,27 @@ def run_socket_emulation(
         ul_inbox: List[Tuple[int, bytes]] = []
         for endpoint, inbox in ((ru, dl_inbox), (du, ul_inbox)):
             endpoint.reserve_rcvbuf(rcvbuf)
-            selector.register(endpoint.sock, selectors.EVENT_READ, (endpoint, inbox))
+            selector.register(endpoint.sock, selectors.EVENT_READ,
+                              (endpoint.sock.recv, inbox))
 
         def deliver_until(inbox: List, until_ns: int) -> List[Tuple[int, bytes]]:
-            # Read both sockets, one datagram per ready socket per select,
-            # until until_ns has passed and neither has more.
+            # Read both sockets until until_ns has passed and neither has
+            # more, each ready one until it has nothing queued. Only reads
+            # are non-blocking (MSG_DONTWAIT): a send may still wait for
+            # room in its socket's send buffer, as a real link's burst needs.
             while True:
                 wait_ns = until_ns - time.monotonic_ns()
                 ready = selector.select(max(wait_ns, 0) / 1e9)
                 if not ready and wait_ns <= 0:
                     break
                 for key, _ in ready:
-                    endpoint, box = key.data
-                    datagram = endpoint.recv()
-                    if datagram is not None:
-                        box.append((time.monotonic_ns(), datagram))
+                    recv, box = key.data
+                    try:
+                        while True:
+                            datagram = recv(65_535, socket.MSG_DONTWAIT)
+                            box.append((time.monotonic_ns(), datagram))
+                    except BlockingIOError:
+                        pass
             arrivals = inbox[:]
             inbox.clear()
             return arrivals

@@ -123,11 +123,13 @@ class Chunk(NamedTuple):
 
     A plain tuple: chunk_subframe and chunk_from_datagram, the only places
     that make chunks from bytes, check the size field against the payload
-    length where the bytes are made or read.
+    length where the bytes are made or read. chunk_subframe cuts every
+    chunk but the last as a read-only memoryview of its message, so the
+    message is copied only into its datagrams; every other payload is bytes.
     """
 
     header: SplitHeader
-    payload: bytes
+    payload: Union[bytes, memoryview]
 
     def to_datagram(self) -> bytes:
         header, payload = self
@@ -175,7 +177,9 @@ def chunk_subframe(
 
     Each chunk carries at most max_datagram - 22 payload bytes; all chunks
     share timestamp, content_type and num_blocks. Chunk i is stamped with
-    sender_clock + i, which is how reassembly restores payload order.
+    sender_clock + i, which is how reassembly restores payload order. The
+    full chunks' payloads are views of payload and the last is bytes, so a
+    one-chunk message carries payload itself.
     """
     num_blocks = chunk_count(len(payload), max_datagram)
     if not payload:
@@ -192,12 +196,14 @@ def chunk_subframe(
     chunks: List[Chunk] = []
     append = chunks.append
     clock = sender_clock
-    for start in range(0, cut, budget):
-        append(new(Chunk, (
-            new(SplitHeader, (timestamp, num_blocks, content_type, max_datagram, clock)),
-            payload[start : start + budget],
-        )))
-        clock += 1
+    if cut:
+        view = memoryview(payload)
+        for start in range(0, cut, budget):
+            append(new(Chunk, (
+                new(SplitHeader, (timestamp, num_blocks, content_type, max_datagram, clock)),
+                view[start : start + budget],
+            )))
+            clock += 1
     append(new(Chunk, (
         new(SplitHeader, (timestamp, num_blocks, content_type, HEADER_LEN + len(tail), clock)),
         tail,

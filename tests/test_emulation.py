@@ -10,6 +10,7 @@ import math
 import random
 import struct
 import sys
+import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -686,6 +687,28 @@ class TestChannelUniformBlocks:
             (t, d) for t, _, d in sorted(model)]
         assert (chan.sent, chan.dropped, chan.reordered) == (n, dropped, reordered)
 
+    @pytest.mark.parametrize("seed", [0, 41, 2**63 + 5])
+    def test_decisions_follow_the_raw_words_in_plain_python(self, seed):
+        # The seed contract without numpy's Generator: decision k reads raw
+        # word k of a bare PCG64(seed) as (word >> 11) * 2**-53, loss first.
+        loss, reorder, n = 0.2, 0.3, 3_000
+        chan = SimulatedChannel(ChannelSpec(loss, reorder), seed)
+        words = iter(np.random.PCG64(seed).random_raw(2 * n).tolist())
+
+        def uniform():
+            return (next(words) >> 11) * 2**-53
+
+        expected = []
+        for i in range(n):
+            datagram = i.to_bytes(2, "big")
+            chan.send(datagram, i)
+            if uniform() < loss:
+                continue
+            expected.append((i + (SUBFRAME_NS if uniform() < reorder else 0), i, datagram))
+        assert chan.deliver_until(n + SUBFRAME_NS) == [(t, d) for t, _, d in sorted(expected)]
+        assert chan.dropped == n - len(expected) > 0
+        assert chan.reordered == sum(t > i for t, i, _ in expected) > 0
+
     def test_channel_is_freed_without_the_cycle_collector(self):
         # A block source that held the channel would leave every run's two
         # channels in a reference cycle, alive until the collector ran.
@@ -1014,6 +1037,26 @@ class TestMeter:
         assert meter.jumbled == {(1, 2)}
         assert meter.stale_drops == 8
         assert meter.malformed_events == 1
+
+
+class TestEmissionMemory:
+    def test_a_message_is_copied_once_into_its_datagrams(self):
+        # One worst100 uplink message at 1 472 B: the datagrams are the only
+        # copy of the payload that emission makes. With full chunks cut as
+        # bytes slices it peaked at 2.22 times the datagram bytes.
+        payload = bytes(1_875_000)
+        channel = SimulatedChannel(ChannelSpec(), seed=0)
+        meter = _DirMeter(1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _emit(meter, channel.send, [(CONTENT_UL_SOFT, payload)], 0, 0, 1472)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        wire = sum(len(d) for _, d in channel.deliver_until(2 * SUBFRAME_NS))
+        assert wire == 1_875_000 + 1294 * HEADER_LEN
+        assert peak <= 1.5 * wire
 
 
 class TestGoldenReports:

@@ -1,9 +1,11 @@
 """Transport framing tests: header codec, chunking, reassembly traces."""
 
+import hashlib
 import random
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -186,6 +188,55 @@ class TestChunking:
             chunk_from_datagram(raw + b"!")
         with pytest.raises(HeaderError):
             chunk_from_datagram(raw[:-1])
+
+
+class TestChunkContract:
+    """chunk_subframe cuts full chunks as read-only views of the message.
+
+    The message is then copied once on the send side, into its datagrams;
+    the last chunk is bytes, so a one-chunk message is the payload itself.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 20_000),
+           max_datagram=st.one_of(st.integers(HEADER_LEN + 1, HEADER_LEN + 300),
+                                  st.integers(HEADER_LEN + 1, MAX_DATAGRAM)))
+    def test_chunks_view_the_payload_and_encode_as_bytes_slices(self, n, max_datagram):
+        payload = random.Random(n).randbytes(n)
+        chunks = chunk_subframe(9, 2, payload, max_datagram, sender_clock=40)
+        assert b"".join(c.payload for c in chunks) == payload
+        *full, last = chunks
+        assert type(last.payload) is bytes
+        for chunk in full:
+            assert type(chunk.payload) is memoryview
+            assert chunk.payload.readonly and chunk.payload.obj is payload
+        if not full:
+            assert last.payload is payload
+        budget = max_datagram - HEADER_LEN
+        pieces = [payload[s:s + budget] for s in range(0, n, budget)]
+        assert [c.to_datagram() for c in chunks] == [
+            struct.pack(">QHHHQ", 9, len(pieces), 2, HEADER_LEN + len(piece), 40 + i) + piece
+            for i, piece in enumerate(pieces)]
+
+    def test_uplink_message_datagrams_are_pinned(self):
+        # one worst100 uplink message: 1 875 000 B at 1 472 B is 1 294 datagrams
+        payload = np.random.PCG64(1875).random_raw(1_875_000 // 8).astype("<u8").tobytes()
+        chunks = chunk_subframe(7, 3, payload, 1472, sender_clock=1000)
+        digest = hashlib.sha256()
+        for chunk in chunks:
+            digest.update(chunk.to_datagram())
+        assert len(chunks) == 1294
+        assert digest.hexdigest() == (
+            "a896b4c441e1c2e2d3e871f02ad881720d24b953e72e22037863a9a45fac57f0")
+
+    def test_a_view_chunk_cannot_write_into_its_message(self):
+        payload = b"m" * 3000
+        first = chunk_subframe(0, 0, payload)[0]
+        with pytest.raises(TypeError):
+            first.payload[0] = 0
+        with pytest.raises(TypeError):
+            first.payload[:2] = b"xy"
+        assert payload == b"m" * 3000
 
 
 class TestChunkingBoundary:
