@@ -3,8 +3,13 @@
 
 For every (loss, reorder) point the emulation runs once per seed; the CSV
 records the mean fraction of subframe messages that completed, timed out
-or were jumbled. Useful for picking reassembly timeouts and for sanity
-checks (loss -> timeouts, reordering -> jumbles, both monotone).
+or were jumbled. At the points without reordering it also records
+expected_complete_frac, the closed form of the completed fraction under
+independent loss (fhsplit.emulation.expected_completions). Useful for
+picking reassembly timeouts and for sanity checks: completions fall
+monotonically with loss and with reordering, and both fail messages
+mostly as jumbles, because a message's successor evicts it before its
+timeout.
 
 Usage:
     python scripts/impairment_study.py --seeds 5 --subframes 500
@@ -16,6 +21,7 @@ import sys
 from pathlib import Path
 
 from fhsplit import ChannelSpec, TrafficProfile, preset, run_emulation
+from fhsplit.emulation import expected_completions
 
 
 def main(argv=None) -> int:
@@ -50,11 +56,16 @@ def main(argv=None) -> int:
                 for key in acc:
                     acc[key] += totals[key]
             messages = sum(acc.values())
+            expected = ""
+            if reorder == 0:
+                means = [mean for mean, _ in expected_completions(cfg, profile, loss).values()]
+                expected = round(args.seeds * sum(means) / messages, 4)
             rows.append(
                 {
                     "loss": loss,
                     "reorder": reorder,
                     "complete_frac": round(acc["completes"] / messages, 4),
+                    "expected_complete_frac": expected,
                     "timeout_frac": round(acc["timeouts"] / messages, 4),
                     "jumbled_frac": round(acc["jumbled"] / messages, 4),
                     "messages": messages,

@@ -35,6 +35,7 @@ from .rates import (
     rate_73_dl,
     rate_73_ul,
     rate_option8,
+    wire_bits_73,
 )
 from .wire import (
     Chunk,
@@ -86,6 +87,7 @@ __all__ = [
     "rate_73_dl",
     "rate_73_ul",
     "rate_option8",
+    "wire_bits_73",
     "Chunk",
     "Complete",
     "HEADER_LEN",

@@ -132,30 +132,30 @@ class CellConfig:
 class LinkBudget:
     """HARQ-loop latency budget constraining the DU-RU distance.
 
-    The LTE HARQ loop fixes the round trip at 3 ms, which leaves 1 ms for
-    downlink and 2 ms for uplink frame processing; whatever a direction
-    does not spend on processing is available for one-way propagation at
-    propagation_us_per_km.
+    The LTE HARQ loop fixes the round trip at 3 ms, which sets deadlines of
+    1 ms for downlink and 2 ms for uplink frame processing; whatever of its
+    deadline a direction does not spend on processing is available for
+    one-way propagation at propagation_us_per_km.
     """
 
     harq_rtt_ms: float = 3.0
-    dl_processing_ms: float = 1.0
-    ul_processing_ms: float = 2.0
+    dl_deadline_ms: float = 1.0
+    ul_deadline_ms: float = 2.0
     propagation_us_per_km: float = 5.0
 
     def __post_init__(self) -> None:
-        require_reals(self, "harq_rtt_ms", "dl_processing_ms", "ul_processing_ms",
+        require_reals(self, "harq_rtt_ms", "dl_deadline_ms", "ul_deadline_ms",
                       "propagation_us_per_km", positive=True)
-        if self.dl_processing_ms > self.harq_rtt_ms:
-            raise ValueError("dl_processing_ms exceeds harq_rtt_ms")
-        if self.ul_processing_ms > self.harq_rtt_ms:
-            raise ValueError("ul_processing_ms exceeds harq_rtt_ms")
+        if self.dl_deadline_ms > self.harq_rtt_ms:
+            raise ValueError("dl_deadline_ms exceeds harq_rtt_ms")
+        if self.ul_deadline_ms > self.harq_rtt_ms:
+            raise ValueError("ul_deadline_ms exceeds harq_rtt_ms")
 
     def deadline_ms(self, direction: Direction) -> float:
         """Frame processing deadline for one direction."""
         if direction is Direction.DL:
-            return self.dl_processing_ms
-        return self.ul_processing_ms
+            return self.dl_deadline_ms
+        return self.ul_deadline_ms
 
     def propagation_delay_us(self, distance_km: float) -> float:
         """One-way fiber propagation delay over distance_km; a float, so finite."""

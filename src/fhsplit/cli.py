@@ -16,24 +16,18 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 from dataclasses import asdict
+from fractions import Fraction
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Union
 
 from .cell import MODULATION_NAMES, CellConfig, Direction, LinkBudget, PRESETS, preset
 from .configio import (SCENARIO_KEYS, Scenario, check_scenario_sections, load_cell_config,
                        load_config_file, scenario_from_dict)
 from .emulation import TrafficProfile, run_emulation, run_socket_emulation
-from .rates import (
-    OPTION8_NOTE,
-    capacity_table,
-    efficiency_ratio,
-    format_mbps,
-    max_fronthaul_distance_km,
-    table_to_csv,
-    table_to_json,
-)
+from .rates import OPTION8_NOTE, capacity_table, efficiency_ratio, max_fronthaul_distance_km
 from .wire import HeaderError, SplitHeader, decode_header, encode_header
 
 # The CLI's own defaults: a run needs a cell and a goodput, which no
@@ -49,6 +43,21 @@ class CliError(Exception):
 def mbps(text: str) -> float:
     """Argparse type for a rate given in Mbit/s; returns it in bit/s."""
     return float(text) * 1e6
+
+
+def _tenths(value: Union[int, Fraction], fmt: str, too_large: str) -> Union[str, float]:
+    """An exact rate or ratio rounded half-up to one decimal: the rule for every printed one.
+
+    plain and csv get the digits, exact at any size; json gets the number,
+    and one beyond the float range raises CliError(too_large).
+    """
+    tenths = math.floor(value * 10 + Fraction(1, 2))
+    if fmt != "json":
+        return f"{tenths // 10}.{tenths % 10}"
+    try:
+        return tenths / 10
+    except OverflowError:
+        raise CliError(too_large) from None
 
 
 def _cell_from_args(args: argparse.Namespace) -> CellConfig:
@@ -76,15 +85,19 @@ def _add_cell_source(parser: argparse.ArgumentParser) -> None:
 
 def cmd_plan(args: argparse.Namespace) -> int:
     cfg = _cell_from_args(args)
-    rows = capacity_table(cfg)
+    too_large = (f"the rates of cell config {args.config} are too large for "
+                 "JSON numbers; --format csv prints them exactly")
+    rows = [(split, direction, _tenths(Fraction(bps, 10**6), args.format, too_large))
+            for split, direction, bps in capacity_table(cfg)]
     if args.format == "csv":
-        sys.stdout.write(table_to_csv(rows))
+        print("split,direction,rate_mbps")
+        for split, direction, mbps in rows:
+            print(f"{split},{direction},{mbps}")
     elif args.format == "json":
-        try:
-            sys.stdout.write(table_to_json(rows))
-        except OverflowError:
-            raise CliError(f"the rates of cell config {args.config} are too large for "
-                           "JSON numbers; --format csv prints them exactly") from None
+        payload = {"rows": [{"split": split, "direction": direction, "rate_mbps": mbps}
+                            for split, direction, mbps in rows],
+                   "notes": [OPTION8_NOTE]}
+        sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     else:
         label = f"{cfg.bw_mhz:g} MHz, " if cfg.bw_mhz else ""
         print(
@@ -92,9 +105,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
             f"{cfg.n_ant} ports, {cfg.modulation_name}"
         )
         print(f"{'split':<8}{'direction':<12}{'rate':>14}")
-        for row in rows:
-            rate = f"{format_mbps(row.rate_bps)} Mbit/s"
-            print(f"{row.split:<8}{row.direction:<12}{rate:>14}")
+        for split, direction, mbps in rows:
+            print(f"{split:<8}{direction:<12}{mbps + ' Mbit/s':>14}")
         print(f"note: {OPTION8_NOTE}")
     return 0
 
@@ -104,26 +116,23 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for i, w in enumerate(args.soft_bit_width):
         if w in args.soft_bit_width[:i]:
             raise CliError(f"--soft-bit-width {w} is given twice")
+    grid = [(Direction.DL, m, None) for m in mods]
+    grid += [(Direction.UL, m, w) for w in args.soft_bit_width for m in mods]
     try:
-        rows = [("dl", m, MODULATION_NAMES[m], "",
-                 float(efficiency_ratio(Direction.DL, m, iq_component_bits=args.iq_bits)))
-                for m in mods]
-        rows += [("ul", m, MODULATION_NAMES[m], w,
-                  float(efficiency_ratio(Direction.UL, m, w, iq_component_bits=args.iq_bits)))
-                 for w in args.soft_bit_width for m in mods]
+        exact = [efficiency_ratio(d, m, w, iq_component_bits=args.iq_bits) for d, m, w in grid]
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    except OverflowError:
-        raise CliError(f"--iq-bits {args.iq_bits} makes the ratios too large "
-                       "for a float") from None
+    too_large = f"--iq-bits {args.iq_bits} makes the ratios too large for a float"
+    rows = [(d.value, m, MODULATION_NAMES[m], w, _tenths(r, args.format, too_large))
+            for (d, m, w), r in zip(grid, exact)]
     if args.format == "json":
         payload = [
             {
                 "direction": d,
                 "mod_order": m,
                 "mod_scheme": name,
-                "soft_bit_width": w if w != "" else None,
-                "ratio": round(r, 1),
+                "soft_bit_width": w,
+                "ratio": r,
             }
             for d, m, name, w, r in rows
         ]
@@ -131,11 +140,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     elif args.format == "csv":
         print("direction,mod_order,mod_scheme,soft_bit_width,ratio")
         for d, m, name, w, r in rows:
-            print(f"{d},{m},{name},{w},{r:.1f}")
+            print(f"{d},{m},{name},{'' if w is None else w},{r}")
     else:
         print(f"{'direction':<11}{'modulation':<12}{'soft bits':<11}{'ratio':>6}")
         for d, m, name, w, r in rows:
-            print(f"{d:<11}{name:<12}{str(w) or '-':<11}{r:>6.1f}")
+            print(f"{d:<11}{name:<12}{'-' if w is None else w:<11}{r:>6}")
         print("ratio = I/Q split bandwidth over bit split bandwidth (>1 favors bits)")
     return 0
 
@@ -144,8 +153,8 @@ def cmd_budget(args: argparse.Namespace) -> int:
     try:
         budget = LinkBudget(
             harq_rtt_ms=args.harq_rtt_ms,
-            dl_processing_ms=args.dl_deadline_ms,
-            ul_processing_ms=args.ul_deadline_ms,
+            dl_deadline_ms=args.dl_deadline_ms,
+            ul_deadline_ms=args.ul_deadline_ms,
             propagation_us_per_km=args.us_per_km,
         )
         results = {
@@ -159,12 +168,12 @@ def cmd_budget(args: argparse.Namespace) -> int:
     payload = {
         "harq_rtt_ms": budget.harq_rtt_ms,
         "dl": {
-            "deadline_ms": budget.dl_processing_ms,
+            "deadline_ms": budget.dl_deadline_ms,
             "processing_ms": args.dl_processing_ms,
             "max_distance_km": results["dl"],
         },
         "ul": {
-            "deadline_ms": budget.ul_processing_ms,
+            "deadline_ms": budget.ul_deadline_ms,
             "processing_ms": args.ul_processing_ms,
             "max_distance_km": results["ul"],
         },

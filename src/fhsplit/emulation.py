@@ -73,6 +73,7 @@ from .messages import (
     CqiReport,
     encode_control,
     encode_cqi,
+    subframe_payload_sizes,
 )
 from .rates import rate_73_dl
 from .wire import (
@@ -161,6 +162,31 @@ def _traffic_schedule(
         offered.append(bits)
         scheduled.append(sent)
     return offered, scheduled, dropped
+
+
+def expected_completions(
+    cfg: CellConfig, profile: TrafficProfile, loss_rate: float,
+    max_datagram: int = DEFAULT_MAX_DATAGRAM,
+) -> Dict[str, Tuple[float, float]]:
+    """Mean and variance of each direction's completed messages under loss alone.
+
+    With each datagram lost independently at loss_rate and none reordered,
+    a message of n chunks completes with probability q = (1 - loss_rate)^n,
+    so over the messages _dl_messages and _ul_messages emit for the traffic
+    schedule a direction completes sum(q) on average, with variance
+    sum(q * (1 - q)).
+    """
+    _, scheduled, _ = _traffic_schedule(cfg, profile)
+    sizes: Dict[str, List[int]] = {"dl": [], "ul": []}
+    for t, bits in enumerate(scheduled):
+        dl, ul = subframe_payload_sizes(bits, cfg.soft_bit_width, t % CQI_PERIOD == 0)
+        sizes["dl"].extend(dl.values())
+        sizes["ul"].extend(ul.values())
+    moments = {}
+    for direction, lengths in sizes.items():
+        q = [(1 - loss_rate) ** chunk_count(n, max_datagram) for n in lengths]
+        moments[direction] = (sum(q), sum(x * (1 - x) for x in q))
+    return moments
 
 
 class SubframeReceiver:
@@ -429,8 +455,9 @@ def _dl_messages(t, scheduled_bits, cfg, payload_rng,
     if control is None:
         control = controls[key] = encode_control(make_control(t, scheduled_bits, cfg))
     msgs = [(CONTENT_DL_CONTROL, control)]
-    if scheduled_bits:
-        size = (scheduled_bits + 7) // 8
+    dl, _ = subframe_payload_sizes(scheduled_bits, cfg.soft_bit_width, False)
+    size = dl.get(CONTENT_DL_DATA)
+    if size:
         # raw words cost a fraction of a Generator's byte draw on short payloads
         words = payload_rng.random_raw(-(-size // 8)).astype("<u8", copy=False)
         msgs.append((CONTENT_DL_DATA, words.view(np.uint8)[:size].tobytes()))
@@ -458,9 +485,10 @@ def _llr_code_table(quantizer: LlrQuantizer) -> np.ndarray:
 
 def _ul_messages(t, scheduled_bits, cfg, code_pool, llr_rng) -> List[Tuple[int, bytes]]:
     msgs = []
-    if scheduled_bits:
-        w = cfg.soft_bit_width
-        size = -(-scheduled_bits * w // 8)
+    w = cfg.soft_bit_width
+    _, ul = subframe_payload_sizes(scheduled_bits, w, t % CQI_PERIOD == 0)
+    size = ul.get(CONTENT_UL_SOFT)
+    if size:
         # the top 13 bits of one raw word pick the group of 8 codes to start at
         start = (int(llr_rng.random_raw()) >> 51) * w
         pool = memoryview(code_pool)
@@ -473,7 +501,7 @@ def _ul_messages(t, scheduled_bits, cfg, code_pool, llr_rng) -> List[Tuple[int, 
         pad = -scheduled_bits * w % 8
         views.append(bytes((pool[last] >> pad << pad,)))
         msgs.append((CONTENT_UL_SOFT, b"".join(views)))
-    if t % CQI_PERIOD == 0:
+    if CONTENT_UL_CQI in ul:
         msgs.append((CONTENT_UL_CQI, encode_cqi(CqiReport(t, _cqi_value(t)))))
     return msgs
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict, Tuple
 
 CONTENT_DL_DATA = 0
 CONTENT_UL_SOFT = 1
@@ -32,6 +32,26 @@ CQI_SIZE = 8
 _CONTROL_FIXED = struct.Struct(">HHBb")
 _CQI = struct.Struct(">IB3x")
 _MAX_DCI = (CONTROL_SIZE - _CONTROL_FIXED.size) // 2
+
+
+def subframe_payload_sizes(
+    bits: int, soft_bit_width: int, cqi: bool,
+) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """Payload bytes of one subframe's messages by content type: (downlink, uplink).
+
+    Downlink sends its control message, then ceil(bits/8) hard-bit bytes;
+    uplink answers with ceil(bits*soft_bit_width/8) soft-bit bytes, then a
+    CQI report when cqi is true. A subframe with no bits has no data message.
+    Each dict is in send order.
+    """
+    dl = {CONTENT_DL_CONTROL: CONTROL_SIZE}
+    ul = {}
+    if bits:
+        dl[CONTENT_DL_DATA] = -(-bits // 8)
+        ul[CONTENT_UL_SOFT] = -(-bits * soft_bit_width // 8)
+    if cqi:
+        ul[CONTENT_UL_CQI] = CQI_SIZE
+    return dl, ul
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 All rates are bit/s. Inputs are integral, so 7.1/7.2/7.3 rates are exact
 integers; option 8 multiplies by the rational oversampling factor and is
-returned as an exact Fraction. Display rounding (half-up to 0.1 Mbit/s)
-happens only at the formatting boundary.
+returned as an exact Fraction. Nothing here rounds: the cli prints every
+rate and ratio by one rule, half-up to one decimal.
 
 Per cell, with N_sc subcarriers, N_layers layers, N_ant antenna ports,
 O_m bits/symbol, IQ bits per I/Q component, S_bw bits per soft bit and
@@ -18,14 +18,12 @@ R_sym symbols per second:
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-import math
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Union
 
 from .cell import CellConfig, Direction, LinkBudget, check_real
+from .messages import subframe_payload_sizes
+from .wire import DEFAULT_MAX_DATAGRAM, HEADER_LEN, chunk_count
 
 RateBps = Union[int, Fraction]
 
@@ -60,6 +58,20 @@ def rate_73_ul(cfg: CellConfig) -> int:
 def rate_option8(cfg: CellConfig) -> Fraction:
     """Time-domain I/Q rate: option 7.1 times the oversampling factor."""
     return Fraction(rate_71(cfg)) * cfg.oversampling_factor
+
+
+def wire_bits_73(cfg: CellConfig, direction: Direction,
+                 max_datagram: int = DEFAULT_MAX_DATAGRAM, cqi: bool = False) -> int:
+    """Bits one saturated split-7.3 subframe puts on the wire, headers included.
+
+    The subframe carries C = rate_73_dl // 1000 bits, sent as the messages
+    subframe_payload_sizes gives for C (uplink's CQI report when cqi is
+    true). Each message is cut into chunk_count chunks at max_datagram, and
+    each chunk carries a HEADER_LEN-byte header.
+    """
+    dl, ul = subframe_payload_sizes(rate_73_dl(cfg) // 1000, cfg.soft_bit_width, cqi)
+    sizes = (dl if direction is Direction.DL else ul).values()
+    return sum((n + HEADER_LEN * chunk_count(n, max_datagram)) * 8 for n in sizes)
 
 
 def efficiency_ratio(
@@ -106,25 +118,10 @@ def max_fronthaul_distance_km(
     return distance_km
 
 
-def mbps_tenths(rate_bps: RateBps) -> int:
-    """Rate as an integer count of 0.1 Mbit/s, rounded half-up."""
-    return math.floor(Fraction(rate_bps) / 100_000 + Fraction(1, 2))
-
-
-def format_mbps(rate_bps: RateBps) -> str:
-    """Rate as a one-decimal Mbit/s string (half-up rounding)."""
-    tenths = mbps_tenths(rate_bps)
-    return f"{tenths // 10}.{tenths % 10}"
-
-
 class CapacityRow(NamedTuple):
     split: str
     direction: str
     rate_bps: RateBps
-
-    @property
-    def rate_mbps(self) -> float:
-        return mbps_tenths(self.rate_bps) / 10
 
 
 #: Shown next to planning tables: the option 8 model is 7.1 times the
@@ -146,23 +143,3 @@ def capacity_table(cfg: CellConfig) -> list[CapacityRow]:
         CapacityRow("7.3", "dl", rate_73_dl(cfg)),
         CapacityRow("7.3", "ul", rate_73_ul(cfg)),
     ]
-
-
-def table_to_csv(rows: Sequence[CapacityRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["split", "direction", "rate_mbps"])
-    for row in rows:
-        writer.writerow([row.split, row.direction, format_mbps(row.rate_bps)])
-    return buf.getvalue()
-
-
-def table_to_json(rows: Sequence[CapacityRow]) -> str:
-    payload = {
-        "rows": [
-            {"split": r.split, "direction": r.direction, "rate_mbps": r.rate_mbps}
-            for r in rows
-        ],
-        "notes": [OPTION8_NOTE],
-    }
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"

@@ -1,19 +1,26 @@
 """End-to-end CLI tests through main(argv)."""
 
+import contextlib
+import dataclasses
 import functools
 import inspect
+import io
 import json
 import re
 import shlex
+from fractions import Fraction
 from importlib import metadata
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fhsplit.cli
 import fhsplit.emulation
-from fhsplit.cell import preset
+from fhsplit.cell import MODULATION_NAMES, CellConfig, preset
 from fhsplit.cli import main
+from fhsplit.rates import OPTION8_NOTE, capacity_table
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -92,7 +99,7 @@ class TestPlan:
                  for r in payload["rows"]}
         assert rates[("8", "both")] == 7354.4
         assert rates[("7.3", "dl")] == 134.4
-        assert payload["notes"]
+        assert payload["notes"] == [OPTION8_NOTE]
 
     def test_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "cell.cfg"
@@ -197,6 +204,99 @@ class TestCompare:
                    if r["direction"] == "dl" and r["mod_order"] == 2]
         assert dl_qpsk[0]["ratio"] == 16.0
 
+    @pytest.mark.parametrize("argv,row", [
+        # 2*16 / (8*16) = 0.25 and 2*3 / (8*5) = 0.15 are exact ties; as
+        # binary floats rounded half-to-even they printed 0.2 and 0.1
+        (("--soft-bit-width", "16"), "ul,8,256QAM,16,0.3"),
+        (("--iq-bits", "3", "--soft-bit-width", "5"), "ul,8,256QAM,5,0.2"),
+    ], ids=["w16", "iq3-w5"])
+    def test_exact_ties_round_half_up(self, capsys, argv, row):
+        code, out, _ = run_cli(capsys, "compare", *argv, "--format", "csv")
+        assert code == 0
+        assert row in out.splitlines()
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv"])
+    def test_ratios_beyond_floats_print_exactly(self, capsys, fmt):
+        # these used to exit 2 because the ratios went through a float
+        iq = 10 ** 400
+        code, out, err = run_cli(capsys, "compare", "--iq-bits", str(iq), "--format", fmt)
+        assert (code, err) == (0, "")
+        rows = [line.replace(",", " ").split() for line in out.splitlines()[1:]]
+        # QPSK downlink: 2*IQ / 2; 64QAM uplink at 8 bits: 2*IQ / 48 = 41...6.67
+        assert rows[0][-1] == f"{iq}.0"
+        assert rows[6][-2:] == ["8", f"{iq // 24}.7"]
+
+
+def half_up_tenths(value):
+    """value = a/b rounded half-up to a whole number of tenths: (20a + b) // 2b."""
+    value = Fraction(value)
+    return (20 * value.numerator + value.denominator) // (2 * value.denominator)
+
+
+def printed_column(*argv):
+    """The rate or ratio column main(argv) prints: text in plain and csv, numbers in json."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    fmt = argv[argv.index("--format") + 1]
+    if fmt == "json":
+        payload = json.loads(out.getvalue())
+        rows = payload["rows"] if argv[0] == "plan" else payload
+        return [row["rate_mbps" if argv[0] == "plan" else "ratio"] for row in rows]
+    lines = out.getvalue().splitlines()
+    if fmt == "csv":
+        return [line.rsplit(",", 1)[1] for line in lines[1:]]
+    # plain: plan has a cell line, a header, then rows that end in "Mbit/s"
+    if argv[0] == "plan":
+        return [line.split()[-2] for line in lines[2:-1]]
+    return [line.split()[-1] for line in lines[1:-1]]
+
+
+def assert_half_up(printed, exact):
+    """Each printed number is its exact value rounded half-up to one decimal."""
+    assert len(printed) == len(exact)
+    for shown, value in zip(printed, exact):
+        tenths = half_up_tenths(value)
+        if isinstance(shown, str):
+            assert re.fullmatch(r"\d+\.\d", shown) and Fraction(shown) == Fraction(tenths, 10)
+        else:
+            assert shown == tenths / 10
+
+
+class TestPrintedNumbers:
+    """plan and compare print every exact rate and ratio by one rule."""
+
+    @given(cfg=st.builds(
+        CellConfig,
+        n_sc=st.integers(1, 4000),
+        n_layers=st.integers(1, 8),
+        n_ant=st.integers(1, 64),
+        mod_order=st.sampled_from(sorted(MODULATION_NAMES)),
+        iq_component_bits=st.integers(1, 32),
+        soft_bit_width=st.integers(2, 16),
+        symbols_per_second=st.integers(1, 30000),
+        oversampling_factor=st.fractions(1, 4, max_denominator=5000),
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_plan(self, tmp_path_factory, cfg):
+        path = tmp_path_factory.mktemp("cell") / "cell.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in dataclasses.asdict(cfg).items()))
+        exact = [Fraction(row.rate_bps, 10**6) for row in capacity_table(cfg)]
+        for fmt in ("plain", "csv", "json"):
+            assert_half_up(printed_column("plan", "--config", str(path), "--format", fmt),
+                           exact)
+
+    @given(widths=st.lists(st.integers(2, 16), min_size=1, max_size=4, unique=True),
+           iq_bits=st.integers(1, 64) | st.integers(1, 10**30))
+    @settings(max_examples=60, deadline=None)
+    def test_compare(self, widths, iq_bits):
+        mods = sorted(MODULATION_NAMES)
+        exact = [Fraction(2 * iq_bits, m) for m in mods]
+        exact += [Fraction(2 * iq_bits, m * w) for w in widths for m in mods]
+        for fmt in ("plain", "csv", "json"):
+            assert_half_up(printed_column("compare", "--iq-bits", str(iq_bits), "--soft-bit-width",
+                                          *map(str, widths), "--format", fmt), exact)
+
 
 class TestBudget:
     def test_plain_goldens(self, capsys):
@@ -231,7 +331,7 @@ class TestInvalidValues:
         (("budget", "--us-per-km", "nan"), "propagation_us_per_km"),
         (("budget", "--us-per-km", "inf"), "propagation_us_per_km"),
         (("budget", "--harq-rtt-ms", "nan"), "harq_rtt_ms"),
-        (("budget", "--dl-deadline-ms", "inf"), "dl_processing_ms"),
+        (("budget", "--dl-deadline-ms", "inf"), "dl_deadline_ms"),
         (("budget", "--dl-processing-ms", "nan"), "processing_ms"),
         (("budget", "--ul-processing-ms=-inf"), "processing_ms"),
         # results beyond the float range used to print inf, or Infinity in JSON
@@ -242,11 +342,11 @@ class TestInvalidValues:
         (("budget", "--us-per-km", "1e-320", "--format", "json"), "9.99989e-321 us/km"),
         # a repeated width used to print its uplink rows twice
         (("compare", "--soft-bit-width", "8", "4", "8"), "--soft-bit-width 8 is given twice"),
-        # ratios beyond the float range used to end in an OverflowError traceback
-        *(pytest.param(("compare", "--iq-bits", str(10 ** 400), "--format", fmt),
-                       f"--iq-bits {10 ** 400} makes the ratios too large for a float",
-                       id=f"compare-iq-bits-10**400-{fmt}")
-          for fmt in ("plain", "csv", "json")),
+        # ratios beyond the float range used to end in an OverflowError traceback;
+        # plain and csv print them exactly (TestCompare)
+        pytest.param(("compare", "--iq-bits", str(10 ** 400), "--format", "json"),
+                     f"--iq-bits {10 ** 400} makes the ratios too large for a float",
+                     id="compare-iq-bits-10**400-json"),
     ])
     def test_rejected_with_exit_2_and_one_line(self, capsys, argv, field):
         code, out, err = run_cli(capsys, *argv)

@@ -1,5 +1,6 @@
 """Rate-model tests: published capacity figures, ratios, properties."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -7,24 +8,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fhsplit.cell import CellConfig, Direction, LinkBudget, preset
+from fhsplit.cli import _tenths, main
+from fhsplit.emulation import CQI_PERIOD, TrafficProfile, run_emulation
 from fhsplit.rates import (
     OPTION8_NOTE,
     capacity_table,
     efficiency_ratio,
-    format_mbps,
     max_fronthaul_distance_km,
-    mbps_tenths,
     rate_71,
     rate_72,
     rate_73_dl,
     rate_73_ul,
     rate_option8,
-    table_to_csv,
-    table_to_json,
+    wire_bits_73,
 )
 
 LTE10 = preset("lte10")
 LTE20 = preset("lte20")
+
+
+def mbps(rate_bps, fmt="csv"):
+    """A rate as the cli prints it: Mbit/s, half-up to one decimal."""
+    return _tenths(Fraction(rate_bps, 10**6), fmt, "too large")
 
 
 class TestCapacityGoldens:
@@ -41,11 +46,11 @@ class TestCapacityGoldens:
         ids=["10MHz", "20MHz"],
     )
     def test_reference_cells(self, cfg, tenths):
-        assert mbps_tenths(rate_option8(cfg)) == tenths["8"]
-        assert mbps_tenths(rate_71(cfg)) == tenths["7.1"]
-        assert mbps_tenths(rate_72(cfg)) == tenths["7.2"]
-        assert mbps_tenths(rate_73_dl(cfg)) == tenths["7.3dl"]
-        assert mbps_tenths(rate_73_ul(cfg)) == tenths["7.3ul"]
+        assert Fraction(mbps(rate_option8(cfg))) * 10 == tenths["8"]
+        assert Fraction(mbps(rate_71(cfg))) * 10 == tenths["7.1"]
+        assert Fraction(mbps(rate_72(cfg))) * 10 == tenths["7.2"]
+        assert Fraction(mbps(rate_73_dl(cfg))) * 10 == tenths["7.3dl"]
+        assert Fraction(mbps(rate_73_ul(cfg))) * 10 == tenths["7.3ul"]
 
     def test_exact_bit_rates_10mhz(self):
         # 2 * 16 * 600 * 4 * 2 * 14000 and friends, written out
@@ -62,7 +67,7 @@ class TestCapacityGoldens:
         assert rate_option8(LTE20) == 7_354_368_000
 
     def test_option8_displays_7354_4_not_7357_4(self):
-        assert format_mbps(rate_option8(LTE20)) == "7354.4"
+        assert mbps(rate_option8(LTE20)) == "7354.4"
         assert "7354.4" in OPTION8_NOTE and "7357.4" in OPTION8_NOTE
 
     def test_capacity_table_layout(self):
@@ -71,21 +76,46 @@ class TestCapacityGoldens:
             ("8", "both"), ("7.1", "both"), ("7.2", "both"),
             ("7.3", "dl"), ("7.3", "ul"),
         ]
-        assert rows[0].rate_mbps == 3677.2
+        assert rows[0].rate_bps == 3_677_184_000
 
     def test_table_csv(self):
-        text = table_to_csv(capacity_table(LTE10))
-        lines = text.splitlines()
-        assert lines[0] == "split,direction,rate_mbps"
-        assert lines[1] == "8,both,3677.2"
-        assert lines[4] == "7.3,dl,67.2"
+        # the rows as plan prints them in plain and csv
+        assert [mbps(r.rate_bps) for r in capacity_table(LTE10)] == [
+            "3677.2", "2150.4", "537.6", "67.2", "537.6"]
 
-    def test_table_json_carries_note(self):
-        import json
+    def test_table_json_carries_note(self, capsys):
+        # plan --format json writes the rows and the note that quotes option 8's figure
+        assert main(["plan", "--preset", "lte20", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [r["rate_mbps"] for r in payload["rows"]] == [
+            7354.4, 4300.8, 1075.2, 134.4, 1075.2]
+        assert payload["notes"] == [OPTION8_NOTE]
+        assert f"{mbps(rate_option8(LTE20))} Mbit/s" in OPTION8_NOTE
 
-        payload = json.loads(table_to_json(capacity_table(LTE20)))
-        assert payload["rows"][0]["rate_mbps"] == 7354.4
-        assert OPTION8_NOTE in payload["notes"]
+
+class TestWireBits:
+    """Split 7.3 on the wire: payload, headers, control and CQI, in closed form."""
+
+    @pytest.mark.parametrize("name,max_datagram,dl,ul", [
+        ("lte10", 1472, 68_944, 545_872),
+        ("lte20", 256, 147_760, 1_176_400),
+        ("worst100", 1472, 4_470_512, 22_348_768),
+        ("lte10", 256, 74_224, 588_288),
+        ("worst100", 9000, 4_414_544, 22_068_752),
+    ])
+    def test_saturated_report_rows(self, name, max_datagram, dl, ul):
+        cfg = preset(name)
+        assert wire_bits_73(cfg, Direction.DL, max_datagram) == dl
+        assert wire_bits_73(cfg, Direction.UL, max_datagram) == ul
+        # the CQI report is one 8-byte chunk
+        assert wire_bits_73(cfg, Direction.UL, max_datagram, cqi=True) == ul + (8 + 22) * 8
+        # offered at 1.5 x capacity, every subframe after the first few is full
+        profile = TrafficProfile(1.5 * rate_73_dl(cfg), duration_subframes=30)
+        report = run_emulation(cfg, profile, seed=1, max_datagram=max_datagram)
+        for row in report.rows[15:]:
+            assert row.dl_bits == dl
+            assert row.ul_bits == wire_bits_73(cfg, Direction.UL, max_datagram,
+                                               cqi=row.subframe % CQI_PERIOD == 0)
 
 
 class TestEfficiencyRatios:
@@ -213,18 +243,21 @@ class TestRateProperties:
     @given(bps=st.integers(0, 10**13))
     @settings(max_examples=300, deadline=None)
     def test_mbps_tenths_half_up(self, bps):
-        tenths = mbps_tenths(bps)
+        tenths = Fraction(mbps(bps)) * 10
+        assert tenths.denominator == 1
         # never more than half a tenth away, and exact .x5 rounds up
-        assert abs(tenths - bps / 100_000) <= 0.5
+        assert abs(tenths - Fraction(bps, 100_000)) <= Fraction(1, 2)
         if bps % 100_000 == 50_000:
             assert tenths == bps // 100_000 + 1
+        assert mbps(bps, "json") == int(tenths) / 10
 
     def test_format_examples(self):
-        assert format_mbps(67_200_000) == "67.2"
-        assert format_mbps(50_000) == "0.1"  # exactly half a tenth: rounds up
-        assert format_mbps(49_999) == "0.0"
-        assert format_mbps(150_000) == "0.2"
-        assert format_mbps(0) == "0.0"
+        assert mbps(67_200_000) == "67.2"
+        assert mbps(50_000) == "0.1"  # exactly half a tenth: rounds up
+        assert mbps(49_999) == "0.0"
+        assert mbps(150_000) == "0.2"
+        assert mbps(0) == "0.0"
+        assert mbps(10**400) == f"{10**394}.0"  # digits are exact at any size
 
 
 class TestDistanceBudget:
@@ -243,7 +276,7 @@ class TestDistanceBudget:
 
     def test_budget_splits_harq_round_trip(self):
         budget = LinkBudget()
-        assert budget.dl_processing_ms + budget.ul_processing_ms == budget.harq_rtt_ms
+        assert budget.dl_deadline_ms + budget.ul_deadline_ms == budget.harq_rtt_ms
         assert budget.deadline_ms(Direction.DL) == 1.0
         assert budget.deadline_ms(Direction.UL) == 2.0
 
@@ -255,7 +288,7 @@ class TestDistanceBudget:
     def test_distance_monotone_in_processing_time(self, processing, slower):
         budget = LinkBudget()
         here = max_fronthaul_distance_km(budget, Direction.UL, processing)
-        if processing + slower <= budget.ul_processing_ms:
+        if processing + slower <= budget.ul_deadline_ms:
             there = max_fronthaul_distance_km(budget, Direction.UL,
                                               processing + slower)
             assert there <= here
@@ -266,7 +299,7 @@ class TestDistanceBudget:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_inputs_rejected(self, value):
-        for field in ("harq_rtt_ms", "dl_processing_ms", "ul_processing_ms",
+        for field in ("harq_rtt_ms", "dl_deadline_ms", "ul_deadline_ms",
                       "propagation_us_per_km"):
             with pytest.raises(ValueError, match=f"{field} must be finite"):
                 LinkBudget(**{field: value})
@@ -279,7 +312,7 @@ class TestDistanceBudget:
     @pytest.mark.parametrize("value", [True, "5"])
     def test_non_number_fields_rejected(self, value):
         # True would count as 1 ms; a string used to fail with a TypeError
-        for field in ("harq_rtt_ms", "dl_processing_ms", "ul_processing_ms",
+        for field in ("harq_rtt_ms", "dl_deadline_ms", "ul_deadline_ms",
                       "propagation_us_per_km"):
             with pytest.raises(ValueError, match=f"{field} must be a number, got {value!r}"):
                 LinkBudget(**{field: value})
@@ -294,4 +327,4 @@ class TestDistanceBudget:
         with pytest.raises(ValueError):
             LinkBudget(harq_rtt_ms=0.0)
         with pytest.raises(ValueError):
-            LinkBudget(ul_processing_ms=5.0)
+            LinkBudget(ul_deadline_ms=5.0)

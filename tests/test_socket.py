@@ -94,7 +94,7 @@ class TestSocketRun:
         assert totals["completes"] >= 0.9 * emitted
         assert report.mean_dl_bps > 0 and report.mean_ul_bps > 0
 
-    @pytest.mark.parametrize("max_datagram", [1472, 256])
+    @pytest.mark.parametrize("max_datagram", [1472, 256, 9000])
     def test_meters_the_same_emissions_as_sim_mode(self, max_datagram):
         # both modes share one set-up and loop, so the sender side of the
         # meter is the same; only arrivals depend on the wall clock

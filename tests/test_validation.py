@@ -50,7 +50,7 @@ def test_cell_config(field, value):
 
 
 @pytest.mark.parametrize("field,value", cases(
-    ("harq_rtt_ms", "dl_processing_ms", "ul_processing_ms", "propagation_us_per_km"),
+    ("harq_rtt_ms", "dl_deadline_ms", "ul_deadline_ms", "propagation_us_per_km"),
     (0, 0.0, -1.0, *NON_FINITE, True)))
 def test_link_budget(field, value):
     assert_rejected(LinkBudget, field, value)
