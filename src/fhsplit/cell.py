@@ -24,15 +24,22 @@ class Direction(Enum):
     UL = "ul"
 
 
-def check_int(value: object, name: str, minimum: Optional[int] = None) -> None:
-    """Raise ValueError unless value is an integer, and >= minimum if one is given.
+def check_int(value: object, name: str, minimum: Optional[int] = None,
+              maximum: Optional[int] = None) -> None:
+    """Raise ValueError unless value is an integer, >= minimum and <= maximum.
 
-    An integer is a value operator.index accepts, numpy's included, other
-    than a bool: operator.index(True) is 1.
+    Each bound applies when given; a maximum needs a minimum. An integer
+    is a value operator.index accepts, numpy's included, other than a
+    bool: operator.index(True) is 1.
     """
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+    # the type test first: a plain int, the common case, skips the rest
+    if type(value) is not int and (isinstance(value, bool)
+                                   or not hasattr(type(value), "__index__")):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
+    if maximum is not None:
+        if not minimum <= value <= maximum:
+            raise ValueError(f"{name} must be in [{minimum}, {maximum}], got {value}")
+    elif minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
@@ -53,10 +60,11 @@ def check_real(value: object, name: str, positive: bool = False,
         raise ValueError(f"{name} must be finite and {rule}, got {value}")
 
 
-def require_ints(obj: object, *names: str, minimum: Optional[int] = None) -> None:
-    """check_int for every named field of obj."""
+def require_ints(obj: object, *names: str, minimum: Optional[int] = None,
+                 maximum: Optional[int] = None) -> None:
+    """check_int, with the same bounds, for every named field of obj."""
     for name in names:
-        check_int(getattr(obj, name), name, minimum)
+        check_int(getattr(obj, name), name, minimum, maximum)
 
 
 def require_reals(obj: object, *names: str, **bounds: bool) -> None:

@@ -28,7 +28,7 @@ from .cell import CellConfig, require_ints
 from .channel import ChannelSpec, parse_addr
 from .emulation import TrafficProfile
 from .llr import check_bit_width
-from .wire import DEFAULT_MAX_DATAGRAM, chunk_count
+from .wire import DEFAULT_MAX_DATAGRAM, HEADER_LEN, MAX_DATAGRAM
 
 
 def _coerce(raw: str) -> Any:
@@ -140,7 +140,7 @@ class Scenario:
 
     def __post_init__(self) -> None:
         require_ints(self, "seed", minimum=0)
-        require_ints(self, "max_datagram")
+        require_ints(self, "max_datagram", minimum=HEADER_LEN + 1, maximum=MAX_DATAGRAM)
         if (self.du_addr is None) != (self.ru_addr is None):
             raise ValueError("a socket run needs both du_addr and ru_addr")
         if self.du_addr is not None:
@@ -148,7 +148,6 @@ class Scenario:
             parse_addr(self.ru_addr)
             if self.channel != ChannelSpec():
                 raise ValueError("a socket run cannot apply channel impairments")
-        chunk_count(0, self.max_datagram)  # rejects a max_datagram out of range
         check_bit_width(self.cell.soft_bit_width, "soft_bit_width")
 
 

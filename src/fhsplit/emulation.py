@@ -55,7 +55,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from .cell import CellConfig, require_ints, require_reals
+from .cell import CellConfig, check_real, require_ints, require_reals
 from .channel import (
     SUBFRAME_NS,
     ChannelSpec,
@@ -174,8 +174,9 @@ def expected_completions(
     a message of n chunks completes with probability q = (1 - loss_rate)^n,
     so over the messages _dl_messages and _ul_messages emit for the traffic
     schedule a direction completes sum(q) on average, with variance
-    sum(q * (1 - q)).
+    sum(q * (1 - q)). Raises ValueError unless loss_rate is in [0, 1].
     """
+    check_real(loss_rate, "loss_rate", at_most_one=True)
     _, scheduled, _ = _traffic_schedule(cfg, profile)
     sizes: Dict[str, List[int]] = {"dl": [], "ul": []}
     for t, bits in enumerate(scheduled):

@@ -15,14 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import check_int, require_ints, require_reals
+from .cell import check_int, require_reals
 
 
 def check_bit_width(width: int, name: str = "bit_width") -> None:
     """Raise ValueError unless width is a code width pack_codes can pack."""
     # a signed code needs 2 bits; pack_codes packs at most 16
-    if not 2 <= width <= 16:
-        raise ValueError(f"{name} must be in [2, 16], got {width}")
+    check_int(width, name, 2, 16)
 
 
 @dataclass(frozen=True)
@@ -31,7 +30,6 @@ class LlrQuantizer:
     clip: float = 8.0
 
     def __post_init__(self) -> None:
-        require_ints(self, "bit_width")
         check_bit_width(self.bit_width)
         require_reals(self, "clip", positive=True)
 

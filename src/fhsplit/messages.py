@@ -21,6 +21,8 @@ import struct
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
+from .cell import check_int, require_ints
+
 CONTENT_DL_DATA = 0
 CONTENT_UL_SOFT = 1
 CONTENT_DL_CONTROL = 2
@@ -32,6 +34,7 @@ CQI_SIZE = 8
 _CONTROL_FIXED = struct.Struct(">HHBb")
 _CQI = struct.Struct(">IB3x")
 _MAX_DCI = (CONTROL_SIZE - _CONTROL_FIXED.size) // 2
+_U16_MAX = (1 << 16) - 1
 
 
 def subframe_payload_sizes(
@@ -65,19 +68,14 @@ class ControlDl:
     power_db: int
 
     def __post_init__(self) -> None:
+        require_ints(self, "dci_count", minimum=0, maximum=_MAX_DCI)
+        require_ints(self, "mcs", minimum=0, maximum=255)
+        require_ints(self, "rb_position", minimum=0, maximum=_U16_MAX)
+        require_ints(self, "power_db", minimum=-128, maximum=127)
+        for i, p in enumerate(self.dci_positions):
+            check_int(p, f"dci_positions[{i}]", 0, _U16_MAX)
         if self.dci_count != len(self.dci_positions):
             raise ValueError("dci_count must match the number of positions")
-        if self.dci_count > _MAX_DCI:
-            raise ValueError(f"at most {_MAX_DCI} DCI positions fit the payload")
-        if not 0 <= self.mcs <= 255:
-            raise ValueError("mcs out of range")
-        if not 0 <= self.rb_position < 1 << 16:
-            raise ValueError("rb_position out of range")
-        if not -128 <= self.power_db <= 127:
-            raise ValueError("power_db out of range")
-        for p in self.dci_positions:
-            if not 0 <= p < 1 << 16:
-                raise ValueError("dci position out of range")
 
 
 @dataclass(frozen=True)
@@ -86,10 +84,8 @@ class CqiReport:
     cqi: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.subframe < 1 << 32:
-            raise ValueError("subframe out of range")
-        if not 0 <= self.cqi <= 255:
-            raise ValueError("cqi out of range")
+        require_ints(self, "subframe", minimum=0, maximum=(1 << 32) - 1)
+        require_ints(self, "cqi", minimum=0, maximum=255)
 
 
 def encode_control(ctrl: ControlDl) -> bytes:
@@ -102,11 +98,10 @@ def decode_control(payload: bytes) -> ControlDl:
     if len(payload) != CONTROL_SIZE:
         raise ValueError(f"control payload must be {CONTROL_SIZE} bytes")
     dci_count, rb_position, mcs, power_db = _CONTROL_FIXED.unpack_from(payload)
-    if dci_count > _MAX_DCI:
-        raise ValueError(f"dci_count {dci_count} exceeds payload capacity")
-    offset = _CONTROL_FIXED.size
-    positions = struct.unpack_from(f">{dci_count}H", payload, offset) if dci_count else ()
-    return ControlDl(dci_count, tuple(positions), mcs, rb_position, power_db)
+    # a count past the payload reads what is there, and ControlDl rejects it
+    body = payload[_CONTROL_FIXED.size:][:2 * dci_count]
+    positions = struct.unpack(f">{len(body) // 2}H", body)
+    return ControlDl(dci_count, positions, mcs, rb_position, power_db)
 
 
 def encode_cqi(report: CqiReport) -> bytes:

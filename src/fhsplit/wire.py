@@ -23,6 +23,8 @@ import struct
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
+from .cell import check_int
+
 HEADER_LEN = 22
 #: Largest legal value of the size field (65508 is already too big).
 MAX_DATAGRAM = 65_507
@@ -30,8 +32,8 @@ MAX_DATAGRAM = 65_507
 #: less the 20-byte IPv4 and 8-byte UDP headers.
 DEFAULT_MAX_DATAGRAM = 1472
 _HEADER = struct.Struct(">QHHHQ")
-_U16 = 1 << 16
-_U64 = 1 << 64
+_U16_MAX = (1 << 16) - 1
+_U64_MAX = (1 << 64) - 1
 
 #: Reassembly timeout: two subframe periods, so that under continuous
 #: traffic an incomplete subframe is evicted by its successor's first
@@ -52,25 +54,16 @@ class _HeaderFields(NamedTuple):
     sender_clock: int = 0
 
 
-def _check_fields(timestamp: int, num_blocks: int, content_type: int,
-                  size: int, sender_clock: int, clocks: int = 1) -> None:
-    """Raise ValueError unless the fields fit their wire ranges.
+def _check_stamps(timestamp: int, content_type: int, sender_clock: int,
+                  clocks: int = 1) -> None:
+    """Raise ValueError unless the fields a sender picks fit their wire ranges.
 
     clocks is the number of headers stamped sender_clock, sender_clock + 1,
     ...; the last of them must still fit 64 bits.
     """
-    if not 0 <= timestamp < _U64:
-        raise ValueError("timestamp out of unsigned 64-bit range")
-    if not 1 <= num_blocks < _U16:
-        raise ValueError(f"num_blocks must be in [1, 65535], got {num_blocks}")
-    if not 0 <= content_type < _U16:
-        raise ValueError("content_type out of unsigned 16-bit range")
-    if not HEADER_LEN <= size <= MAX_DATAGRAM:
-        raise ValueError(
-            f"size must be in [{HEADER_LEN}, {MAX_DATAGRAM}], got {size}"
-        )
-    if not 0 <= sender_clock <= _U64 - clocks:
-        raise ValueError("sender_clock out of unsigned 64-bit range")
+    check_int(timestamp, "timestamp", 0, _U64_MAX)
+    check_int(content_type, "content_type", 0, _U16_MAX)
+    check_int(sender_clock, "sender_clock", 0, _U64_MAX + 1 - clocks)
 
 
 class SplitHeader(_HeaderFields):
@@ -86,7 +79,9 @@ class SplitHeader(_HeaderFields):
 
     def __new__(cls, timestamp: int, num_blocks: int, content_type: int,
                 size: int, sender_clock: int = 0) -> "SplitHeader":
-        _check_fields(timestamp, num_blocks, content_type, size, sender_clock)
+        _check_stamps(timestamp, content_type, sender_clock)
+        check_int(num_blocks, "num_blocks", 1, _U16_MAX)
+        check_int(size, "size", HEADER_LEN, MAX_DATAGRAM)
         return tuple.__new__(
             cls, (timestamp, num_blocks, content_type, size, sender_clock)
         )
@@ -152,13 +147,10 @@ def chunk_count(payload_len: int, max_datagram: int = DEFAULT_MAX_DATAGRAM) -> i
     Raises ValueError if max_datagram is out of range or the count does
     not fit the 16-bit num_blocks field.
     """
-    if not HEADER_LEN + 1 <= max_datagram <= MAX_DATAGRAM:
-        raise ValueError(
-            f"max_datagram must be in [{HEADER_LEN + 1}, {MAX_DATAGRAM}], "
-            f"got {max_datagram}"
-        )
-    num_blocks = -(-payload_len // (max_datagram - HEADER_LEN))
-    if num_blocks >= _U16:
+    check_int(max_datagram, "max_datagram", HEADER_LEN + 1, MAX_DATAGRAM)
+    # int(): even a numpy max_datagram gives a plain-int count, as 64-bit clock sums need
+    num_blocks = -(-payload_len // (int(max_datagram) - HEADER_LEN))
+    if num_blocks > _U16_MAX:
         raise ValueError(
             f"payload of {payload_len} bytes needs {num_blocks} chunks of at most "
             f"{max_datagram} bytes; num_blocks is a 16-bit field"
@@ -184,14 +176,13 @@ def chunk_subframe(
     num_blocks = chunk_count(len(payload), max_datagram)
     if not payload:
         raise ValueError("payload must not be empty")
+    # One check covers every chunk: they share timestamp and content_type,
+    # and their clocks run from sender_clock for num_blocks. chunk_count
+    # bounds num_blocks and max_datagram, so every size is in range too.
+    _check_stamps(timestamp, content_type, sender_clock, num_blocks)
     budget = max_datagram - HEADER_LEN
-    # One check covers every chunk: they share timestamp, num_blocks and
-    # content_type, their clocks run from sender_clock for num_blocks, and
-    # all but the last are max_datagram bytes, which chunk_count checked.
     cut = (num_blocks - 1) * budget
     tail = payload[cut:]
-    _check_fields(timestamp, num_blocks, content_type, HEADER_LEN + len(tail),
-                  sender_clock, num_blocks)
     new = tuple.__new__
     chunks: List[Chunk] = []
     append = chunks.append

@@ -3,19 +3,41 @@
 Each case sets one numeric field to a value its rule rejects (below the
 minimum, above the maximum, NaN, +-inf, a bool, a float for an integer)
 and expects a ValueError whose message names the field and the value.
+The wire header, chunking, control and CQI messages and the soft-bit
+width also accept each end of every integer range, numpy's integers
+included, and whatever their constructors accept encodes and decodes back.
 """
 
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fhsplit.cell import CellConfig, Direction, LinkBudget
+from fhsplit.cell import CellConfig, Direction, LinkBudget, preset
 from fhsplit.channel import ChannelSpec
 from fhsplit.configio import scenario_from_dict
-from fhsplit.emulation import TrafficProfile
-from fhsplit.llr import LlrQuantizer
+from fhsplit.emulation import TrafficProfile, expected_completions
+from fhsplit.llr import LlrQuantizer, pack_codes, unpack_codes
+from fhsplit.messages import (
+    CONTROL_SIZE,
+    ControlDl,
+    CqiReport,
+    decode_control,
+    decode_cqi,
+    encode_control,
+    encode_cqi,
+)
 from fhsplit.rates import max_fronthaul_distance_km
+from fhsplit.wire import (
+    SplitHeader,
+    chunk_count,
+    chunk_from_datagram,
+    chunk_subframe,
+    decode_header,
+    encode_header,
+)
 
 NAN, INF = float("nan"), float("inf")
 NON_FINITE = (NAN, INF, -INF)
@@ -31,7 +53,8 @@ def assert_rejected(build, field, value):
     with pytest.raises(ValueError) as info:
         build(**{field: value})
     message = str(info.value)
-    assert re.fullmatch(rf"{field} must be .*, got {re.escape(str(value))}", message), message
+    assert re.fullmatch(rf"{re.escape(field)} must be .*, got {re.escape(str(value))}",
+                        message), message
 
 
 CELL = {"n_sc": 600, "n_layers": 2, "n_ant": 4, "mod_order": 4}
@@ -104,3 +127,172 @@ def test_accepted_edges():
     assert CellConfig(**{**CELL, "n_sc": 1, "bw_mhz": 0}).n_sc == 1
     assert LlrQuantizer(np.int32(2), clip=np.float32(1e-3)).max_code == 1
     assert LinkBudget().propagation_delay_us(0) == 0
+
+
+@pytest.mark.parametrize("value", (-0.5, 1.5, *NON_FINITE, True))
+def test_expected_completions_loss_rate(value):
+    profile = TrafficProfile(30e6, duration_subframes=5)
+    assert_rejected(lambda loss_rate: expected_completions(preset("lte10"), profile, loss_rate),
+                    "loss_rate", value)
+
+
+# Integer fields with a range: the inclusive [lo, hi] of each.
+U16, U32, U64 = (1 << 16) - 1, (1 << 32) - 1, (1 << 64) - 1
+HEADER_RANGES = {"timestamp": (0, U64), "num_blocks": (1, U16), "content_type": (0, U16),
+                 "size": (22, 65_507), "sender_clock": (0, U64)}
+# chunks() sends three bytes: one chunk by default, so its sender_clock may be 2^64 - 1
+CHUNK_RANGES = {"timestamp": (0, U64), "content_type": (0, U16), "sender_clock": (0, U64),
+                "max_datagram": (23, 65_507)}
+CONTROL_RANGES = {"dci_count": (0, 29), "mcs": (0, 255), "rb_position": (0, U16),
+                  "power_db": (-128, 127), "dci_positions[0]": (0, U16)}
+CQI_RANGES = {"subframe": (0, U32), "cqi": (0, 255)}
+WIDTH_RANGES = {"bit_width": (2, 16)}
+
+
+def int_cases(ranges):
+    """A float inside the range, a bool, and one past each end of every range."""
+    return [case for f, (lo, hi) in ranges.items()
+            for case in cases((f,), (lo + 0.5, True, lo - 1, hi + 1))]
+
+
+def range_ends(ranges):
+    """Each end of every range, as a Python int and as a numpy integer."""
+    return [pytest.param(f, v, id=f"{f}={type(v).__name__}({v})")
+            for f, (lo, hi) in ranges.items()
+            for v in (lo, hi, np.int64(lo), np.int64(hi) if hi < 1 << 63 else np.uint64(hi))]
+
+
+def split_header(**kw):
+    return SplitHeader(**{"timestamp": 0, "num_blocks": 1, "content_type": 0, "size": 22, **kw})
+
+
+def chunks(**kw):
+    return chunk_subframe(**{"timestamp": 0, "content_type": 0, "payload": b"abc", **kw})
+
+
+def control(**kw):
+    position = kw.pop("dci_positions[0]", 0)
+    return ControlDl(**{"dci_count": 1, "dci_positions": (position,), "mcs": 0,
+                        "rb_position": 0, "power_db": 0, **kw})
+
+
+def cqi_report(**kw):
+    return CqiReport(**{"subframe": 0, "cqi": 0, **kw})
+
+
+CODECS = {"pack_codes": lambda bit_width: pack_codes([1, -1], bit_width),
+          "unpack_codes": lambda bit_width: unpack_codes(bytes(4), bit_width, 2)}
+
+
+@pytest.mark.parametrize("field,value", int_cases(HEADER_RANGES))
+def test_split_header(field, value):
+    assert_rejected(split_header, field, value)
+
+
+@pytest.mark.parametrize("field,value", int_cases(CHUNK_RANGES))
+def test_chunk_subframe(field, value):
+    assert_rejected(chunks, field, value)
+
+
+@pytest.mark.parametrize("field,value", int_cases({"max_datagram": CHUNK_RANGES["max_datagram"]}))
+def test_chunk_count(field, value):
+    assert_rejected(lambda max_datagram: chunk_count(3, max_datagram), field, value)
+
+
+@pytest.mark.parametrize("field,value", int_cases(CONTROL_RANGES))
+def test_control_dl(field, value):
+    assert_rejected(control, field, value)
+
+
+@pytest.mark.parametrize("field,value", int_cases(CQI_RANGES))
+def test_cqi_report(field, value):
+    assert_rejected(cqi_report, field, value)
+
+
+@pytest.mark.parametrize("codec", CODECS)
+@pytest.mark.parametrize("field,value", int_cases(WIDTH_RANGES))
+def test_code_width(codec, field, value):
+    assert_rejected(CODECS[codec], field, value)
+
+
+def test_decode_control_leaves_an_impossible_count_to_control_dl():
+    for count in (30, U16):
+        payload = count.to_bytes(2, "big") + bytes(CONTROL_SIZE - 2)
+        with pytest.raises(ValueError, match=rf"^dci_count must be in \[0, 29\], got {count}$"):
+            decode_control(payload)
+
+
+@pytest.mark.parametrize("field,value", range_ends(HEADER_RANGES))
+def test_split_header_accepts_range_ends(field, value):
+    header = split_header(**{field: value})
+    assert decode_header(encode_header(header)) == header
+
+
+@pytest.mark.parametrize("field,value", range_ends(CHUNK_RANGES))
+def test_chunk_subframe_accepts_range_ends(field, value):
+    sent = chunks(**{field: value})
+    assert [chunk_from_datagram(c.to_datagram()) for c in sent] == sent
+    assert chunk_count(3, **{field: value} if field == "max_datagram" else {}) == len(sent)
+
+
+@pytest.mark.parametrize("field,value", range_ends(CONTROL_RANGES))
+def test_control_dl_accepts_range_ends(field, value):
+    positions = {"dci_positions": (7,) * int(value)} if field == "dci_count" else {}
+    ctrl = control(**{field: value}, **positions)
+    assert decode_control(encode_control(ctrl)) == ctrl
+
+
+@pytest.mark.parametrize("field,value", range_ends(CQI_RANGES))
+def test_cqi_report_accepts_range_ends(field, value):
+    report = cqi_report(**{field: value})
+    assert decode_cqi(encode_cqi(report)) == report
+
+
+@pytest.mark.parametrize("field,value", range_ends(WIDTH_RANGES))
+def test_code_width_accepts_range_ends(field, value):
+    codes = [1, -1, 0, 1]
+    assert unpack_codes(pack_codes(codes, value), value, len(codes)).tolist() == codes
+
+
+# Values no integer rule accepts, drawn beside integers around each range.
+NOT_INTS = (0.0, 1.0, 2.5, True, False, "1", None)
+
+
+def around(lo, hi):
+    return st.integers(lo - 1, hi + 1) | st.sampled_from(NOT_INTS)
+
+
+def accepted(build, **fields):
+    """build(**fields), or None where its constructor rejects a field."""
+    try:
+        return build(**fields)
+    except ValueError:
+        return None
+
+
+class TestAcceptedValuesRoundTrip:
+    """Whatever a message constructor accepts encodes, and decodes back equal."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.fixed_dictionaries({f: around(lo, hi) for f, (lo, hi) in HEADER_RANGES.items()}))
+    def test_split_header(self, fields):
+        header = accepted(SplitHeader, **fields)
+        if header is not None:
+            assert decode_header(encode_header(header)) == header
+
+    @settings(max_examples=200, deadline=None)
+    @given(positions=st.lists(around(0, U16), max_size=30), data=st.data(),
+           fields=st.fixed_dictionaries({f: around(*CONTROL_RANGES[f])
+                                         for f in ("mcs", "rb_position", "power_db")}))
+    def test_control_dl(self, positions, data, fields):
+        count = data.draw(st.just(len(positions)) | around(0, 29), label="dci_count")
+        ctrl = accepted(ControlDl, dci_count=count, dci_positions=tuple(positions), **fields)
+        if ctrl is not None:
+            assert decode_control(encode_control(ctrl)) == ctrl
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.fixed_dictionaries({f: around(lo, hi) for f, (lo, hi) in CQI_RANGES.items()}))
+    def test_cqi_report(self, fields):
+        report = accepted(CqiReport, **fields)
+        if report is not None:
+            assert decode_cqi(encode_cqi(report)) == report
