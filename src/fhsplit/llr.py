@@ -11,6 +11,7 @@ fill exactly w bytes; pack_codes goes through the plain bit matrix.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +74,8 @@ def pack_codes(codes, bit_width: int) -> bytes:
     from its big-endian uint16, the low w columns are kept and packed.
     """
     check_bit_width(bit_width)
+    # a plain int: numpy's integer scalars overflow or change type in the arithmetic
+    bit_width = operator.index(bit_width)
     arr = np.asarray(codes).ravel()
     if arr.dtype.kind not in "iu":  # e.g. an empty list converts to float64
         arr = arr.astype(np.int64)
@@ -87,6 +90,7 @@ def unpack_codes(data: bytes, bit_width: int, count: int) -> np.ndarray:
     """Inverse of pack_codes for the first `count` codes."""
     check_bit_width(bit_width)
     check_int(count, "count", minimum=0)
+    bit_width, count = operator.index(bit_width), operator.index(count)
     needed = -(-count * bit_width // 8)
     if len(data) < needed:
         raise ValueError(f"need {needed} bytes for {count} codes, got {len(data)}")

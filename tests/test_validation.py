@@ -254,6 +254,21 @@ def test_code_width_accepts_range_ends(field, value):
     assert unpack_codes(pack_codes(codes, value), value, len(codes)).tolist() == codes
 
 
+@pytest.mark.parametrize("width,count", [
+    pytest.param(np.uint64(5), 3, id="uint64-width"),
+    pytest.param(5, np.uint64(3), id="uint64-count"),
+    pytest.param(np.uint64(8), np.uint64(8), id="uint64-both"),
+    pytest.param(np.uint8(5), np.uint8(200), id="uint8-both"),
+    pytest.param(np.int8(16), np.int16(3000), id="int8-width-int16-count"),
+])
+def test_codecs_take_numpy_widths_and_counts(width, count):
+    codes = ([1, -1, 0] * 1000)[:int(count)]
+    packed = pack_codes(codes, width)
+    assert len(packed) == -(-int(count) * int(width) // 8)
+    assert unpack_codes(packed, width, count).tolist() == codes
+    assert unpack_codes(bytes(len(packed)), width, count).tolist() == [0] * int(count)
+
+
 # Values no integer rule accepts, drawn beside integers around each range.
 NOT_INTS = (0.0, 1.0, 2.5, True, False, "1", None)
 
