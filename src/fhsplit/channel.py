@@ -1,12 +1,14 @@
 """Datagram channels: a deterministic impairment simulator and UDP sockets.
 
-The simulated channel runs on a virtual nanosecond clock. Senders stamp
-each datagram with its emission instant; the channel applies loss, a fixed
+The simulated channel runs on a virtual nanosecond clock. A sender hands
+it each datagram at the end of the datagram's transmission on a link of
+ChannelSpec.line_rate_bps (emulation._emit keeps that clock); the
+channel applies loss, a fixed
 propagation delay and optional cross-subframe reordering (a held-back
 datagram is delayed by one extra subframe period), then releases datagrams
-in delivery-time order, ties in send order. Send times need not rise: a
-long message's last chunks may be stamped after the next message's first.
-The queue is a list kept stably sorted by delivery time: send appends, and
+in delivery-time order, ties in send order. Send times need not rise, and
+a held-back datagram falls behind later sends, so the queue is a list
+kept stably sorted by delivery time: send appends, and
 deliver_until sorts, which keeps ties in send order and takes linear time
 on the already-sorted runs, then cuts off the datagrams that are due.
 Each loss and each reorder decision takes one uniform of the channel's
@@ -30,6 +32,10 @@ import numpy as np
 from .cell import require_reals
 
 SUBFRAME_NS = 1_000_000
+#: The link's line rate unless a ChannelSpec states one: 25 GbE, the
+#: smallest standard rate that carries saturated worst100 uplink (22.35
+#: Gbit/s on the wire, rates.wire_bits_73).
+DEFAULT_LINE_RATE_BPS = 25_000_000_000
 # Raw words read per call of the channel's bit generator; one numpy call
 # costs several scalar draws, so a block makes each decision's draw cheap.
 UNIFORM_BLOCK = 1024
@@ -53,10 +59,21 @@ class ChannelSpec:
     loss_rate: float = 0.0
     reorder_rate: float = 0.0
     delay_us: float = 0.0
+    line_rate_bps: int = DEFAULT_LINE_RATE_BPS
 
     def __post_init__(self) -> None:
         require_reals(self, "loss_rate", "reorder_rate", at_most_one=True)
         require_reals(self, "delay_us")
+        require_reals(self, "line_rate_bps", positive=True)
+        if self.line_rate_bps != int(self.line_rate_bps):
+            raise ValueError(
+                f"line_rate_bps must be a whole number of bit/s, got {self.line_rate_bps}")
+        # a plain int, so that transmission times are exact integer arithmetic
+        object.__setattr__(self, "line_rate_bps", int(self.line_rate_bps))
+
+    def transmission_ns(self, nbytes: int) -> int:
+        """Whole nanoseconds the link takes to send nbytes: 8e9 * nbytes / rate, rounded up."""
+        return -(-8_000_000_000 * nbytes // self.line_rate_bps)
 
 
 class SimulatedChannel:

@@ -45,6 +45,11 @@ def mbps(text: str) -> float:
     return float(text) * 1e6
 
 
+def gbps(text: str) -> Fraction:
+    """Argparse type for a rate given in Gbit/s; returns it in bit/s, exact."""
+    return Fraction(text) * 10**9
+
+
 def _tenths(value: Union[int, Fraction], fmt: str, too_large: str) -> Union[str, float]:
     """An exact rate or ratio rounded half-up to one decimal: the rule for every printed one.
 
@@ -420,6 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"default: {Scenario.channel.reorder_rate:g}")
     p_emu.add_argument("--delay-us", dest="channel.delay_us", type=float,
                        help=f"default: {Scenario.channel.delay_us:g}")
+    p_emu.add_argument("--line-rate-gbps", dest="channel.line_rate_bps", type=gbps,
+                       metavar="GBPS",
+                       help=f"link line rate in Gbit/s, a whole number of bit/s "
+                            f"(default: {Scenario.channel.line_rate_bps / 1e9:g})")
     p_emu.add_argument("--seed", type=int, help=f"default: {Scenario.seed}")
     p_emu.add_argument("--max-datagram", type=int, help=f"default: {Scenario.max_datagram}")
     p_emu.add_argument("--du-addr", help="DU bind address, host:port; with --ru-addr, "

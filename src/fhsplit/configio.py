@@ -147,7 +147,7 @@ class Scenario:
             parse_addr(self.du_addr)
             parse_addr(self.ru_addr)
             if self.channel != ChannelSpec():
-                raise ValueError("a socket run cannot apply channel impairments")
+                raise ValueError("a socket run cannot apply channel impairments or a line rate")
         check_bit_width(self.cell.soft_bit_width, "soft_bit_width")
 
 

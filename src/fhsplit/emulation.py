@@ -92,7 +92,6 @@ from .wire import (
     chunk_subframe,
 )
 
-CHUNK_SPACING_NS = 1_000
 CQI_PERIOD = 5
 # A busy subframe's control message carries 1 + t % DCI_PERIOD DCIs.
 DCI_PERIOD = 3
@@ -433,14 +432,30 @@ def _emit(
     t: int,
     base_ns: int,
     max_datagram: int,
-) -> None:
-    ns = base_ns
+    link: ChannelSpec = ChannelSpec(),
+    free_ns: int = 0,
+) -> int:
+    """Chunk subframe t's messages and send them back to back on link; returns when it is free.
+
+    The link starts at base_ns, the subframe's start, or at free_ns if it
+    is still busy then. Each datagram takes link.transmission_ns of its
+    length, so it starts on a whole nanosecond, and send gets it at the end
+    of its transmission. Chunk i of each message is stamped sender_clock
+    base_ns + i: a sequence, not an emission time.
+    """
+    ns = max(base_ns, free_ns)
+    full_ns = link.transmission_ns(max_datagram)
     for ctype, payload in msgs:
         chunks = chunk_subframe(t, ctype, payload, max_datagram, sender_clock=base_ns)
         meter.record_emission(ctype, t, len(payload), chunks)
-        for chunk in chunks:
-            ns += CHUNK_SPACING_NS
+        # every chunk but the last is max_datagram bytes long
+        for chunk in chunks[:-1]:
+            ns += full_ns
             send(chunk.to_datagram(), ns)
+        last = chunks[-1]
+        ns += link.transmission_ns(last.header.size)
+        send(last.to_datagram(), ns)
+    return ns
 
 
 def _dl_messages(t, scheduled_bits, cfg, payload_rng,
@@ -612,6 +627,7 @@ def _prepare(
 def _run_loop(
     offered: List[int], dropped_bits: int, messages: Tuple[Iterator, Iterator], links,
     start_ns: int, settle_ns: int, seed: int, goodput_bps: float, max_datagram: int,
+    link_spec: ChannelSpec = ChannelSpec(),
 ) -> EmulationReport:
     """The one DU-RU loop of both run modes, on the calling thread.
 
@@ -619,14 +635,19 @@ def _run_loop(
     pair of functions: send(datagram, send_ns) puts one datagram on it,
     and deliver_until(ns) returns the (recv_ns, datagram) arrivals due by
     ns. Subframe t starts at start_ns + t * SUBFRAME_NS: the DU and the RU
-    emit its messages, then each direction in turn feeds its arrivals up
-    to the subframe's end through feed_many and meters the events. After
-    the last subframe the loop waits settle_ns once for stragglers. No
-    poll is needed to expire assemblies: feed expires an open one before
-    the next datagram of its content type, advance refuses a datagram past
-    the deadline, the meter ignores Timeout events and _finalize counts
-    every open assembly as a timeout. An OSError, which only socket I/O
-    raises, ends the run early and marks the report incomplete.
+    emit its messages through _emit, each direction's datagrams back to
+    back at link_spec's line rate from the subframe's start or from the
+    end of that direction's previous subframe, whichever is later, so an
+    over-subscribed link falls behind instead of interleaving subframes.
+    Then each direction in turn feeds its arrivals up to the subframe's
+    end through feed_many and meters the events. After the last subframe
+    the loop waits settle_ns once for stragglers; a datagram the link
+    sends later never arrives. No poll is needed to expire assemblies:
+    feed expires every open one whose deadline has passed before the next
+    datagram of its content type, advance refuses a datagram past any open
+    deadline, the meter ignores Timeout events and _finalize counts every
+    open assembly as a timeout. An OSError, which only socket I/O raises,
+    ends the run early and marks the report incomplete.
     """
     # A run makes no reference cycles (tests/test_emulation.py checks), so
     # reference counting frees all it drops and the cyclic collector would
@@ -640,11 +661,15 @@ def _run_loop(
                 for stream, (send, deliver_until), meter
                 in zip(messages, links, (dl_meter, ul_meter))]
         incomplete = False
+        free_ns = [start_ns, start_ns]  # when each direction's link is next idle
         try:
             for t in range(duration):
                 base_ns = start_ns + t * SUBFRAME_NS
-                for stream, send, _, _, meter in dirs:
-                    _emit(meter, send, next(stream), t, base_ns, max_datagram)
+                # a loop, not a comprehension: one would make cells of the
+                # locals it reads when the call starts, before gc.disable()
+                for k, (stream, send, _, _, meter) in enumerate(dirs):
+                    free_ns[k] = _emit(meter, send, next(stream), t, base_ns, max_datagram,
+                                       link_spec, free_ns[k])
                 end_ns = base_ns + SUBFRAME_NS
                 for _, _, deliver_until, rx, meter in dirs:
                     meter.record_events(rx.feed_many(deliver_until(end_ns - 1)))
@@ -685,7 +710,7 @@ def run_emulation(
     settle_ns = DEFAULT_TIMEOUT_NS + dl.delay_ns + 2 * SUBFRAME_NS
     return _run_loop(offered, dropped_bits, messages,
                      ((dl.send, dl.deliver_until), (ul.send, ul.deliver_until)),
-                     0, settle_ns, seed, profile.goodput_bps, max_datagram)
+                     0, settle_ns, seed, profile.goodput_bps, max_datagram, channel)
 
 
 def run_socket_emulation(

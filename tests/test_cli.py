@@ -602,6 +602,8 @@ class TestEmulate:
         (("--delay-us", "nan"), "delay_us"),
         (("--delay-us", "inf"), "delay_us"),
         (("--seed", "-1"), "seed"),
+        (("--line-rate-gbps", "0"), "line_rate_bps"),
+        (("--line-rate-gbps", "1.5e-9"), "line_rate_bps"),
     ])
     def test_bad_numeric_option_exits_2(self, capsys, argv, field):
         code, _, err = run_cli(capsys, "emulate", "--subframes", "3", *argv)
@@ -633,6 +635,26 @@ class TestEmulate:
         assert code == 2
         assert "impairments" in err
         assert opened == []
+
+    @pytest.mark.parametrize("rate", ["10", "25.000000001"])
+    def test_socket_mode_rejects_a_line_rate_before_binding(self, capsys, monkeypatch,
+                                                            rate):
+        # a socket link runs at whatever rate the host gives it
+        opened = []
+        monkeypatch.setattr(fhsplit.emulation, "UdpEndpoint",
+                            lambda addr: opened.append(addr))
+        code, out, err = run_cli(
+            capsys, "emulate", "--line-rate-gbps", rate,
+            "--du-addr", "127.0.0.1:0", "--ru-addr", "127.0.0.1:0",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: a socket run cannot apply channel impairments or a line rate\n"
+        assert opened == []
+
+    def test_the_default_line_rate_is_allowed_in_socket_mode(self, run_args, capsys):
+        code, _, err = run_cli(capsys, "emulate", "--line-rate-gbps", "25", *SOCKET_ARGV)
+        assert code == 1 and "stopped before the run" in err
+        assert [call["mode"] for call in run_args] == ["socket"]
 
     @pytest.mark.parametrize("du_addr,ru_addr", [
         ("127.0.0.1:70000", "127.0.0.1:0"),
@@ -708,6 +730,7 @@ OVERLAY_SCENARIO = (
     "profile.goodput_bps = 4e6\nprofile.packet_size_bytes = 1000\n"
     "profile.duration_subframes = 40\n"
     "channel.loss_rate = 0.0\nchannel.reorder_rate = 0.0\nchannel.delay_us = 0\n"
+    "channel.line_rate_bps = 25e9\n"
     "seed = 2\nmax_datagram = 1400\n"
 )
 SOCKET_ARGV = ("--du-addr", "127.0.0.1:5000", "--ru-addr", "127.0.0.1:5001")
@@ -748,6 +771,7 @@ class TestScenarioOverlay:
         (("--loss", "1.0"), "channel.loss_rate", 1.0),
         (("--reorder", "0.5"), "channel.reorder_rate", 0.5),
         (("--delay-us", "50"), "channel.delay_us", 50.0),
+        (("--line-rate-gbps", "2.5"), "channel.line_rate_bps", 2_500_000_000),
         (("--max-datagram", "256"), "max_datagram", 256),
         (SOCKET_ARGV, "du_addr", "127.0.0.1:5000"),
         (SOCKET_ARGV, "ru_addr", "127.0.0.1:5001"),

@@ -356,6 +356,72 @@ class TestCleanChannelRuns:
                           TrafficProfile(100e6, 1400, 3), max_datagram=max_datagram)
 
 
+class TestLinkClock:
+    """Each direction's datagrams leave back to back at ChannelSpec.line_rate_bps."""
+
+    # (preset, subframes, uplink messages): 3 Gbit/s saturates every preset
+    SATURATED = [("lte10", 200, 240), ("lte20", 200, 240), ("worst100", 20, 24)]
+
+    @pytest.mark.parametrize("name,subframes,ul_messages", SATURATED)
+    def test_a_clean_25gbe_link_completes_every_preset_at_saturation(
+            self, name, subframes, ul_messages):
+        report = run_emulation(preset(name), TrafficProfile(3e9, 1400, subframes),
+                               ChannelSpec(line_rate_bps=25e9), seed=1)
+        assert report.totals()["jumbled"] == report.totals()["timeouts"] == 0
+        assert report.ul.completed_messages == report.ul.emitted_messages == ul_messages
+        assert report.dl.stale_drops == report.ul.stale_drops == 0
+
+    def test_the_default_link_is_25gbe(self):
+        assert ChannelSpec().line_rate_bps == 25_000_000_000
+
+    def test_an_oversubscribed_link_times_out_without_jumbles(self):
+        # saturated worst100 uplink needs 22.35 Gbit/s: on 10 GbE each
+        # subframe's message leaves after the last one, later and later
+        report = run_emulation(preset("worst100"), TrafficProfile(3e9, 1400, 20),
+                               ChannelSpec(line_rate_bps=10e9), seed=1)
+        ul = report.ul
+        assert (ul.completed_messages, ul.jumbled_messages, ul.timeout_messages) == (18, 0, 6)
+        assert report.dl.completed_messages == report.dl.emitted_messages
+
+    @pytest.mark.parametrize("rate", [10**9, 25 * 10**9, 3 * 10**9 + 7])
+    def test_consecutive_datagrams_take_their_transmission_time(self, rate):
+        spec = ChannelSpec(delay_us=40.0, line_rate_bps=rate)
+        channel = SimulatedChannel(spec, seed=0)
+        msgs = [(CONTENT_DL_CONTROL, bytes(64)), (CONTENT_DL_DATA, bytes(5000))]
+        free_ns = _emit(_DirMeter(1), channel.send, msgs, 0, 3 * SUBFRAME_NS, 1472, spec)
+        arrivals = channel.deliver_until(10 * SUBFRAME_NS)
+        assert [len(d) for _, d in arrivals] == [86, 1472, 1472, 1472, 672]
+        # the link starts at the subframe's start; each datagram arrives
+        # when its transmission ends, rounded up to a whole nanosecond
+        ends = [3 * SUBFRAME_NS]
+        for _, datagram in arrivals:
+            ends.append(ends[-1] + -(-8_000_000_000 * len(datagram) // rate))
+        assert [ns for ns, _ in arrivals] == [end + 40_000 for end in ends[1:]]
+        assert free_ns == ends[-1]
+
+    def test_a_busy_link_starts_when_it_is_free(self):
+        spec = ChannelSpec(line_rate_bps=10**9)
+        sent = []
+        meter = _DirMeter(2)
+        msgs = [(CONTENT_DL_DATA, bytes(4 * 1450))]
+        free_ns = _emit(meter, lambda d, ns: sent.append(ns), msgs, 0, 0, 1472, spec)
+        # 4 datagrams of 1 472 B at 1 Gbit/s take 47.1 us: the link is free
+        # before the next subframe, which starts on time
+        assert free_ns == sent[-1] == 4 * 11_776
+        _emit(meter, lambda d, ns: sent.append(ns), msgs, 1, SUBFRAME_NS, 1472, spec,
+              SUBFRAME_NS + 5)
+        assert sent[4] == SUBFRAME_NS + 5 + 11_776
+
+    def test_sender_clocks_stay_a_sequence_from_the_subframe_start(self):
+        spec = ChannelSpec(line_rate_bps=10**9)
+        sent = []
+        _emit(_DirMeter(1), lambda d, ns: sent.append(d),
+              [(CONTENT_DL_DATA, bytes(3000))], 0, 7 * SUBFRAME_NS, 1472, spec,
+              9 * SUBFRAME_NS)
+        clocks = [struct.unpack_from(">Q", d, 14)[0] for d in sent]
+        assert clocks == [7 * SUBFRAME_NS + i for i in range(3)]
+
+
 class TestImpairedChannelRuns:
     def test_total_loss_is_all_timeouts(self):
         profile = TrafficProfile(goodput_bps=20e6, duration_subframes=150)

@@ -9,6 +9,7 @@ included, and whatever their constructors accept encodes and decodes back.
 """
 
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -98,9 +99,16 @@ def test_traffic_profile(field, value):
 @pytest.mark.parametrize("field,value", [
     *cases(("loss_rate", "reorder_rate"), (-0.1, 1.5, 2, *NON_FINITE, True)),
     *cases(("delay_us",), (-1, -0.5, *NON_FINITE, True)),
+    *cases(("line_rate_bps",), (0, -1, 1.5, 25e9 + 0.5, *NON_FINITE, True)),
 ])
 def test_channel_spec(field, value):
     assert_rejected(ChannelSpec, field, value)
+
+
+@pytest.mark.parametrize("value", (25e9, 10**9, np.int64(10**10), Fraction(5, 2) * 10**9))
+def test_line_rate_is_kept_as_a_plain_int(value):
+    rate = ChannelSpec(line_rate_bps=value).line_rate_bps
+    assert type(rate) is int and rate == value
 
 
 @pytest.mark.parametrize("field,value", [
