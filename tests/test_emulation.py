@@ -1165,11 +1165,11 @@ class TestGoldenReports:
         ("lte10", 30e6, 1400, 200, ChannelSpec(0.02, 0.05, 30.0), 1472, 11,
          "dacd7dfe8cc885ddf3eec11534787304dcc0ecc18424770efdaea08b2d6c81b9"),
         ("lte10", 2e6, 200, 300, ChannelSpec(0.01, 0.05, 50.0), 1472, 1,
-         "1c4e6f075c987d33136f2d20081c41b3bcd0400cf66ef52d6b32bbe7d526d862"),
+         "a461e4a95af4f54f0042adc85b654a2169508b38c0dbcafbcdca691277ba8456"),
         ("lte20", 200e6, 1400, 10, ChannelSpec(), 256, 1,
          "231ff8493f45f7c2470eb680a96470bca5ed125f0aec2eefc3c25845128a6562"),
         ("worst100", 3e9, 1400, 2, ChannelSpec(), 1472, 1,
-         "2845b646d2c6bbb660d2c76cd3fb7fabd64924cd5f65c25c2a2b3023b394c505"),
+         "31f9dcf0d3cf82cfca5d67e0c65174e613eb03b71cec354810a4d6711934d25f"),
         ("lte10", 0.0, 1400, 50, ChannelSpec(1.0, 0, 0), 1472, 5,
          "f950e7d0ea31e264220785ca00cb227c9d623742451611ef1f79296f9e7812ce"),
     ]
