@@ -10,7 +10,8 @@ in delivery-time order, ties in send order. Send times need not rise, and
 a held-back datagram falls behind later sends, so the queue is a list
 kept stably sorted by delivery time: send appends, and
 deliver_until sorts, which keeps ties in send order and takes linear time
-on the already-sorted runs, then cuts off the datagrams that are due.
+on the already-sorted runs, then cuts off the datagrams that are due
+(the whole list when all are).
 Each loss and each reorder decision takes one uniform of the channel's
 seeded stream, loss first, and only when its rate is above zero, so a
 clean channel draws nothing. A uniform is one raw 64-bit word w of a bare
@@ -21,11 +22,12 @@ Behaviour is a pure function of the parameters and the seed.
 
 from __future__ import annotations
 
+import functools
 import socket
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -71,9 +73,23 @@ class ChannelSpec:
         # a plain int, so that transmission times are exact integer arithmetic
         object.__setattr__(self, "line_rate_bps", int(self.line_rate_bps))
 
-    def transmission_ns(self, nbytes: int) -> int:
-        """Whole nanoseconds the link takes to send nbytes: 8e9 * nbytes / rate, rounded up."""
-        return -(-8_000_000_000 * nbytes // self.line_rate_bps)
+    @functools.cached_property
+    def transmission_ns(self) -> Dict[int, int]:
+        """Whole nanoseconds the link takes to send n bytes, by n: 8e9 * n / rate, rounded up.
+
+        Exact integer arithmetic; each entry is computed on first use and kept.
+        """
+        return _TransmissionTimes(self.line_rate_bps)
+
+
+class _TransmissionTimes(dict):
+    def __init__(self, line_rate_bps: int) -> None:
+        super().__init__()
+        self.line_rate_bps = line_rate_bps
+
+    def __missing__(self, nbytes: int) -> int:
+        ns = self[nbytes] = -(-8_000_000_000 * nbytes // self.line_rate_bps)
+        return ns
 
 
 class SimulatedChannel:
@@ -94,11 +110,12 @@ class SimulatedChannel:
         if not self._impaired:
             self._pending.append((now_ns + self.delay_ns, datagram))
             return
-        if self.spec.loss_rate > 0 and self._uniform() < self.spec.loss_rate:
+        spec = self.spec
+        if spec.loss_rate > 0 and self._uniform() < spec.loss_rate:
             self.dropped += 1
             return
         delay_ns = self.delay_ns
-        if self.spec.reorder_rate > 0 and self._uniform() < self.spec.reorder_rate:
+        if spec.reorder_rate > 0 and self._uniform() < spec.reorder_rate:
             self.reordered += 1
             delay_ns += SUBFRAME_NS
         self._pending.append((now_ns + delay_ns, datagram))
@@ -107,6 +124,9 @@ class SimulatedChannel:
         """Remove every datagram due at or before now_ns; returns them in delivery order."""
         pending = self._pending
         pending.sort(key=_DELIVERY_NS)
+        if not pending or pending[-1][0] <= now_ns:  # all of them, the common case
+            self._pending = []
+            return pending
         due = bisect_right(pending, now_ns, key=_DELIVERY_NS)
         out = pending[:due]
         del pending[:due]

@@ -202,9 +202,10 @@ class SubframeReceiver:
         """Decode and accept one datagram; returns its (content_type, event) outcomes.
 
         Outcomes are Complete, Jumbled, Timeout and Malformed; a chunk that
-        only advances its assembly returns []. An assembly whose deadline
-        passed before this datagram arrived times out first. A chunk that
-        jumbles the open assembly is offered again, to start its own.
+        only advances its assembly returns []. Every assembly whose
+        deadline passed before this datagram arrived times out first. A
+        chunk that evicts an assembly (Jumbled) is offered again, until it
+        is taken or rejected.
         """
         try:
             chunk = chunk_from_datagram(datagram)
@@ -218,11 +219,10 @@ class SubframeReceiver:
         self._fed = buf
         events: List[Tuple[int, ReassemblyEvent]] = []
         if buf.in_progress:
-            expired = buf.poll_timeout(now_ns)
-            if expired is not None:
+            while (expired := buf.poll_timeout(now_ns)) is not None:
                 events.append((ctype, expired))
         event = buf.accept(chunk, now_ns)
-        if isinstance(event, Jumbled):
+        while isinstance(event, Jumbled):
             events.append((ctype, event))
             event = buf.accept(chunk, now_ns)
         if event is not None:
@@ -258,8 +258,7 @@ class SubframeReceiver:
     def poll(self, now_ns: int) -> List[Tuple[int, ReassemblyEvent]]:
         events = []
         for ctype, buf in self._buffers.items():
-            expired = buf.poll_timeout(now_ns)
-            if expired is not None:
+            while (expired := buf.poll_timeout(now_ns)) is not None:
                 events.append((ctype, expired))
         return events
 
@@ -443,17 +442,19 @@ def _emit(
     of its transmission. Chunk i of each message is stamped sender_clock
     base_ns + i: a sequence, not an emission time.
     """
-    ns = max(base_ns, free_ns)
-    full_ns = link.transmission_ns(max_datagram)
+    ns = free_ns if free_ns > base_ns else base_ns
+    transmission_ns = link.transmission_ns
+    full_ns = transmission_ns[max_datagram]
     for ctype, payload in msgs:
-        chunks = chunk_subframe(t, ctype, payload, max_datagram, sender_clock=base_ns)
+        chunks = chunk_subframe(t, ctype, payload, max_datagram, base_ns)
         meter.record_emission(ctype, t, len(payload), chunks)
-        # every chunk but the last is max_datagram bytes long
-        for chunk in chunks[:-1]:
-            ns += full_ns
-            send(chunk.to_datagram(), ns)
         last = chunks[-1]
-        ns += link.transmission_ns(last.header.size)
+        if len(chunks) > 1:
+            # every chunk but the last is max_datagram bytes long
+            for chunk in chunks[:-1]:
+                ns += full_ns
+                send(chunk.to_datagram(), ns)
+        ns += transmission_ns[last.header.size]
         send(last.to_datagram(), ns)
     return ns
 
@@ -657,24 +658,25 @@ def _run_loop(
     try:
         duration = len(offered)
         dl_meter, ul_meter = _DirMeter(duration), _DirMeter(duration)
-        dirs = [(stream, send, deliver_until, SubframeReceiver(), meter)
-                for stream, (send, deliver_until), meter
-                in zip(messages, links, (dl_meter, ul_meter))]
+        dl_rx, ul_rx = SubframeReceiver(), SubframeReceiver()
+        (dl_msgs, ul_msgs), ((dl_send, dl_deliver), (ul_send, ul_deliver)) = messages, links
+        dl_free_ns = ul_free_ns = start_ns  # when each direction's link is next idle
         incomplete = False
-        free_ns = [start_ns, start_ns]  # when each direction's link is next idle
         try:
+            # the directions written out, not looped over: a loop that
+            # carries each link's clock costs more than the clock itself
             for t in range(duration):
                 base_ns = start_ns + t * SUBFRAME_NS
-                # a loop, not a comprehension: one would make cells of the
-                # locals it reads when the call starts, before gc.disable()
-                for k, (stream, send, _, _, meter) in enumerate(dirs):
-                    free_ns[k] = _emit(meter, send, next(stream), t, base_ns, max_datagram,
-                                       link_spec, free_ns[k])
-                end_ns = base_ns + SUBFRAME_NS
-                for _, _, deliver_until, rx, meter in dirs:
-                    meter.record_events(rx.feed_many(deliver_until(end_ns - 1)))
+                dl_free_ns = _emit(dl_meter, dl_send, next(dl_msgs), t, base_ns, max_datagram,
+                                   link_spec, dl_free_ns)
+                ul_free_ns = _emit(ul_meter, ul_send, next(ul_msgs), t, base_ns, max_datagram,
+                                   link_spec, ul_free_ns)
+                last_ns = base_ns + SUBFRAME_NS - 1
+                dl_meter.record_events(dl_rx.feed_many(dl_deliver(last_ns)))
+                ul_meter.record_events(ul_rx.feed_many(ul_deliver(last_ns)))
             end_ns = start_ns + duration * SUBFRAME_NS + settle_ns
-            for _, _, deliver_until, rx, meter in dirs:
+            for deliver_until, rx, meter in ((dl_deliver, dl_rx, dl_meter),
+                                             (ul_deliver, ul_rx, ul_meter)):
                 # The one poll changes no report; perfbench/spans.py times
                 # SubframeReceiver.poll, and TestBenchmarkHooks needs it to run.
                 meter.record_events(rx.feed_many(deliver_until(end_ns)) + rx.poll(end_ns))

@@ -35,6 +35,7 @@ from fhsplit.wire import (
     MAX_DATAGRAM,
     ReassemblyBuffer,
     SplitHeader,
+    WINDOW,
     Timeout,
     chunk_subframe,
     decode_header,
@@ -171,8 +172,9 @@ def test_criterion_5_wire_protocol():
 
     stalled = chunk_subframe(3, 0, b"y" * 4000, max_datagram=1472)
     buf.accept(stalled[0], 2_000_000)
-    follow = chunk_subframe(4, 0, b"z" * 4000, max_datagram=1472)
-    assert buf.accept(follow[0], 2_100_000) == Jumbled(3, 4)
+    # a subframe WINDOW newer evicts the stalled one
+    follow = chunk_subframe(3 + WINDOW, 0, b"z" * 4000, max_datagram=1472)
+    assert buf.accept(follow[0], 2_100_000) == Jumbled(3, 3 + WINDOW)
 
     print(f"ACCEPTANCE PASS 5: {HEADER_ROUND_TRIPS} header round trips, "
           f"{FUZZ_DECODES} fuzz decodes, chunk round trips, "

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fhsplit
-from fhsplit.cell import CellConfig, preset
+from fhsplit.cell import PRESETS, CellConfig, preset
 from fhsplit.channel import SUBFRAME_NS, UNIFORM_BLOCK, ChannelSpec, SimulatedChannel
 from fhsplit.llr import LlrQuantizer, pack_codes, unpack_codes
 from fhsplit.wire import (
@@ -33,6 +33,7 @@ from fhsplit.wire import (
     Jumbled,
     Malformed,
     Timeout,
+    WINDOW,
     chunk_subframe,
 )
 from fhsplit.emulation import (
@@ -450,28 +451,28 @@ class TestImpairedChannelRuns:
                 == stats.emitted_payload_bits
             )
 
-    def test_reordering_produces_jumbles_not_timeouts(self):
+    def test_reordering_alone_loses_no_message(self):
+        # a datagram held back by one subframe lands in its own assembly,
+        # inside the window and before the deadline
         profile = TrafficProfile(goodput_bps=30e6, duration_subframes=200)
         report = run_emulation(
             LTE10, profile, ChannelSpec(reorder_rate=0.2), seed=7
         )
         totals = report.totals()
-        assert totals["jumbled"] > 0
-        assert totals["timeouts"] == 0  # delayed chunks displace, never expire
+        assert totals["jumbled"] == totals["timeouts"] == 0
+        for stats in (report.dl, report.ul):
+            assert stats.completed_messages == stats.emitted_messages
+            assert stats.stale_drops == 0
 
-    def test_jumbles_grow_with_reorder_rate(self):
+    def test_no_reorder_rate_loses_a_message(self):
         profile = TrafficProfile(goodput_bps=30e6, duration_subframes=100)
-        jumbled = []
-        for rate in (0.0, 0.1, 0.3):
-            count = 0
+        for rate in (0.1, 0.3, 1.0):
             for seed in range(20):
                 spec = ChannelSpec(reorder_rate=rate)
-                count += run_emulation(LTE10, profile, spec, seed=seed).totals()[
-                    "jumbled"
-                ]
-            jumbled.append(count)
-        assert jumbled[0] == 0
-        assert jumbled[0] < jumbled[1] < jumbled[2]
+                report = run_emulation(LTE10, profile, spec, seed=seed)
+                totals = report.totals()
+                assert totals["jumbled"] == totals["timeouts"] == 0, (rate, seed)
+                assert report.dl.stale_drops == report.ul.stale_drops == 0
 
     def test_timeouts_grow_with_loss_rate(self):
         profile = TrafficProfile(goodput_bps=30e6, duration_subframes=100)
@@ -530,6 +531,71 @@ class TestCompletionsUnderLoss:
                 mean, variance = expected[direction]
                 z = (stats.completed_messages - mean) / math.sqrt(variance)
                 assert abs(z) <= COMPLETIONS_BOUND_SD, (seed, direction, z)
+
+
+class TestReassemblyWindow:
+    """A chunk that arrives before its deadline counts, however late its subframe."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_completions_with_reordering_follow_the_loss_closed_form(self, seed):
+        # held-back datagrams cost nothing, so completions follow loss alone
+        profile = TrafficProfile(80e6, duration_subframes=200)
+        expected = expected_completions(LTE10, profile, 0.01)
+        report = run_emulation(LTE10, profile, ChannelSpec(0.01, 0.05), seed=seed)
+        for direction, stats in (("dl", report.dl), ("ul", report.ul)):
+            mean, variance = expected[direction]
+            z = (stats.completed_messages - mean) / math.sqrt(variance)
+            assert abs(z) <= COMPLETIONS_BOUND_SD, (direction, z)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_under_loss_alone_every_failed_message_lost_a_chunk(self, seed, monkeypatch):
+        channels = []
+
+        class Recording(SimulatedChannel):
+            """Records the (content_type, timestamp) of each message that lost a chunk."""
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.lost = set()
+                channels.append(self)
+
+            def send(self, datagram, now_ns):
+                dropped = self.dropped
+                super().send(datagram, now_ns)
+                if self.dropped > dropped:
+                    ts, _, ctype, _, _ = struct.unpack_from(_HEADER_FMT, datagram)
+                    self.lost.add((ctype, ts))
+
+        monkeypatch.setattr(fhsplit.emulation, "SimulatedChannel", Recording)
+        report = run_emulation(LTE10, TrafficProfile(80e6, duration_subframes=200),
+                               ChannelSpec(loss_rate=0.01), seed=seed)
+        dl, ul = channels
+        for stats, channel in ((report.dl, dl), (report.ul, ul)):
+            assert stats.jumbled_messages == 0
+            assert stats.timeout_messages == len(channel.lost) > 0
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    @pytest.mark.parametrize("which", ["first", "middle", "last"])
+    def test_a_chunk_held_back_one_subframe_completes(self, name, which, monkeypatch):
+        held = 2
+
+        class HoldBack(SimulatedChannel):
+            """Holds one chunk of each of subframe 2's messages back by a subframe."""
+
+            def send(self, datagram, now_ns):
+                ts, blocks, _, _, clock = struct.unpack_from(_HEADER_FMT, datagram)
+                index = clock - ts * SUBFRAME_NS  # chunk i is stamped base_ns + i
+                pick = {"first": 0, "middle": blocks // 2, "last": blocks - 1}[which]
+                if ts == held and index == pick:
+                    now_ns += SUBFRAME_NS
+                super().send(datagram, now_ns)
+
+        monkeypatch.setattr(fhsplit.emulation, "SimulatedChannel", HoldBack)
+        report = run_emulation(preset(name), TrafficProfile(3e9, 1400, 5), seed=1)
+        assert report.totals()["jumbled"] == report.totals()["timeouts"] == 0
+        for stats in (report.dl, report.ul):
+            assert stats.completed_messages == stats.emitted_messages
+            assert stats.stale_drops == 0
 
 
 class TestDeterminism:
@@ -858,16 +924,34 @@ class TestReceiver:
     def test_jumble_is_reported_once(self):
         rx = SubframeReceiver()
         rx.feed(self.datagrams(1, b"a" * 3000)[0], 0)
-        new = self.datagrams(2, b"b" * 3000)
-        assert rx.feed(new[0], 10) == [(self.CT, Jumbled(1, 2))]
+        new = self.datagrams(1 + WINDOW, b"b" * 3000)
+        assert rx.feed(new[0], 10) == [(self.CT, Jumbled(1, 1 + WINDOW))]
         assert rx.feed(new[1], 20) == []
 
     def test_jumble_with_instant_complete_still_reported(self):
         rx = SubframeReceiver()
         rx.feed(self.datagrams(1, b"a" * 3000)[0], 0)
-        [single] = self.datagrams(2, b"f")
+        [single] = self.datagrams(1 + WINDOW, b"f")
         assert rx.feed(single, 10) == [
-            (self.CT, Jumbled(1, 2)), (self.CT, Complete(2, b"f"))]
+            (self.CT, Jumbled(1, 1 + WINDOW)), (self.CT, Complete(1 + WINDOW, b"f"))]
+
+    def test_one_chunk_evicts_every_assembly_below_the_window(self):
+        rx = SubframeReceiver()
+        rx.feed(self.datagrams(1, b"a" * 3000)[0], 0)
+        rx.feed(self.datagrams(2, b"b" * 3000)[0], 1)
+        [single] = self.datagrams(2 + WINDOW, b"f")
+        assert rx.feed(single, 10) == [
+            (self.CT, Jumbled(1, 2 + WINDOW)), (self.CT, Jumbled(2, 2 + WINDOW)),
+            (self.CT, Complete(2 + WINDOW, b"f"))]
+
+    def test_every_expired_assembly_times_out_before_the_next_datagram(self):
+        rx = SubframeReceiver()
+        a, b = self.datagrams(1, b"a" * 3000), self.datagrams(2, b"b" * 3000)
+        rx.feed(b[0], 0)
+        rx.feed(a[0], 5)
+        assert rx.feed(b[1], DEFAULT_TIMEOUT_NS + 5) == [
+            (self.CT, Timeout(2, 1, 3)), (self.CT, Timeout(1, 1, 3)),
+            (self.CT, Malformed("stale", timestamp=2))]
 
     def test_duplicate_is_metered_as_malformed(self):
         rx = SubframeReceiver()
@@ -1512,7 +1596,28 @@ class TestBenchmarkHooks:
         assert c.useful_chunks == c.datagrams > completed
         report, c, completed = traced(LTE10, TrafficProfile(80e6, 1400, 200),
                                       ChannelSpec(0.01, 0.05, 50.0), seed=1)
-        assert report.dl.jumbled_messages + report.ul.jumbled_messages > 0
+        # The window leaves such a run no jumble, so a crafted trace evicts
+        # an open assembly: the chunk of a subframe WINDOW newer jumbles it
+        # and is offered to accept again, where it starts its own.
+        tracer = spans.Tracer(fhsplit)
+        tracer.install()
+        try:
+            tracer.begin_call()
+            chunk = fhsplit.emulation.chunk_subframe  # the traced one
+            old = chunk(0, CONTENT_UL_SOFT, b"o" * 3000)
+            new = chunk(WINDOW, CONTENT_UL_SOFT, b"n" * 3000)
+            arrivals = [(ns, c.to_datagram())
+                        for ns, c in enumerate([old[0], *new, old[1]])]
+            events = SubframeReceiver().feed_many(arrivals)
+        finally:
+            tracer.restore()
+        assert events == [(CONTENT_UL_SOFT, Jumbled(0, WINDOW)),
+                          (CONTENT_UL_SOFT, Complete(WINDOW, b"n" * 3000)),
+                          (CONTENT_UL_SOFT, Malformed("stale", timestamp=0))]
+        # old[0], new[0] twice, new[2] and old[1]; advance holds new[1]
+        assert tracer.counters.accepted == 5
+        assert len(tracer.counters.latencies_ns) == 1
+        assert tracer.counters.corrupt_completes == 0
 
     def test_pool_is_built_once_per_call(self, spans):
         # llr.quantize_ms and llr.pack_ms time the per-run table and pool; a

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fhsplit.channel import SUBFRAME_NS
 from fhsplit.wire import (
     DEFAULT_TIMEOUT_NS,
     Chunk,
@@ -22,6 +23,7 @@ from fhsplit.wire import (
     ReassemblyBuffer,
     SplitHeader,
     Timeout,
+    WINDOW,
     chunk_from_datagram,
     chunk_count,
     chunk_subframe,
@@ -376,24 +378,24 @@ class TestReassemblyTraces:
     def test_jumbled_trace(self):
         buf = ReassemblyBuffer()
         old = chunk_subframe(0, 0, b"c" * 3000, max_datagram=1472)
-        new = chunk_subframe(1, 0, b"d" * 3000, max_datagram=1472)
+        new = chunk_subframe(WINDOW, 0, b"d" * 3000, max_datagram=1472)
         buf.accept(old[0], 0)
-        # the newer chunk evicts the old assembly without being taken
-        assert buf.accept(new[0], 100) == Jumbled(0, 1)
+        # a chunk WINDOW subframes newer evicts the old assembly without being taken
+        assert buf.accept(new[0], 100) == Jumbled(0, WINDOW)
         assert not buf.in_progress
         # offered again, it starts the new assembly, which proceeds normally
         assert buf.accept(new[0], 100) is None
         assert buf.accept(new[1], 200) is None
-        assert buf.accept(new[2], 300) == Complete(1, b"d" * 3000)
+        assert buf.accept(new[2], 300) == Complete(WINDOW, b"d" * 3000)
 
     def test_jumble_with_instant_complete_still_recorded(self):
         buf = ReassemblyBuffer()
         old = chunk_subframe(0, 0, b"e" * 3000, max_datagram=1472)
-        [new] = chunk_subframe(1, 0, b"f")
+        [new] = chunk_subframe(WINDOW, 0, b"f")
         buf.accept(old[0], 0)
-        assert buf.accept(new, 100) == Jumbled(0, 1)
+        assert buf.accept(new, 100) == Jumbled(0, WINDOW)
         # the one-chunk message completes when offered again
-        assert buf.accept(new, 100) == Complete(1, b"f")
+        assert buf.accept(new, 100) == Complete(WINDOW, b"f")
         assert not buf.in_progress
         # the evicted subframe is stale from then on
         assert buf.accept(old[1], 200) == Malformed("stale", timestamp=0)
@@ -403,10 +405,14 @@ class TestReassemblyTraces:
         [chunk] = chunk_subframe(5, 0, b"g")
         assert buf.accept(chunk, 0) == Complete(5, b"g")
         assert buf.accept(chunk, 10) == Malformed("stale", timestamp=5)
-        [older] = chunk_subframe(4, 0, b"h")
-        assert buf.accept(older, 20) == Malformed("stale", timestamp=4)
+        # an older subframe inside the window still completes, once
+        [older] = chunk_subframe(5 - WINDOW + 1, 0, b"h")
+        assert buf.accept(older, 20) == Complete(5 - WINDOW + 1, b"h")
+        assert buf.accept(older, 25) == Malformed("stale", timestamp=5 - WINDOW + 1)
+        [oldest] = chunk_subframe(5 - WINDOW, 0, b"h")
+        assert buf.accept(oldest, 30) == Malformed("stale", timestamp=5 - WINDOW)
         [newer] = chunk_subframe(6, 0, b"i")
-        assert buf.accept(newer, 30) == Complete(6, b"i")
+        assert buf.accept(newer, 40) == Complete(6, b"i")
 
     def test_stale_after_timeout(self):
         buf = ReassemblyBuffer()
@@ -420,9 +426,9 @@ class TestReassemblyTraces:
     def test_stale_while_assembling_older_timestamp(self):
         buf = ReassemblyBuffer()
         now = chunk_subframe(7, 0, b"k" * 3000, max_datagram=1472)
-        [late] = chunk_subframe(6, 0, b"l")
+        [late] = chunk_subframe(7 - WINDOW, 0, b"l")
         buf.accept(now[0], 0)
-        assert buf.accept(late, 10) == Malformed("stale", timestamp=6)
+        assert buf.accept(late, 10) == Malformed("stale", timestamp=7 - WINDOW)
         # the assembly of subframe 7 is untouched and still completes
         assert buf.accept(now[1], 20) is None
         assert buf.accept(now[2], 30) == Complete(7, b"k" * 3000)
@@ -493,14 +499,14 @@ class TestReassemblyTraces:
         assert isinstance(buf.poll_timeout(10 + DEFAULT_TIMEOUT_NS), Timeout)
         # jumble, then complete the successor
         c3 = chunk_subframe(3, 0, b"z" * 3000, max_datagram=1472)
-        c4 = chunk_subframe(4, 0, b"w" * 2)
+        c4 = chunk_subframe(3 + WINDOW, 0, b"w" * 2)
         t3 = 20 + DEFAULT_TIMEOUT_NS
         buf.accept(c3[0], t3)
-        assert buf.accept(c4[0], t3 + 20) == Jumbled(3, 4)
-        assert buf.accept(c4[0], t3 + 20) == Complete(4, b"w" * 2)
+        assert buf.accept(c4[0], t3 + 20) == Jumbled(3, 3 + WINDOW)
+        assert buf.accept(c4[0], t3 + 20) == Complete(3 + WINDOW, b"w" * 2)
         # and the buffer still takes the next subframe
-        [c5] = chunk_subframe(5, 0, b"v")
-        assert buf.accept(c5, t3 + 30) == Complete(5, b"v")
+        [c5] = chunk_subframe(4 + WINDOW, 0, b"v")
+        assert buf.accept(c5, t3 + 30) == Complete(4 + WINDOW, b"v")
 
     def test_poll_with_nothing_in_progress(self):
         buf = ReassemblyBuffer()
@@ -515,7 +521,9 @@ class TestOneBlockChunk:
         [chunk] = chunk_subframe(6, 2, b"q" * 64, sender_clock=900)
         assert buf.accept(chunk, 10) == Complete(6, b"q" * 64)
         fresh = vars(ReassemblyBuffer())
-        assert vars(buf) == {**fresh, "_watermark": 6}
+        assert WINDOW == 3
+        # 6 is the newest timestamp seen, and finished
+        assert vars(buf) == {**fresh, "_newest": 6, "_closed": [6, -1, -1]}
         # nothing is open for advance to extend
         datagram = chunk.to_datagram()
         assert buf.advance([(20, datagram)], 0) == 0
@@ -530,11 +538,15 @@ class TestOneBlockChunk:
     def test_newer_chunk_jumbles_an_open_assembly_then_completes(self):
         buf = ReassemblyBuffer()
         old = chunk_subframe(3, 0, b"o" * 3000)
-        [new] = chunk_subframe(4, 0, b"n")
+        [new] = chunk_subframe(3 + WINDOW, 0, b"n")
         assert buf.accept(old[0], 0) is None
-        assert buf.accept(new, 5) == Jumbled(3, 4)
-        assert buf.accept(new, 5) == Complete(4, b"n")
-        assert vars(buf) == {**vars(ReassemblyBuffer()), "_watermark": 4}
+        assert buf.accept(new, 5) == Jumbled(3, 3 + WINDOW)
+        assert buf.accept(new, 5) == Complete(3 + WINDOW, b"n")
+        # the evicted subframe is below the window, the completed one in it
+        closed = [-1] * WINDOW
+        closed[(3 + WINDOW) % WINDOW] = 3 + WINDOW
+        assert vars(buf) == {**vars(ReassemblyBuffer()), "_newest": 3 + WINDOW,
+                             "_closed": closed}
 
     def test_same_timestamp_other_block_count_is_inconsistent(self):
         buf = ReassemblyBuffer()
@@ -545,3 +557,86 @@ class TestOneBlockChunk:
         # the open assembly is untouched and still completes
         assert buf.accept(chunks[1], 2) is None
         assert buf.accept(chunks[2], 3) == Complete(8, b"p" * 3000)
+
+
+class TestReassemblyWindow:
+    """Up to WINDOW subframes assemble at once; later ones evict the oldest."""
+
+    def test_the_window_spans_the_timeout(self):
+        assert WINDOW == DEFAULT_TIMEOUT_NS // SUBFRAME_NS + 1 == 3
+
+    def test_a_held_back_chunk_completes_its_subframe_after_the_next(self):
+        buf = ReassemblyBuffer()
+        a = chunk_subframe(0, 0, b"a" * 3000)
+        b = chunk_subframe(1, 0, b"b" * 3000)
+        events = feed_all(buf, [a[0], a[2], *b, a[1]])
+        assert events == [None, None, None, None, Complete(1, b"b" * 3000),
+                          Complete(0, b"a" * 3000)]
+        assert not buf.in_progress
+
+    def test_window_subframes_stay_open_and_the_next_evicts_the_oldest(self):
+        buf = ReassemblyBuffer()
+        messages = [chunk_subframe(ts, 0, bytes([ts]) * 3000) for ts in range(WINDOW + 1)]
+        assert feed_all(buf, [m[0] for m in messages[:WINDOW]]) == [None] * WINDOW
+        newest = messages[WINDOW]
+        assert buf.accept(newest[0], 5) == Jumbled(0, WINDOW)
+        assert buf.accept(newest[0], 5) is None
+        # the others were untouched: each still completes
+        for ts in range(1, WINDOW + 1):
+            assert feed_all(buf, messages[ts][1:])[-1] == Complete(ts, bytes([ts]) * 3000)
+        assert buf.accept(messages[0][1], 6) == Malformed("stale", timestamp=0)
+
+    def test_finished_and_expired_subframes_are_stale_inside_the_window(self):
+        buf = ReassemblyBuffer()
+        [done] = chunk_subframe(5, 0, b"d")
+        expired = chunk_subframe(6, 0, b"e" * 3000)
+        assert buf.accept(done, 0) == Complete(5, b"d")
+        assert buf.accept(expired[0], 0) is None
+        assert buf.poll_timeout(DEFAULT_TIMEOUT_NS) == Timeout(6, 1, 3)
+        assert buf.accept(done, 1) == Malformed("stale", timestamp=5)
+        assert buf.accept(expired[1], 2) == Malformed("stale", timestamp=6)
+        [between] = chunk_subframe(4, 0, b"f")
+        assert buf.accept(between, 3) == Complete(4, b"f")
+
+    def test_poll_timeout_expires_the_earliest_deadline_first(self):
+        buf = ReassemblyBuffer()
+        late = chunk_subframe(4, 0, b"l" * 3000)
+        early = chunk_subframe(3, 0, b"e" * 3000)
+        buf.accept(late[0], 0)
+        buf.accept(early[0], 10)
+        buf.accept(late[1], 20)
+        assert buf.poll_timeout(DEFAULT_TIMEOUT_NS + 9) == Timeout(4, 2, 3)
+        assert buf.poll_timeout(DEFAULT_TIMEOUT_NS + 9) is None
+        assert buf.poll_timeout(DEFAULT_TIMEOUT_NS + 10) == Timeout(3, 1, 3)
+        assert not buf.in_progress
+
+    def test_advance_extends_the_last_fed_assembly(self):
+        buf = ReassemblyBuffer()
+        a = [c.to_datagram() for c in chunk_subframe(0, 0, b"a" * 6000)]
+        b = [c.to_datagram() for c in chunk_subframe(1, 0, b"b" * 6000)]
+        buf.accept(chunk_from_datagram(a[0]), 0)
+        buf.accept(chunk_from_datagram(b[0]), 1)
+        arrivals = [(2, b[1]), (3, b[2]), (4, a[1]), (5, b[3])]
+        assert buf.advance(arrivals, 0) == 2
+        # a payload over 512 bytes is held as a view of its datagram
+        assert all(type(buf._payloads[k]) is memoryview for k in (1, 2))
+        assert buf.accept(chunk_from_datagram(a[1]), 4) is None
+        assert buf.advance(arrivals, 3) == 3  # b's datagram does not continue a
+
+    def test_advance_copies_short_payloads(self):
+        buf = ReassemblyBuffer()
+        # five chunks; advance leaves the last missing one to accept
+        datagrams = [c.to_datagram() for c in chunk_subframe(0, 0, b"s" * 2000, 512)]
+        buf.accept(chunk_from_datagram(datagrams[0]), 0)
+        assert buf.advance(list(enumerate(datagrams)), 1) == 4
+        assert {type(p) for p in buf._payloads.values()} == {bytes}
+
+    def test_advance_stops_at_any_open_deadline(self):
+        buf = ReassemblyBuffer()
+        a = chunk_subframe(0, 0, b"a" * 3000)
+        b = [c.to_datagram() for c in chunk_subframe(1, 0, b"b" * 6000)]
+        buf.accept(a[0], 0)
+        buf.accept(chunk_from_datagram(b[0]), SUBFRAME_NS)
+        # subframe 0's deadline comes first: feed would expire it before b[2]
+        assert buf.advance([(SUBFRAME_NS, b[1]), (DEFAULT_TIMEOUT_NS, b[2])], 0) == 1
+
