@@ -1247,9 +1247,9 @@ class TestGoldenReports:
     CASES = [
         # preset, goodput_bps, packet_size, subframes, channel, max_datagram, seed
         ("lte10", 30e6, 1400, 200, ChannelSpec(0.02, 0.05, 30.0), 1472, 11,
-         "dacd7dfe8cc885ddf3eec11534787304dcc0ecc18424770efdaea08b2d6c81b9"),
+         "9441fdea545234bd9383f6357f709c27faa5ab968f49f36391e6cf65a68903dd"),
         ("lte10", 2e6, 200, 300, ChannelSpec(0.01, 0.05, 50.0), 1472, 1,
-         "a461e4a95af4f54f0042adc85b654a2169508b38c0dbcafbcdca691277ba8456"),
+         "a9ac77ebbfddf2368622dd5741e48059e35f4feee2636ce4f2e82fc7d993ffb9"),
         ("lte20", 200e6, 1400, 10, ChannelSpec(), 256, 1,
          "231ff8493f45f7c2470eb680a96470bca5ed125f0aec2eefc3c25845128a6562"),
         ("worst100", 3e9, 1400, 2, ChannelSpec(), 1472, 1,
