@@ -7,9 +7,12 @@ or were jumbled. At the points without reordering it also records
 expected_complete_frac, the closed form of the completed fraction under
 independent loss (fhsplit.emulation.expected_completions). Useful for
 picking reassembly timeouts and for sanity checks: completions fall
-monotonically with loss and with reordering, and both fail messages
-mostly as jumbles, because a message's successor evicts it before its
-timeout.
+monotonically with loss and follow the closed form, while reordering,
+which holds a datagram back by one subframe, costs no message: the
+receiver keeps wire.WINDOW subframes open, so the held-back datagram
+still lands in its own message before the timeout. A message that lost
+a datagram times out; jumbles are left for reordering that outlasts the
+window.
 
 Usage:
     python scripts/impairment_study.py --seeds 5 --subframes 500

@@ -8,7 +8,7 @@ integers are big-endian (network order):
     8       2     num_blocks     chunks composing the subframe
     10      2     content_type   payload format discriminator
     12      2     size           datagram bytes including this header
-    14      8     sender_clock   sender clock at emission, nanoseconds
+    14      8     sender_clock   chunk sequence: message base + chunk index
 
 A datagram must fit a UDP payload, so size < 65508 (2^16 minus UDP and IP
 headers). The header carries no block index: the sender stamps the
