@@ -2,16 +2,15 @@
 
 The simulated channel runs on a virtual nanosecond clock. A sender hands
 it each datagram at the end of the datagram's transmission on a link of
-ChannelSpec.line_rate_bps (emulation._emit keeps that clock); the
-channel applies loss, a fixed
-propagation delay and optional cross-subframe reordering (a held-back
-datagram is delayed by one extra subframe period), then releases datagrams
-in delivery-time order, ties in send order. Send times need not rise, and
-a held-back datagram falls behind later sends, so the queue is a list
-kept stably sorted by delivery time: send appends, and
-deliver_until sorts, which keeps ties in send order and takes linear time
-on the already-sorted runs, then cuts off the datagrams that are due
-(the whole list when all are).
+ChannelSpec.line_rate_bps (emulation._emit keeps that clock); the channel
+applies loss, a fixed propagation delay and optional cross-subframe
+reordering (a held-back datagram is delayed by one extra subframe
+period), then releases datagrams in delivery-time order, ties in send
+order. Send times need not rise, and a held-back datagram falls behind
+later sends, so the queue is a list kept stably sorted by delivery time:
+send appends, and deliver_until sorts, which keeps ties in send order and
+takes linear time on the already-sorted runs, then cuts off the
+datagrams that are due (the whole list when all are).
 Each loss and each reorder decision takes one uniform of the channel's
 seeded stream, loss first, and only when its rate is above zero, so a
 clean channel draws nothing. A uniform is one raw 64-bit word w of a bare
@@ -83,6 +82,8 @@ class ChannelSpec:
 
 
 class _TransmissionTimes(dict):
+    """nbytes -> whole ns a link of line_rate_bps takes to send them."""
+
     def __init__(self, line_rate_bps: int) -> None:
         super().__init__()
         self.line_rate_bps = line_rate_bps

@@ -240,8 +240,8 @@ class SubframeReceiver:
         hold the run of arrivals that only advance its open assembly,
         without decoding a Chunk; the first arrival it does not hold is
         fed. So ReassemblyBuffer.accept still produces every Complete, and
-        only a datagram that breaks a run while carrying a whole header
-        is unpacked twice. Both run modes feed each direction's arrivals
+        of the well-formed datagrams only one that breaks a run is
+        unpacked twice. Both run modes feed each direction's arrivals
         of a subframe this way; advance reads arrivals by index.
         """
         events: List[Tuple[int, ReassemblyEvent]] = []
@@ -251,7 +251,7 @@ class SubframeReceiver:
             recv_ns, datagram = arrivals[i]
             events += feed(datagram, recv_ns)
             i += 1
-            if self._fed is not None:
+            if i < end and self._fed is not None:
                 i = self._fed.advance(arrivals, i)
         return events
 
@@ -437,9 +437,9 @@ def _emit(
     """Chunk subframe t's messages and send them back to back on link; returns when it is free.
 
     The link starts at base_ns, the subframe's start, or at free_ns if it
-    is still busy then. Each datagram takes link.transmission_ns of its
-    length, so it starts on a whole nanosecond, and send gets it at the end
-    of its transmission. Chunk i of each message is stamped sender_clock
+    is still busy then. Datagram d takes link.transmission_ns[len(d)], so
+    it starts on a whole nanosecond, and send gets it at the end of its
+    transmission. Chunk i of each message is stamped sender_clock
     base_ns + i: a sequence, not an emission time.
     """
     ns = free_ns if free_ns > base_ns else base_ns
