@@ -403,15 +403,18 @@ class TestLinkClock:
     def test_a_busy_link_starts_when_it_is_free(self):
         spec = ChannelSpec(line_rate_bps=10**9)
         sent = []
-        meter = _DirMeter(2)
+        meter = _DirMeter(3)
+        # 4 datagrams of 1 472 B, 11 776 ns each at 1 Gbit/s
         msgs = [(CONTENT_DL_DATA, bytes(4 * 1450))]
         free_ns = _emit(meter, lambda d, ns: sent.append(ns), msgs, 0, 0, 1472, spec)
-        # 4 datagrams of 1 472 B at 1 Gbit/s take 47.1 us: the link is free
-        # before the next subframe, which starts on time
         assert free_ns == sent[-1] == 4 * 11_776
-        _emit(meter, lambda d, ns: sent.append(ns), msgs, 1, SUBFRAME_NS, 1472, spec,
-              SUBFRAME_NS + 5)
-        assert sent[4] == SUBFRAME_NS + 5 + 11_776
+        # free before subframe 1 starts: it starts on time
+        _emit(meter, lambda d, ns: sent.append(ns), msgs, 1, SUBFRAME_NS, 1472, spec, free_ns)
+        assert sent[4] == SUBFRAME_NS + 11_776
+        # still busy 5 ns into subframe 2: it starts then
+        _emit(meter, lambda d, ns: sent.append(ns), msgs, 2, 2 * SUBFRAME_NS, 1472, spec,
+              2 * SUBFRAME_NS + 5)
+        assert sent[8] == 2 * SUBFRAME_NS + 5 + 11_776
 
     def test_sender_clocks_stay_a_sequence_from_the_subframe_start(self):
         spec = ChannelSpec(line_rate_bps=10**9)
