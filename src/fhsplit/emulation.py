@@ -640,10 +640,11 @@ def _run_loop(
     back at link_spec's line rate from the subframe's start or from the
     end of that direction's previous subframe, whichever is later, so an
     over-subscribed link falls behind instead of interleaving subframes.
-    Then each direction in turn feeds its arrivals up to the subframe's
-    end through feed_many and meters the events. After the last subframe
-    the loop waits settle_ns once for stragglers; a datagram the link
-    sends later never arrives. No poll is needed to expire assemblies:
+    Each direction's arrivals up to the subframe's end are delivered then,
+    and fed through feed_many and metered once the next subframe is
+    emitted; receive stamps come from the links, so this order changes no
+    event. After the last subframe the loop waits settle_ns once for
+    stragglers; a datagram the link sends later never arrives. No poll is needed to expire assemblies:
     feed expires every open one whose deadline has passed before the next
     datagram of its content type, advance refuses a datagram past any open
     deadline, the meter ignores Timeout events and _finalize counts every
@@ -661,6 +662,12 @@ def _run_loop(
         dl_rx, ul_rx = SubframeReceiver(), SubframeReceiver()
         (dl_msgs, ul_msgs), ((dl_send, dl_deliver), (ul_send, ul_deliver)) = messages, links
         dl_free_ns = ul_free_ns = start_ns  # when each direction's link is next idle
+        # Arrivals delivered but not yet fed: each subframe's are fed after
+        # the next subframe is emitted, so its datagrams are still held while
+        # the next ones are made and the allocator reuses their memory
+        # instead of handing it back to the OS between subframes.
+        dl_arrivals: List[Tuple[int, bytes]] = []
+        ul_arrivals: List[Tuple[int, bytes]] = []
         incomplete = False
         try:
             # the directions written out, not looped over: a loop that
@@ -671,17 +678,25 @@ def _run_loop(
                                    link_spec, dl_free_ns)
                 ul_free_ns = _emit(ul_meter, ul_send, next(ul_msgs), t, base_ns, max_datagram,
                                    link_spec, ul_free_ns)
+                dl_meter.record_events(dl_rx.feed_many(dl_arrivals))
+                ul_meter.record_events(ul_rx.feed_many(ul_arrivals))
+                dl_arrivals = ul_arrivals = []
                 last_ns = base_ns + SUBFRAME_NS - 1
-                dl_meter.record_events(dl_rx.feed_many(dl_deliver(last_ns)))
-                ul_meter.record_events(ul_rx.feed_many(ul_deliver(last_ns)))
+                dl_arrivals = dl_deliver(last_ns)
+                ul_arrivals = ul_deliver(last_ns)
             end_ns = start_ns + duration * SUBFRAME_NS + settle_ns
-            for deliver_until, rx, meter in ((dl_deliver, dl_rx, dl_meter),
-                                             (ul_deliver, ul_rx, ul_meter)):
+            dl_arrivals += dl_deliver(end_ns)
+            ul_arrivals += ul_deliver(end_ns)
+            for rx, meter, arrivals in ((dl_rx, dl_meter, dl_arrivals),
+                                        (ul_rx, ul_meter, ul_arrivals)):
                 # The one poll changes no report; perfbench/spans.py times
                 # SubframeReceiver.poll, and TestBenchmarkHooks needs it to run.
-                meter.record_events(rx.feed_many(deliver_until(end_ns)) + rx.poll(end_ns))
+                meter.record_events(rx.feed_many(arrivals) + rx.poll(end_ns))
         except OSError:
             incomplete = True
+            # what was read before the failure still counts
+            dl_meter.record_events(dl_rx.feed_many(dl_arrivals))
+            ul_meter.record_events(ul_rx.feed_many(ul_arrivals))
         return _finalize(offered, dl_meter, ul_meter, dropped_bits,
                          seed, goodput_bps, incomplete)
     finally:
