@@ -680,7 +680,7 @@ def _run_loop(
                                    link_spec, ul_free_ns)
                 dl_meter.record_events(dl_rx.feed_many(dl_arrivals))
                 ul_meter.record_events(ul_rx.feed_many(ul_arrivals))
-                dl_arrivals = ul_arrivals = []
+                dl_arrivals = ul_arrivals = []  # fed: an OSError below must not feed them again
                 last_ns = base_ns + SUBFRAME_NS - 1
                 dl_arrivals = dl_deliver(last_ns)
                 ul_arrivals = ul_deliver(last_ns)
