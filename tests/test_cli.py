@@ -771,12 +771,12 @@ class TestScenarioOverlay:
         (("--loss", "1.0"), "channel.loss_rate", 1.0),
         (("--reorder", "0.5"), "channel.reorder_rate", 0.5),
         (("--delay-us", "50"), "channel.delay_us", 50.0),
-        (("--line-rate-gbps", "2.5"), "channel.line_rate_bps", 2_500_000_000),
         (("--max-datagram", "256"), "max_datagram", 256),
         (SOCKET_ARGV, "du_addr", "127.0.0.1:5000"),
         (SOCKET_ARGV, "ru_addr", "127.0.0.1:5001"),
         (("--seed", "5"), "seed", 5),
         (SOCKET_ARGV, "mode", "socket"),
+        (("--line-rate-gbps", "2.5"), "channel.line_rate_bps", 2_500_000_000),
     ])
     def test_flag_reaches_the_run(self, capsys, tmp_path, run_args, argv, entry, value):
         scn = tmp_path / "s.cfg"
