@@ -7,6 +7,7 @@ shared freely between threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -25,22 +26,26 @@ class Direction(Enum):
 
 
 def check_int(value: object, name: str, minimum: Optional[int] = None,
-              maximum: Optional[int] = None) -> None:
-    """Raise ValueError unless value is an integer, >= minimum and <= maximum.
+              maximum: Optional[int] = None) -> int:
+    """Return value as a plain int; ValueError unless it is an integer in bounds.
 
     Each bound applies when given; a maximum needs a minimum. An integer
     is a value operator.index accepts, numpy's included, other than a
-    bool: operator.index(True) is 1.
+    bool: operator.index(True) is 1. A numpy integer is returned as the
+    int it holds, so that exact arithmetic on it neither wraps nor
+    overflows its dtype.
     """
     # the type test first: a plain int, the common case, skips the rest
-    if type(value) is not int and (isinstance(value, bool)
-                                   or not hasattr(type(value), "__index__")):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if type(value) is not int:
+        if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = operator.index(value)
     if maximum is not None:
         if not minimum <= value <= maximum:
             raise ValueError(f"{name} must be in [{minimum}, {maximum}], got {value}")
     elif minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 def check_real(value: object, name: str, positive: bool = False,
@@ -62,9 +67,9 @@ def check_real(value: object, name: str, positive: bool = False,
 
 def require_ints(obj: object, *names: str, minimum: Optional[int] = None,
                  maximum: Optional[int] = None) -> None:
-    """check_int, with the same bounds, for every named field of obj."""
+    """check_int, with the same bounds, for every named field of obj, which it sets to the int."""
     for name in names:
-        check_int(getattr(obj, name), name, minimum, maximum)
+        object.__setattr__(obj, name, check_int(getattr(obj, name), name, minimum, maximum))
 
 
 def require_reals(obj: object, *names: str, **bounds: bool) -> None:

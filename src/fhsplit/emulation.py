@@ -463,6 +463,8 @@ def _dl_messages(t, scheduled_bits, cfg, payload_rng,
                  controls: Dict[Tuple[int, bool], bytes]) -> List[Tuple[int, bytes]]:
     """Subframe t's downlink messages: its control payload, then its data if any.
 
+    The data is a read-only view of the raw words drawn for it, not a copy.
+
     make_control reads t only as t % DCI_PERIOD and scheduled_bits only as
     > 0, so controls, one dict per run, holds each encoded control payload
     under that key and at most six are made.
@@ -477,7 +479,7 @@ def _dl_messages(t, scheduled_bits, cfg, payload_rng,
     if size:
         # raw words cost a fraction of a Generator's byte draw on short payloads
         words = payload_rng.random_raw(-(-size // 8)).astype("<u8", copy=False)
-        msgs.append((CONTENT_DL_DATA, words.view(np.uint8)[:size].tobytes()))
+        msgs.append((CONTENT_DL_DATA, memoryview(words.view(np.uint8)[:size]).toreadonly()))
     return msgs
 
 
@@ -640,16 +642,18 @@ def _run_loop(
     back at link_spec's line rate from the subframe's start or from the
     end of that direction's previous subframe, whichever is later, so an
     over-subscribed link falls behind instead of interleaving subframes.
-    Each direction's arrivals up to the subframe's end are delivered then,
-    and fed through feed_many and metered once the next subframe is
-    emitted; receive stamps come from the links, so this order changes no
-    event. After the last subframe the loop waits settle_ns once for
-    stragglers; a datagram the link sends later never arrives. No poll is needed to expire assemblies:
+    Then each direction in turn has its arrivals up to the subframe's end
+    delivered, fed through feed_many and metered; they are released once
+    its next message is made, before that message's datagrams, so two
+    subframes' datagrams are never alive at once. After the last subframe
+    the loop waits settle_ns once for stragglers; a datagram the link
+    sends later never arrives. No poll is needed to expire assemblies:
     feed expires every open one whose deadline has passed before the next
     datagram of its content type, advance refuses a datagram past any open
     deadline, the meter ignores Timeout events and _finalize counts every
     open assembly as a timeout. An OSError, which only socket I/O raises,
-    ends the run early and marks the report incomplete.
+    ends the run early and marks the report incomplete; what was read
+    before it is still fed.
     """
     # A run makes no reference cycles (tests/test_emulation.py checks), so
     # reference counting frees all it drops and the cyclic collector would
@@ -662,41 +666,41 @@ def _run_loop(
         dl_rx, ul_rx = SubframeReceiver(), SubframeReceiver()
         (dl_msgs, ul_msgs), ((dl_send, dl_deliver), (ul_send, ul_deliver)) = messages, links
         dl_free_ns = ul_free_ns = start_ns  # when each direction's link is next idle
-        # Arrivals delivered but not yet fed: each subframe's are fed after
-        # the next subframe is emitted, so its datagrams are still held while
-        # the next ones are made and the allocator reuses their memory
-        # instead of handing it back to the OS between subframes.
-        dl_arrivals: List[Tuple[int, bytes]] = []
-        ul_arrivals: List[Tuple[int, bytes]] = []
         incomplete = False
         try:
             # the directions written out, not looped over: a loop that
             # carries each link's clock costs more than the clock itself
             for t in range(duration):
                 base_ns = start_ns + t * SUBFRAME_NS
-                dl_free_ns = _emit(dl_meter, dl_send, next(dl_msgs), t, base_ns, max_datagram,
+                # A direction's arrivals of the previous subframe, fed
+                # already, are dropped after its next message is made, so
+                # the heap is not handed back to the OS in between, and
+                # before its datagrams are made, which reuse their memory.
+                msgs = next(dl_msgs)
+                dl_arrivals = None
+                dl_free_ns = _emit(dl_meter, dl_send, msgs, t, base_ns, max_datagram,
                                    link_spec, dl_free_ns)
-                ul_free_ns = _emit(ul_meter, ul_send, next(ul_msgs), t, base_ns, max_datagram,
+                del msgs
+                msgs = next(ul_msgs)
+                ul_arrivals = None
+                ul_free_ns = _emit(ul_meter, ul_send, msgs, t, base_ns, max_datagram,
                                    link_spec, ul_free_ns)
-                dl_meter.record_events(dl_rx.feed_many(dl_arrivals))
-                ul_meter.record_events(ul_rx.feed_many(ul_arrivals))
-                dl_arrivals = ul_arrivals = []  # fed: an OSError below must not feed them again
+                del msgs
                 last_ns = base_ns + SUBFRAME_NS - 1
                 dl_arrivals = dl_deliver(last_ns)
+                dl_meter.record_events(dl_rx.feed_many(dl_arrivals))
                 ul_arrivals = ul_deliver(last_ns)
+                ul_meter.record_events(ul_rx.feed_many(ul_arrivals))
             end_ns = start_ns + duration * SUBFRAME_NS + settle_ns
-            dl_arrivals += dl_deliver(end_ns)
-            ul_arrivals += ul_deliver(end_ns)
-            for rx, meter, arrivals in ((dl_rx, dl_meter, dl_arrivals),
-                                        (ul_rx, ul_meter, ul_arrivals)):
+            for deliver_until, rx, meter in ((dl_deliver, dl_rx, dl_meter),
+                                             (ul_deliver, ul_rx, ul_meter)):
                 # The one poll changes no report; perfbench/spans.py times
                 # SubframeReceiver.poll, and TestBenchmarkHooks needs it to run.
-                meter.record_events(rx.feed_many(arrivals) + rx.poll(end_ns))
+                meter.record_events(rx.feed_many(deliver_until(end_ns)) + rx.poll(end_ns))
         except OSError:
+            # each delivery is fed before the next link is read, so what
+            # was read before the failure already counts
             incomplete = True
-            # what was read before the failure still counts
-            dl_meter.record_events(dl_rx.feed_many(dl_arrivals))
-            ul_meter.record_events(ul_rx.feed_many(ul_arrivals))
         return _finalize(offered, dl_meter, ul_meter, dropped_bits,
                          seed, goodput_bps, incomplete)
     finally:

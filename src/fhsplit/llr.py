@@ -11,7 +11,6 @@ fill exactly w bytes; pack_codes goes through the plain bit matrix.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +18,10 @@ import numpy as np
 from .cell import check_int, require_reals
 
 
-def check_bit_width(width: int, name: str = "bit_width") -> None:
-    """Raise ValueError unless width is a code width pack_codes can pack."""
+def check_bit_width(width: int, name: str = "bit_width") -> int:
+    """width as an int; ValueError unless it is a code width pack_codes can pack."""
     # a signed code needs 2 bits; pack_codes packs at most 16
-    check_int(width, name, 2, 16)
+    return check_int(width, name, 2, 16)
 
 
 @dataclass(frozen=True)
@@ -31,7 +30,7 @@ class LlrQuantizer:
     clip: float = 8.0
 
     def __post_init__(self) -> None:
-        check_bit_width(self.bit_width)
+        object.__setattr__(self, "bit_width", check_bit_width(self.bit_width))
         require_reals(self, "clip", positive=True)
 
     @property
@@ -73,9 +72,7 @@ def pack_codes(codes, bit_width: int) -> bytes:
     w = 8 is a plain int8 cast. Otherwise each code's 16 bits are unpacked
     from its big-endian uint16, the low w columns are kept and packed.
     """
-    check_bit_width(bit_width)
-    # a plain int: numpy's integer scalars overflow or change type in the arithmetic
-    bit_width = operator.index(bit_width)
+    bit_width = check_bit_width(bit_width)
     arr = np.asarray(codes).ravel()
     if arr.dtype.kind not in "iu":  # e.g. an empty list converts to float64
         arr = arr.astype(np.int64)
@@ -88,9 +85,7 @@ def pack_codes(codes, bit_width: int) -> bytes:
 
 def unpack_codes(data: bytes, bit_width: int, count: int) -> np.ndarray:
     """Inverse of pack_codes for the first `count` codes."""
-    check_bit_width(bit_width)
-    check_int(count, "count", minimum=0)
-    bit_width, count = operator.index(bit_width), operator.index(count)
+    bit_width, count = check_bit_width(bit_width), check_int(count, "count", minimum=0)
     needed = -(-count * bit_width // 8)
     if len(data) < needed:
         raise ValueError(f"need {needed} bytes for {count} codes, got {len(data)}")

@@ -72,8 +72,9 @@ class ControlDl:
         require_ints(self, "mcs", minimum=0, maximum=255)
         require_ints(self, "rb_position", minimum=0, maximum=_U16_MAX)
         require_ints(self, "power_db", minimum=-128, maximum=127)
-        for i, p in enumerate(self.dci_positions):
+        object.__setattr__(self, "dci_positions", tuple(
             check_int(p, f"dci_positions[{i}]", 0, _U16_MAX)
+            for i, p in enumerate(self.dci_positions)))
         if self.dci_count != len(self.dci_positions):
             raise ValueError("dci_count must match the number of positions")
 

@@ -62,8 +62,8 @@ class _HeaderFields(NamedTuple):
 
 
 def _check_stamps(timestamp: int, content_type: int, sender_clock: int,
-                  clocks: int = 1) -> None:
-    """Raise ValueError unless the fields a sender picks fit their wire ranges.
+                  clocks: int = 1) -> Tuple[int, int, int]:
+    """The fields a sender picks, as ints; ValueError unless they fit their wire ranges.
 
     clocks is the number of headers stamped sender_clock, sender_clock + 1,
     ...; the last of them must still fit 64 bits.
@@ -72,10 +72,10 @@ def _check_stamps(timestamp: int, content_type: int, sender_clock: int,
     if (type(timestamp) is int and type(content_type) is int and type(sender_clock) is int
             and 0 <= timestamp <= _U64_MAX and 0 <= content_type <= _U16_MAX
             and 0 <= sender_clock <= _U64_MAX + 1 - clocks):
-        return
-    check_int(timestamp, "timestamp", 0, _U64_MAX)
-    check_int(content_type, "content_type", 0, _U16_MAX)
-    check_int(sender_clock, "sender_clock", 0, _U64_MAX + 1 - clocks)
+        return timestamp, content_type, sender_clock
+    return (check_int(timestamp, "timestamp", 0, _U64_MAX),
+            check_int(content_type, "content_type", 0, _U16_MAX),
+            check_int(sender_clock, "sender_clock", 0, _U64_MAX + 1 - clocks))
 
 
 class SplitHeader(_HeaderFields):
@@ -91,9 +91,10 @@ class SplitHeader(_HeaderFields):
 
     def __new__(cls, timestamp: int, num_blocks: int, content_type: int,
                 size: int, sender_clock: int = 0) -> "SplitHeader":
-        _check_stamps(timestamp, content_type, sender_clock)
-        check_int(num_blocks, "num_blocks", 1, _U16_MAX)
-        check_int(size, "size", HEADER_LEN, MAX_DATAGRAM)
+        timestamp, content_type, sender_clock = _check_stamps(
+            timestamp, content_type, sender_clock)
+        num_blocks = check_int(num_blocks, "num_blocks", 1, _U16_MAX)
+        size = check_int(size, "size", HEADER_LEN, MAX_DATAGRAM)
         return tuple.__new__(
             cls, (timestamp, num_blocks, content_type, size, sender_clock)
         )
@@ -166,9 +167,8 @@ def chunk_count(payload_len: int, max_datagram: int = DEFAULT_MAX_DATAGRAM) -> i
     not fit the 16-bit num_blocks field.
     """
     if not (type(max_datagram) is int and HEADER_LEN < max_datagram <= MAX_DATAGRAM):
-        check_int(max_datagram, "max_datagram", HEADER_LEN + 1, MAX_DATAGRAM)
-    # int(): even a numpy max_datagram gives a plain-int count, as 64-bit clock sums need
-    num_blocks = -(-payload_len // (int(max_datagram) - HEADER_LEN))
+        max_datagram = check_int(max_datagram, "max_datagram", HEADER_LEN + 1, MAX_DATAGRAM)
+    num_blocks = -(-payload_len // (max_datagram - HEADER_LEN))
     if num_blocks > _U16_MAX:
         raise ValueError(
             f"payload of {payload_len} bytes needs {num_blocks} chunks of at most "
@@ -198,7 +198,8 @@ def chunk_subframe(
     # One check covers every chunk: they share timestamp and content_type,
     # and their clocks run from sender_clock for num_blocks. chunk_count
     # bounds num_blocks and max_datagram, so every size is in range too.
-    _check_stamps(timestamp, content_type, sender_clock, num_blocks)
+    timestamp, content_type, sender_clock = _check_stamps(
+        timestamp, content_type, sender_clock, num_blocks)
     budget = max_datagram - HEADER_LEN
     cut = (num_blocks - 1) * budget
     tail = payload[cut:]

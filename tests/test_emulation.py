@@ -1238,6 +1238,55 @@ class TestEmissionMemory:
         assert wire == 1_875_000 + 1294 * HEADER_LEN
         assert peak <= 1.5 * wire
 
+    def test_a_run_frees_each_subframes_datagrams_before_making_the_next(self):
+        # worst100 at 3 Gbit/s: a subframe's uplink message and its datagrams
+        # are about two of its uplink wire bytes; the previous subframe's
+        # datagrams, if still alive while the next ones are made, a third.
+        args = (preset("worst100"), TrafficProfile(3e9, 1400, 4), ChannelSpec(), 1)
+        run_emulation(*args)  # the run's cached tables are built outside the trace
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = run_emulation(*args)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert report.ul.completed_messages == report.ul.emitted_messages
+        assert peak <= 3 * (report.rows[0].ul_bits // 8)
+
+
+class TestLinkFailure:
+    def test_arrivals_read_before_an_oserror_are_metered(self):
+        # The uplink link fails as it is read at the end of subframe 5, just
+        # after the downlink one has delivered that subframe's datagrams.
+        offered, dropped_bits, messages, (s_dl, s_ul), _ = _prepare(
+            LTE10, TrafficProfile(2e6, 200, 20), 1, DEFAULT_MAX_DATAGRAM)
+        dl, ul = SimulatedChannel(ChannelSpec(), s_dl), SimulatedChannel(ChannelSpec(), s_ul)
+        fail_ns = 6 * SUBFRAME_NS - 1
+        delivered = []
+
+        def dl_deliver(until_ns):
+            arrivals = dl.deliver_until(until_ns)
+            delivered.append((until_ns, len(arrivals)))
+            return arrivals
+
+        def ul_deliver(until_ns):
+            if until_ns >= fail_ns:
+                raise OSError("network is unreachable")
+            return ul.deliver_until(until_ns)
+
+        report = _run_loop(offered, dropped_bits, messages,
+                           ((dl.send, dl_deliver), (ul.send, ul_deliver)),
+                           0, 0, 1, 2e6, DEFAULT_MAX_DATAGRAM)
+        assert report.incomplete
+        until_ns, count = delivered[-1]
+        assert until_ns == fail_ns and count > 0
+        # every downlink message sent so far completed, subframe 5's included;
+        # subframe 5's uplink never arrived
+        assert report.dl.completed_messages == report.dl.emitted_messages
+        assert report.rows[5].completes > 0
+        assert report.ul.completed_messages < report.ul.emitted_messages
+
 
 class TestGoldenReports:
     """Fixed-seed report bytes: any refactor of the emulator must keep them.

@@ -9,6 +9,7 @@ included, and whatever their constructors accept encodes and decodes back.
 """
 
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -16,10 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fhsplit.cell import CellConfig, Direction, LinkBudget, preset
+from fhsplit.cell import MODULATION_NAMES, CellConfig, Direction, LinkBudget, preset
 from fhsplit.channel import ChannelSpec
-from fhsplit.configio import scenario_from_dict
-from fhsplit.emulation import TrafficProfile, expected_completions
+from fhsplit.configio import Scenario, scenario_from_dict
+from fhsplit.emulation import TrafficProfile, expected_completions, subframe_capacity_bits
 from fhsplit.llr import LlrQuantizer, pack_codes, unpack_codes
 from fhsplit.messages import (
     CONTROL_SIZE,
@@ -30,7 +31,17 @@ from fhsplit.messages import (
     encode_control,
     encode_cqi,
 )
-from fhsplit.rates import max_fronthaul_distance_km
+from fhsplit.rates import (
+    capacity_table,
+    efficiency_ratio,
+    max_fronthaul_distance_km,
+    rate_71,
+    rate_72,
+    rate_73_dl,
+    rate_73_ul,
+    rate_option8,
+    wire_bits_73,
+)
 from fhsplit.wire import (
     SplitHeader,
     chunk_count,
@@ -319,3 +330,104 @@ class TestAcceptedValuesRoundTrip:
         report = accepted(CqiReport, **fields)
         if report is not None:
             assert decode_cqi(encode_cqi(report)) == report
+
+
+# Every numpy integer type; a field drawn as one of them must come out of
+# its constructor, and every exact result computed from it, as a plain int.
+NUMPY_INTS = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+def any_int(lo, hi):
+    """An integer in [lo, hi], as a Python int or as a numpy integer type that holds it."""
+    def typed(dtype):
+        info = np.iinfo(dtype)
+        return st.integers(max(lo, int(info.min)), min(hi, int(info.max))).map(dtype)
+    dtypes = [d for d in NUMPY_INTS
+              if max(lo, int(np.iinfo(d).min)) <= min(hi, int(np.iinfo(d).max))]
+    return st.integers(lo, hi) | st.sampled_from(dtypes).flatmap(typed)
+
+
+def plain(fields):
+    return {name: int(value) for name, value in fields.items()}
+
+
+# Cells far past any real one, so that a product in a fixed-width type wraps.
+CELL_FIELDS = {"n_sc": any_int(1, 10 ** 15), "n_layers": any_int(1, 8),
+               "n_ant": any_int(1, 64), "iq_component_bits": any_int(1, 32),
+               "soft_bit_width": any_int(1, 16), "symbols_per_second": any_int(1, 10 ** 8),
+               "mod_order": st.sampled_from(sorted(MODULATION_NAMES)).flatmap(
+                   lambda m: any_int(m, m))}
+INT_FIELDS = {
+    "CellConfig": (CellConfig, CELL_FIELDS),
+    "TrafficProfile": (lambda **kw: TrafficProfile(2e6, **kw),
+                       {"packet_size_bytes": any_int(1, 10 ** 6),
+                        "duration_subframes": any_int(1, 10 ** 6)}),
+    "Scenario": (lambda **kw: Scenario(preset("lte10"), TrafficProfile(2e6), **kw),
+                 {"seed": any_int(0, U64), "max_datagram": any_int(*CHUNK_RANGES["max_datagram"])}),
+    "LlrQuantizer": (LlrQuantizer, {"bit_width": any_int(*WIDTH_RANGES["bit_width"])}),
+    "SplitHeader": (SplitHeader, {f: any_int(lo, hi) for f, (lo, hi) in HEADER_RANGES.items()}),
+    "CqiReport": (CqiReport, {f: any_int(lo, hi) for f, (lo, hi) in CQI_RANGES.items()}),
+}
+
+
+class TestNumpyIntegersBecomeInts:
+    """A numpy integer that a rule accepts is kept as the int it holds."""
+
+    @pytest.mark.parametrize("name", INT_FIELDS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_value_objects(self, name, data):
+        build, strategies = INT_FIELDS[name]
+        fields = data.draw(st.fixed_dictionaries(strategies))
+        made = build(**fields)
+        assert made == build(**plain(fields))
+        for field in fields:
+            assert type(getattr(made, field)) is int, field
+
+    @settings(max_examples=60, deadline=None)
+    @given(positions=st.lists(any_int(0, U16), max_size=29),
+           fields=st.fixed_dictionaries({f: any_int(*CONTROL_RANGES[f])
+                                         for f in ("mcs", "rb_position", "power_db")}),
+           count_type=st.sampled_from((int, *NUMPY_INTS)))
+    def test_control_dl(self, positions, fields, count_type):
+        ctrl = ControlDl(count_type(len(positions)), positions, **fields)
+        assert ctrl == ControlDl(len(positions), tuple(map(int, positions)), **plain(fields))
+        assert all(type(v) is int for v in (ctrl.dci_count, *ctrl.dci_positions,
+                                             *(getattr(ctrl, f) for f in fields)))
+
+    @pytest.mark.parametrize("field,value", [
+        pytest.param("n_sc", np.int64(10 ** 15), id="int64-wraps"),
+        pytest.param("soft_bit_width", np.uint8(8), id="uint8-overflows"),
+        pytest.param("n_layers", np.int64(2), id="int64-result"),
+    ])
+    def test_rates_of_one_numpy_field(self, field, value):
+        cfg = replace(preset("worst100"), **{field: value})
+        ref = replace(preset("worst100"), **{field: int(value)})
+        for rate in (rate_72, rate_73_ul):
+            assert type(rate(cfg)) is int and rate(cfg) == rate(ref), rate.__name__
+
+    @settings(max_examples=100, deadline=None)
+    @given(fields=st.fixed_dictionaries(CELL_FIELDS),
+           max_datagram=any_int(*CHUNK_RANGES["max_datagram"]))
+    def test_rates(self, fields, max_datagram):
+        cfg, ref = CellConfig(**fields), CellConfig(**plain(fields))
+        for rate in (rate_71, rate_72, rate_73_dl, rate_73_ul, subframe_capacity_bits):
+            value = rate(cfg)
+            assert type(value) is int and value == rate(ref), rate.__name__
+        assert rate_option8(cfg) == rate_option8(ref)
+        assert capacity_table(cfg) == capacity_table(ref)
+        ratio_args = ("mod_order", "soft_bit_width", "iq_component_bits")
+        assert efficiency_ratio(Direction.UL, *(fields[f] for f in ratio_args)) == \
+            efficiency_ratio(Direction.UL, *(int(fields[f]) for f in ratio_args))
+        for direction in Direction:
+            assert outcome(wire_bits_73, cfg, direction, max_datagram) == outcome(
+                wire_bits_73, ref, direction, int(max_datagram))
+
+
+def outcome(fn, *args):
+    """fn(*args) with its type, or the message of the ValueError it raises."""
+    try:
+        value = fn(*args)
+    except ValueError as error:
+        return str(error)
+    return type(value), value
