@@ -640,3 +640,106 @@ class TestReassemblyWindow:
         # subframe 0's deadline comes first: feed would expire it before b[2]
         assert buf.advance([(SUBFRAME_NS, b[1]), (DEFAULT_TIMEOUT_NS, b[2])], 0) == 1
 
+
+
+class _ModelBuffer:
+    """ReassemblyBuffer's contract, written from its docstring with a dict and a set."""
+
+    def __init__(self):
+        # timestamp -> [num_blocks, content_type, {sender_clock: payload}, deadline]
+        self.open = {}
+        self.closed = set()  # every finished, expired or evicted timestamp
+        self.newest = -1
+
+    def accept(self, chunk, now_ns):
+        ts, blocks, ctype, _, clock = chunk.header
+        if ts > self.newest:
+            self.newest = ts
+        elif ts <= self.newest - WINDOW or ts in self.closed:
+            return Malformed("stale", timestamp=ts)
+        late = [t for t in self.open if t <= self.newest - WINDOW]
+        if late:
+            oldest = min(late)
+            del self.open[oldest]
+            self.closed.add(oldest)
+            return Jumbled(oldest, ts)
+        if ts not in self.open:
+            if blocks == 1:
+                self.closed.add(ts)
+                return Complete(ts, chunk.payload)
+            self.open[ts] = [blocks, ctype, {clock: chunk.payload}, now_ns + DEFAULT_TIMEOUT_NS]
+            return None
+        open_blocks, open_ctype, payloads, _ = self.open[ts]
+        if blocks != open_blocks:
+            return Malformed("inconsistent_blocks", timestamp=ts)
+        if ctype != open_ctype:
+            return Malformed("inconsistent_type", timestamp=ts)
+        if clock in payloads:
+            return Malformed("duplicate", timestamp=ts)
+        payloads[clock] = chunk.payload
+        if len(payloads) < blocks:
+            return None
+        del self.open[ts]
+        self.closed.add(ts)
+        return Complete(ts, b"".join(payloads[k] for k in sorted(payloads)))
+
+    def expire(self, now_ns):
+        """(deadline, Timeout) of every assembly due by now_ns, earliest deadline first."""
+        due = sorted((entry[3], ts) for ts, entry in self.open.items() if entry[3] <= now_ns)
+        out = []
+        for deadline, ts in due:
+            blocks, _, payloads, _ = self.open.pop(ts)
+            self.closed.add(ts)
+            out.append((deadline, Timeout(ts, len(payloads), blocks)))
+        return out
+
+
+def _offer(buf, chunk, now_ns):
+    """accept's outcomes for chunk, offered again after each Jumbled as the receiver does."""
+    events = [buf.accept(chunk, now_ns)]
+    while isinstance(events[-1], Jumbled):
+        events.append(buf.accept(chunk, now_ns))
+    return events
+
+
+#: One step of a trace: time step, whether to poll first, timestamp relative to
+#: the newest seen, sender_clock, and a fault to stamp on the chunk.
+_TRACE_STEP = st.tuples(
+    st.sampled_from([0, 0, 1, SUBFRAME_NS // 2, SUBFRAME_NS, DEFAULT_TIMEOUT_NS,
+                     3 * DEFAULT_TIMEOUT_NS]),
+    st.booleans(),
+    st.integers(-WINDOW - 1, WINDOW + 1),
+    st.integers(0, 3),
+    st.sampled_from([None] * 6 + ["blocks", "type"]),
+)
+
+
+class TestReassemblyModel:
+    """ReassemblyBuffer gives the events of a plain reference model on random traces."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_TRACE_STEP, max_size=40))
+    def test_events_follow_the_reference_model(self, steps):
+        buf, model = ReassemblyBuffer(), _ModelBuffer()
+        now = 0
+        for dt, poll, delta, clock, fault in steps:
+            now += dt
+            if poll:
+                want = model.expire(now)
+                got = []
+                while (event := buf.poll_timeout(now)) is not None:
+                    got.append(event)
+                # earliest deadline first; the order among equal deadlines is
+                # TestReassemblyWindow's to pin
+                deadline = {event.timestamp: d for d, event in want}
+                key = [deadline.get(event.timestamp, -1) for event in got]
+                assert key == sorted(key)
+                assert sorted(got, key=lambda e: (deadline.get(e.timestamp, -1), e.timestamp)) \
+                    == [event for _, event in want]
+            ts = max(0, model.newest + delta)
+            blocks = (1, 2, 3, 2)[ts % 4] + (fault == "blocks")
+            payload = bytes([ts % 256, clock]) * (clock + 1)
+            header = SplitHeader(ts, blocks, int(fault == "type"), HEADER_LEN + len(payload), clock)
+            chunk = Chunk(header, payload)
+            assert _offer(buf, chunk, now) == _offer(model, chunk, now)
+            assert buf.in_progress == bool(model.open)
