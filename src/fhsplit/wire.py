@@ -254,6 +254,16 @@ class Malformed:
 ReassemblyEvent = Union[Complete, Timeout, Jumbled, Malformed]
 
 
+@dataclass(slots=True)
+class _Assembly:
+    """The chunks taken so far for one open timestamp."""
+
+    num_blocks: int
+    content_type: int
+    payloads: Dict[int, Union[bytes, memoryview]]  # sender_clock -> payload
+    deadline: int
+
+
 class ReassemblyBuffer:
     """Per-stream receive state machine: assemble up to WINDOW subframes at once.
 
@@ -268,7 +278,8 @@ class ReassemblyBuffer:
     more below the newest timestamp evicts it, the oldest first: accept
     returns Jumbled without taking the chunk, which the caller offers
     again. poll_timeout() expires an assembly DEFAULT_TIMEOUT_NS after its
-    first chunk, the earliest deadline first.
+    first chunk, the earliest deadline first and, of equal deadlines, the
+    older timestamp first.
 
     All chunks of an assembly must share content_type and the announced
     num_blocks, and carry distinct sender_clock values; disagreement or a
@@ -277,15 +288,10 @@ class ReassemblyBuffer:
     """
 
     def __init__(self) -> None:
-        # the current assembly
-        self._payloads: Dict[int, Union[bytes, memoryview]] = {}  # sender_clock -> payload
+        self._open: Dict[int, _Assembly] = {}  # timestamp -> open assembly
+        # the current assembly and its timestamp; None while there is none
+        self._current: Optional[_Assembly] = None
         self._timestamp: Optional[int] = None
-        self._num_blocks = 0
-        self._content_type = 0
-        self._deadline = 0
-        # timestamp -> (num_blocks, content_type, payloads, deadline) of every
-        # other open assembly
-        self._parked: Dict[int, Tuple[int, int, Dict[int, Union[bytes, memoryview]], int]] = {}
         # the earliest deadline of all open assemblies; None while none is open
         self._first_deadline: Optional[int] = None
         self._newest = -1  # the newest timestamp seen; -1 before the first
@@ -301,33 +307,45 @@ class ReassemblyBuffer:
         """Feed one decoded chunk; returns its outcome, or None while assembling."""
         header = chunk.header
         ts = header.timestamp
+        assembly = self._current
         if ts != self._timestamp:
             if ts > self._newest:
                 self._newest = ts
             elif ts <= self._newest - WINDOW or self._closed[ts % WINDOW] == ts:
                 return Malformed("stale", timestamp=ts)
-            if self._first_deadline is not None:
-                evicted = self._evict()
-                if evicted is not None:
-                    return Jumbled(evicted, ts)
-                if ts in self._parked:
-                    self._resume(ts)
-            if ts != self._timestamp:
+            opened = self._open
+            if opened:
+                oldest = min(opened)
+                if oldest <= self._newest - WINDOW:
+                    self._close(oldest)
+                    return Jumbled(oldest, ts)
+            assembly = opened.get(ts)
+            if assembly is None:
                 if header.num_blocks == 1:
                     self._closed[ts % WINDOW] = ts
                     return Complete(ts, chunk.payload)
-                self._start(chunk, now_ns)
+                deadline = now_ns + DEFAULT_TIMEOUT_NS
+                assembly = opened[ts] = _Assembly(
+                    header.num_blocks, header.content_type,
+                    {header.sender_clock: chunk.payload}, deadline)
+                first = self._first_deadline
+                if first is None or deadline < first:
+                    self._first_deadline = deadline
+                self._current, self._timestamp = assembly, ts
                 return None
-        if header.num_blocks != self._num_blocks:
+            self._current, self._timestamp = assembly, ts
+        if header.num_blocks != assembly.num_blocks:
             return Malformed("inconsistent_blocks", timestamp=ts)
-        if header.content_type != self._content_type:
+        if header.content_type != assembly.content_type:
             return Malformed("inconsistent_type", timestamp=ts)
+        payloads = assembly.payloads
         clock = header.sender_clock
-        if clock in self._payloads:
+        if clock in payloads:
             return Malformed("duplicate", timestamp=ts)
-        self._payloads[clock] = chunk.payload
-        if len(self._payloads) == self._num_blocks:
-            return self._finish()
+        payloads[clock] = chunk.payload
+        if len(payloads) == assembly.num_blocks:
+            self._close(ts)
+            return Complete(ts, b"".join(map(payloads.__getitem__, sorted(payloads))))
         return None
 
     def advance(self, arrivals: Sequence[Tuple[int, bytes]], i: int) -> int:
@@ -346,10 +364,11 @@ class ReassemblyBuffer:
         unpacked, so a message's last chunk is left unread for accept. A
         held payload over _COPY_MAX bytes is a memoryview of its datagram.
         """
-        if self._num_blocks - len(self._payloads) < 2:
+        current = self._current
+        if current is None or current.num_blocks - len(current.payloads) < 2:
             return i
-        ts, blocks, ctype = self._timestamp, self._num_blocks, self._content_type
-        payloads, deadline = self._payloads, self._first_deadline
+        ts, blocks, ctype = self._timestamp, current.num_blocks, current.content_type
+        payloads, deadline = current.payloads, self._first_deadline
         unpack = _HEADER.unpack_from
         end = len(arrivals)
         while i < end and len(payloads) < blocks - 1:
@@ -375,85 +394,22 @@ class ReassemblyBuffer:
         first = self._first_deadline
         if first is None or now_ns < first:
             return None
-        if self._timestamp is not None and self._deadline == first:
-            ts = self._timestamp
-            event = Timeout(ts, len(self._payloads), self._num_blocks)
-            self._clear()
-        else:
-            ts = min(self._parked, key=lambda t: self._parked[t][3])
-            blocks, _, payloads, _ = self._parked.pop(ts)
-            event = Timeout(ts, len(payloads), blocks)
-            self._first_deadline = self._earliest_deadline()
-        self._close(ts)
-        return event
+        ts = min(t for t, assembly in self._open.items() if assembly.deadline == first)
+        assembly = self._close(ts)
+        return Timeout(ts, len(assembly.payloads), assembly.num_blocks)
 
-    def _evict(self) -> Optional[int]:
-        """Drop the oldest open assembly if it is WINDOW or more below the newest
-        timestamp; returns its timestamp, or None if none is."""
-        oldest = self._timestamp
-        if self._parked:
-            parked = min(self._parked)
-            if oldest is None or parked < oldest:
-                oldest = parked
-        if oldest > self._newest - WINDOW:
-            return None
-        if oldest == self._timestamp:
-            self._clear()
-        else:
-            del self._parked[oldest]
-            self._first_deadline = self._earliest_deadline()
-        return oldest
+    def _close(self, ts: int) -> _Assembly:
+        """Remove and return the open assembly of ts, and mark ts closed.
 
-    def _park(self) -> None:
-        """Set the current assembly, if any, aside among the other open ones."""
-        if self._timestamp is not None:
-            self._parked[self._timestamp] = (
-                self._num_blocks, self._content_type, self._payloads, self._deadline)
-
-    def _resume(self, ts: int) -> None:
-        """Make the parked assembly of ts current, parking the current one."""
-        self._park()
-        self._num_blocks, self._content_type, self._payloads, self._deadline = (
-            self._parked.pop(ts))
-        self._timestamp = ts
-
-    def _start(self, chunk: Chunk, now_ns: int) -> None:
-        """Open an assembly for chunk and make it current, parking the current one."""
-        self._park()
-        header = chunk.header
-        self._timestamp = header.timestamp
-        self._num_blocks = header.num_blocks
-        self._content_type = header.content_type
-        self._payloads = {header.sender_clock: chunk.payload}
-        self._deadline = deadline = now_ns + DEFAULT_TIMEOUT_NS
-        first = self._first_deadline
-        if first is None or deadline < first:
-            self._first_deadline = deadline
-
-    def _finish(self) -> Complete:
-        ts = self._timestamp
-        payloads = self._payloads
-        payload = b"".join(map(payloads.__getitem__, sorted(payloads)))
-        self._close(ts)
-        self._clear()
-        return Complete(ts, payload)
-
-    def _close(self, ts: int) -> None:
-        """Mark ts finished; below the window it is stale anyway."""
+        Below the window ts is stale anyway, and its ring slot belongs to
+        a timestamp inside it.
+        """
+        opened = self._open
+        assembly = opened.pop(ts)
+        if assembly is self._current:
+            self._current = self._timestamp = None
         if ts > self._newest - WINDOW:
             self._closed[ts % WINDOW] = ts
-
-    def _clear(self) -> None:
-        """Forget the current assembly."""
-        self._timestamp = None
-        self._num_blocks = 0
-        self._content_type = 0
-        self._payloads = {}
-        self._deadline = 0
-        self._first_deadline = self._earliest_deadline() if self._parked else None
-
-    def _earliest_deadline(self) -> Optional[int]:
-        deadlines = [entry[3] for entry in self._parked.values()]
-        if self._timestamp is not None:
-            deadlines.append(self._deadline)
-        return min(deadlines, default=None)
+        self._first_deadline = (min(a.deadline for a in opened.values()) if opened
+                                else None)
+        return assembly

@@ -610,6 +610,15 @@ class TestReassemblyWindow:
         assert buf.poll_timeout(DEFAULT_TIMEOUT_NS + 10) == Timeout(3, 1, 3)
         assert not buf.in_progress
 
+    @pytest.mark.parametrize("order", [(3, 4), (4, 3)])
+    def test_equal_deadlines_expire_the_older_timestamp_first(self, order):
+        buf = ReassemblyBuffer()
+        for ts in order:
+            assert buf.accept(chunk_subframe(ts, 0, bytes(3000))[0], 0) is None
+        assert buf.poll_timeout(DEFAULT_TIMEOUT_NS) == Timeout(3, 1, 3)
+        assert buf.poll_timeout(DEFAULT_TIMEOUT_NS) == Timeout(4, 1, 3)
+        assert not buf.in_progress
+
     def test_advance_extends_the_last_fed_assembly(self):
         buf = ReassemblyBuffer()
         a = [c.to_datagram() for c in chunk_subframe(0, 0, b"a" * 6000)]
@@ -619,7 +628,7 @@ class TestReassemblyWindow:
         arrivals = [(2, b[1]), (3, b[2]), (4, a[1]), (5, b[3])]
         assert buf.advance(arrivals, 0) == 2
         # a payload over 512 bytes is held as a view of its datagram
-        assert all(type(buf._payloads[k]) is memoryview for k in (1, 2))
+        assert all(type(buf._open[1].payloads[k]) is memoryview for k in (1, 2))
         assert buf.accept(chunk_from_datagram(a[1]), 4) is None
         assert buf.advance(arrivals, 3) == 3  # b's datagram does not continue a
 
@@ -629,7 +638,7 @@ class TestReassemblyWindow:
         datagrams = [c.to_datagram() for c in chunk_subframe(0, 0, b"s" * 2000, 512)]
         buf.accept(chunk_from_datagram(datagrams[0]), 0)
         assert buf.advance(list(enumerate(datagrams)), 1) == 4
-        assert {type(p) for p in buf._payloads.values()} == {bytes}
+        assert {type(p) for p in buf._open[0].payloads.values()} == {bytes}
 
     def test_advance_stops_at_any_open_deadline(self):
         buf = ReassemblyBuffer()
