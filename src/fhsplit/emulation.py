@@ -55,7 +55,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from .cell import CellConfig, check_real, require_ints, require_reals
+from .cell import CellConfig, check_int, check_real, require_ints, require_reals
 from .channel import (
     SUBFRAME_NS,
     ChannelSpec,
@@ -597,16 +597,18 @@ def _finalize(
 
 def _prepare(
     cfg: CellConfig, profile: TrafficProfile, seed: int, max_datagram: int
-) -> Tuple[List[int], int, Tuple[Iterator, Iterator], List[np.random.SeedSequence], int]:
+) -> Tuple[List[int], int, Tuple[Iterator, Iterator], List[np.random.SeedSequence], int, int]:
     """The set-up both run modes share, done before any socket or datagram.
 
     Returns the offered bits of every subframe, the offered bits dropped,
     each subframe's downlink and uplink message lists (synthesized one
-    subframe per step), two seeds for the simulated channels and the byte
-    length of the run's largest message. Raises ValueError when the cell
-    carries no bit per subframe, the soft-bit width cannot be packed or a
-    message cannot be chunked.
+    subframe per step), two seeds for the simulated channels, the byte
+    length of the run's largest message and seed as a plain int. Raises
+    ValueError when seed is not a non-negative integer, the cell carries
+    no bit per subframe, the soft-bit width cannot be packed or a message
+    cannot be chunked.
     """
+    seed = check_int(seed, "seed", 0)
     offered, scheduled, dropped_bits = _traffic_schedule(cfg, profile)
     # Every scheduled bit is answered by soft_bit_width >= 2 uplink bits, so
     # the largest soft-bit message is the largest message of the run.
@@ -624,7 +626,7 @@ def _prepare(
                    for t, bits in enumerate(scheduled))
     ul_messages = (_ul_messages(t, bits, cfg, code_pool, llr_rng)
                    for t, bits in enumerate(scheduled))
-    return offered, dropped_bits, (dl_messages, ul_messages), channel_seeds, largest
+    return offered, dropped_bits, (dl_messages, ul_messages), channel_seeds, largest, seed
 
 
 def _run_loop(
@@ -723,7 +725,7 @@ def run_emulation(
     Raises ValueError before the first datagram for any input _prepare
     rejects.
     """
-    offered, dropped_bits, messages, (s_dl, s_ul), _ = _prepare(
+    offered, dropped_bits, messages, (s_dl, s_ul), _, seed = _prepare(
         cfg, profile, seed, max_datagram)
     dl = SimulatedChannel(channel, s_dl)
     ul = SimulatedChannel(channel, s_ul)
@@ -756,7 +758,7 @@ def run_socket_emulation(
     for a malformed address and OSError when an address cannot be bound;
     an OSError mid-run marks the report incomplete instead.
     """
-    offered, dropped_bits, messages, _, largest = _prepare(
+    offered, dropped_bits, messages, _, largest, seed = _prepare(
         cfg, profile, seed, max_datagram)
     with contextlib.ExitStack() as stack:
         du, ru = (stack.enter_context(contextlib.closing(UdpEndpoint(addr)))

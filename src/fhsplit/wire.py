@@ -193,6 +193,8 @@ def chunk_subframe(
     one-chunk message carries payload itself.
     """
     num_blocks = chunk_count(len(payload), max_datagram)
+    if type(max_datagram) is not int:
+        max_datagram = int(max_datagram)  # a numpy integer chunk_count accepted
     if not payload:
         raise ValueError("payload must not be empty")
     # One check covers every chunk: they share timestamp and content_type,

@@ -237,7 +237,7 @@ class TestControlSynthesis:
             return make_control(t, scheduled_bits, cell)
 
         monkeypatch.setattr(fhsplit.emulation, "make_control", counting_make_control)
-        _, _, (dl_messages, _), _, _ = _prepare(cfg, profile, 5, 1472)
+        _, _, (dl_messages, _), *_ = _prepare(cfg, profile, 5, 1472)
         for t, bits in enumerate(scheduled):
             [(ctype, control), *_] = next(dl_messages)
             assert ctype == CONTENT_DL_CONTROL
@@ -355,6 +355,15 @@ class TestCleanChannelRuns:
         with pytest.raises(ValueError, match="num_blocks is a 16-bit field"):
             run_emulation(replace(LTE10, soft_bit_width=soft_bit_width),
                           TrafficProfile(100e6, 1400, 3), max_datagram=max_datagram)
+
+    @pytest.mark.parametrize("seed", [True, 1.5, -1])
+    def test_non_integer_seed_raises_before_sending(self, seed, monkeypatch):
+        def no_emit(*args):
+            raise AssertionError("emitted before checking the seed")
+
+        monkeypatch.setattr(fhsplit.emulation, "_emit", no_emit)
+        with pytest.raises(ValueError, match="seed must be"):
+            run_emulation(LTE10, TrafficProfile(2e6, 200, 5), seed=seed)
 
 
 class TestLinkClock:
@@ -619,6 +628,12 @@ class TestDeterminism:
         b = run_emulation(LTE10, profile, spec, seed=12)
         assert a.csv_text() != b.csv_text()
 
+    def test_numpy_seed_writes_the_plain_int_files(self, tmp_path):
+        profile = TrafficProfile(2e6, 200, 5)
+        files = [run_emulation(LTE10, profile, seed=seed).save(tmp_path / name)
+                 for name, seed in (("numpy", np.int64(3)), ("int", 3))]
+        assert [p.read_bytes() for p in files[0]] == [p.read_bytes() for p in files[1]]
+
     def test_report_files(self, tmp_path):
         profile = TrafficProfile(goodput_bps=5e6, duration_subframes=30)
         report = run_emulation(LTE10, profile, seed=0)
@@ -682,7 +697,7 @@ class TestCollectorPause:
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_the_state_is_restored_when_the_loop_raises(self, enabled):
-        offered, dropped_bits, messages, _, _ = _prepare(
+        offered, dropped_bits, messages, *_ = _prepare(
             LTE10, TrafficProfile(2e6, 200, 20), 1, DEFAULT_MAX_DATAGRAM)
         during = []
 
@@ -1259,7 +1274,7 @@ class TestLinkFailure:
     def test_arrivals_read_before_an_oserror_are_metered(self):
         # The uplink link fails as it is read at the end of subframe 5, just
         # after the downlink one has delivered that subframe's datagrams.
-        offered, dropped_bits, messages, (s_dl, s_ul), _ = _prepare(
+        offered, dropped_bits, messages, (s_dl, s_ul), *_ = _prepare(
             LTE10, TrafficProfile(2e6, 200, 20), 1, DEFAULT_MAX_DATAGRAM)
         dl, ul = SimulatedChannel(ChannelSpec(), s_dl), SimulatedChannel(ChannelSpec(), s_ul)
         fail_ns = 6 * SUBFRAME_NS - 1
@@ -1436,7 +1451,7 @@ class TestDownlinkPayloads:
         cfg, profile, seed = TINY, TrafficProfile(20e3, 5, 8), 23
         _, scheduled, _ = _traffic_schedule(cfg, profile)
         assert 0 in scheduled and len(set(scheduled)) > 1
-        _, _, (dl_messages, _), _, _ = _prepare(cfg, profile, seed, 1472)
+        _, _, (dl_messages, _), *_ = _prepare(cfg, profile, seed, 1472)
         ref_rng = np.random.PCG64(np.random.SeedSequence(seed).spawn(4)[0])
         for t, bits in enumerate(scheduled):
             data = [p for ctype, p in next(dl_messages) if ctype == CONTENT_DL_DATA]
@@ -1567,7 +1582,7 @@ class TestCodePool:
         cfg, profile, seed = replace(TINY, soft_bit_width=5), TrafficProfile(20e3, 5, 8), 23
         _, scheduled, _ = _traffic_schedule(cfg, profile)
         assert 0 in scheduled and len(set(scheduled)) > 1
-        _, _, (_, ul_messages), _, _ = _prepare(cfg, profile, seed, 1472)
+        _, _, (_, ul_messages), *_ = _prepare(cfg, profile, seed, 1472)
         ref_rng = np.random.PCG64(np.random.SeedSequence(seed).spawn(4)[1])
         codes, _ = code_pool(5, ref_rng)
         for t, n in enumerate(scheduled):

@@ -225,6 +225,16 @@ class TestSocketRun:
         with pytest.raises(ValueError, match="bits per subframe"):
             run_socket_emulation(cell, profile, "127.0.0.1:0", "127.0.0.1:0", seed=0)
 
+    @pytest.mark.parametrize("seed", [True, 1.5])
+    def test_non_integer_seed_raises_before_binding(self, seed, monkeypatch):
+        def no_bind(addr):
+            raise AssertionError(f"bound {addr} before checking the seed")
+
+        monkeypatch.setattr(emulation, "UdpEndpoint", no_bind)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            run_socket_emulation(LTE10, TrafficProfile(2e6, 200, 3),
+                                 "127.0.0.1:0", "127.0.0.1:0", seed=seed)
+
     def test_unpackable_soft_bit_width_raises_before_binding(self, monkeypatch):
         def no_bind(addr):
             raise AssertionError(f"bound {addr} before checking the cell")

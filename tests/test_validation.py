@@ -406,6 +406,20 @@ class TestNumpyIntegersBecomeInts:
         for rate in (rate_72, rate_73_ul):
             assert type(rate(cfg)) is int and rate(cfg) == rate(ref), rate.__name__
 
+    @pytest.mark.parametrize("field,value", [
+        pytest.param("max_datagram", np.int64(1472), id="max_datagram-int64"),
+        pytest.param("max_datagram", np.uint16(600), id="max_datagram-uint16"),
+        pytest.param("timestamp", np.uint64(U64), id="timestamp-uint64"),
+        pytest.param("content_type", np.uint16(U16), id="content_type-uint16"),
+        pytest.param("sender_clock", np.int32(7), id="sender_clock-int32"),
+    ])
+    def test_chunk_headers(self, field, value):
+        kw = {"timestamp": 0, "content_type": 0, "payload": b"x" * 3000}
+        sent = chunk_subframe(**{**kw, field: value})
+        assert sent == chunk_subframe(**{**kw, field: int(value)})
+        assert len(sent) > 1
+        assert all(type(v) is int for c in sent for v in c.header), field
+
     @settings(max_examples=100, deadline=None)
     @given(fields=st.fixed_dictionaries(CELL_FIELDS),
            max_datagram=any_int(*CHUNK_RANGES["max_datagram"]))
