@@ -309,7 +309,6 @@ class ReassemblyBuffer:
         """Feed one decoded chunk; returns its outcome, or None while assembling."""
         header = chunk.header
         ts = header.timestamp
-        assembly = self._current
         if ts != self._timestamp:
             if ts > self._newest:
                 self._newest = ts
@@ -321,21 +320,21 @@ class ReassemblyBuffer:
                 if oldest <= self._newest - WINDOW:
                     self._close(oldest)
                     return Jumbled(oldest, ts)
-            assembly = opened.get(ts)
-            if assembly is None:
+            if ts not in opened:
                 if header.num_blocks == 1:
                     self._closed[ts % WINDOW] = ts
                     return Complete(ts, chunk.payload)
                 deadline = now_ns + DEFAULT_TIMEOUT_NS
-                assembly = opened[ts] = _Assembly(
-                    header.num_blocks, header.content_type,
-                    {header.sender_clock: chunk.payload}, deadline)
                 first = self._first_deadline
                 if first is None or deadline < first:
                     self._first_deadline = deadline
-                self._current, self._timestamp = assembly, ts
+                opened[ts] = self._current = _Assembly(
+                    header.num_blocks, header.content_type,
+                    {header.sender_clock: chunk.payload}, deadline)
+                self._timestamp = ts
                 return None
-            self._current, self._timestamp = assembly, ts
+            self._current, self._timestamp = opened[ts], ts
+        assembly = self._current
         if header.num_blocks != assembly.num_blocks:
             return Malformed("inconsistent_blocks", timestamp=ts)
         if header.content_type != assembly.content_type:
