@@ -743,8 +743,9 @@ class TestReassemblyModel:
                 deadline = {event.timestamp: d for d, event in want}
                 key = [deadline.get(event.timestamp, -1) for event in got]
                 assert key == sorted(key)
-                assert sorted(got, key=lambda e: (deadline.get(e.timestamp, -1), e.timestamp)) \
-                    == [event for _, event in want]
+                ties_by_age = sorted(got, key=lambda e: (deadline.get(e.timestamp, -1),
+                                                         e.timestamp))
+                assert ties_by_age == [event for _, event in want]
             ts = max(0, model.newest + delta)
             blocks = (1, 2, 3, 2)[ts % 4] + (fault == "blocks")
             payload = bytes([ts % 256, clock]) * (clock + 1)
