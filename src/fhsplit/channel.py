@@ -1,4 +1,8 @@
-"""Datagram channels: a deterministic impairment simulator and UDP sockets.
+"""Datagram links: a deterministic impairment simulator and UDP sockets.
+
+A link is one direction of a run: send(datagram, send_ns) puts a datagram
+on it, and deliver_until(ns) returns the (recv_ns, datagram) arrivals due
+by ns. SimulatedChannel and UdpLink are the two kinds.
 
 The simulated channel runs on a virtual nanosecond clock. A sender hands
 it each datagram at the end of the datagram's transmission on a link of
@@ -21,12 +25,14 @@ Behaviour is a pure function of the parameters and the seed.
 
 from __future__ import annotations
 
-import functools
+import math
+import selectors
 import socket
+import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Callable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -65,32 +71,14 @@ class ChannelSpec:
     def __post_init__(self) -> None:
         require_reals(self, "loss_rate", "reorder_rate", at_most_one=True)
         require_reals(self, "delay_us")
+        if not math.isfinite(float(self.delay_us) * 1000):
+            raise ValueError(f"delay_us must be finite in nanoseconds, got {self.delay_us}")
         require_reals(self, "line_rate_bps", positive=True)
         if self.line_rate_bps != int(self.line_rate_bps):
             raise ValueError(
                 f"line_rate_bps must be a whole number of bit/s, got {self.line_rate_bps}")
         # a plain int, so that transmission times are exact integer arithmetic
         object.__setattr__(self, "line_rate_bps", int(self.line_rate_bps))
-
-    @functools.cached_property
-    def transmission_ns(self) -> Dict[int, int]:
-        """Whole nanoseconds the link takes to send n bytes, by n: 8e9 * n / rate, rounded up.
-
-        Exact integer arithmetic; each entry is computed on first use and kept.
-        """
-        return _TransmissionTimes(self.line_rate_bps)
-
-
-class _TransmissionTimes(dict):
-    """nbytes -> whole ns a link of line_rate_bps takes to send them."""
-
-    def __init__(self, line_rate_bps: int) -> None:
-        super().__init__()
-        self.line_rate_bps = line_rate_bps
-
-    def __missing__(self, nbytes: int) -> int:
-        ns = self[nbytes] = -(-8_000_000_000 * nbytes // self.line_rate_bps)
-        return ns
 
 
 class SimulatedChannel:
@@ -180,3 +168,49 @@ class UdpEndpoint:
 
     def close(self) -> None:
         self.sock.close()
+
+
+class UdpLink:
+    """One direction of a socket run, on the wall clock: sender's datagrams to receiver's socket.
+
+    send puts a datagram on the socket at once: its send time does not pace
+    a socket. Links built on one selector read all of its sockets whenever
+    one of them delivers, so both directions of a run are read together,
+    each datagram stamped with time.monotonic_ns() as it is read.
+    """
+
+    def __init__(self, sender: UdpEndpoint, receiver: UdpEndpoint,
+                 selector: selectors.BaseSelector) -> None:
+        self._send_to = sender.send_to
+        self._peer = receiver.sock.getsockname()
+        self._selector = selector
+        self._inbox: List[Tuple[int, bytes]] = []
+        selector.register(receiver.sock, selectors.EVENT_READ,
+                          (receiver.sock.recv, self._inbox))
+
+    def send(self, datagram: bytes, send_ns: int) -> None:
+        self._send_to(datagram, self._peer)
+
+    def deliver_until(self, now_ns: int) -> List[Tuple[int, bytes]]:
+        """Read until now_ns has passed and no socket has more; returns this link's arrivals.
+
+        Each ready socket is read until it has nothing queued. Only reads
+        are non-blocking (MSG_DONTWAIT): a send may still wait for room in
+        its socket's send buffer, as a real link's burst needs.
+        """
+        while True:
+            wait_ns = now_ns - time.monotonic_ns()
+            ready = self._selector.select(max(wait_ns, 0) / 1e9)
+            if not ready and wait_ns <= 0:
+                break
+            for key, _ in ready:
+                recv, inbox = key.data
+                try:
+                    while True:
+                        datagram = recv(65_535, socket.MSG_DONTWAIT)
+                        inbox.append((time.monotonic_ns(), datagram))
+                except BlockingIOError:
+                    pass
+        arrivals = self._inbox[:]
+        self._inbox.clear()
+        return arrivals

@@ -47,22 +47,16 @@ import gc
 import io
 import json
 import selectors
-import socket
 import time
 from dataclasses import asdict, astuple, dataclass, fields
+from numbers import Integral
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from .cell import CellConfig, check_int, check_real, require_ints, require_reals
-from .channel import (
-    SUBFRAME_NS,
-    ChannelSpec,
-    SimulatedChannel,
-    UdpEndpoint,
-    parse_addr,
-)
+from .channel import SUBFRAME_NS, ChannelSpec, SimulatedChannel, UdpEndpoint, UdpLink
 from .llr import LlrQuantizer, pack_codes, quantize_llr
 from .messages import (
     CONTENT_DL_CONTROL,
@@ -114,6 +108,8 @@ class TrafficProfile:
     def __post_init__(self) -> None:
         require_ints(self, "packet_size_bytes", "duration_subframes", minimum=1)
         require_reals(self, "goodput_bps")
+        g = self.goodput_bps
+        object.__setattr__(self, "goodput_bps", int(g) if isinstance(g, Integral) else float(g))
 
 
 def subframe_capacity_bits(cfg: CellConfig) -> int:
@@ -437,14 +433,14 @@ def _emit(
     """Chunk subframe t's messages and send them back to back on link; returns when it is free.
 
     The link starts at base_ns, the subframe's start, or at free_ns if it
-    is still busy then. Datagram d takes link.transmission_ns[len(d)], so
-    it starts on a whole nanosecond, and send gets it at the end of its
-    transmission. Chunk i of each message is stamped sender_clock
-    base_ns + i: a sequence, not an emission time.
+    is still busy then. n bytes take 8e9 * n / link.line_rate_bps ns,
+    rounded up exactly, so each datagram starts on a whole nanosecond, and
+    send gets it at the end of its transmission. Chunk i of each message is
+    stamped sender_clock base_ns + i: a sequence, not an emission time.
     """
     ns = free_ns if free_ns > base_ns else base_ns
-    transmission_ns = link.transmission_ns
-    full_ns = transmission_ns[max_datagram]
+    rate = link.line_rate_bps
+    full_ns = -(-8_000_000_000 * max_datagram // rate)
     for ctype, payload in msgs:
         chunks = chunk_subframe(t, ctype, payload, max_datagram, base_ns)
         meter.record_emission(ctype, t, len(payload), chunks)
@@ -454,7 +450,7 @@ def _emit(
             for chunk in chunks[:-1]:
                 ns += full_ns
                 send(chunk.to_datagram(), ns)
-        ns += transmission_ns[last.header.size]
+        ns += -(-8_000_000_000 * last.header.size // rate)
         send(last.to_datagram(), ns)
     return ns
 
@@ -636,9 +632,9 @@ def _run_loop(
 ) -> EmulationReport:
     """The one DU-RU loop of both run modes, on the calling thread.
 
-    messages and links hold the downlink, then the uplink. A link is a
-    pair of functions: send(datagram, send_ns) puts one datagram on it,
-    and deliver_until(ns) returns the (recv_ns, datagram) arrivals due by
+    messages and links hold the downlink, then the uplink. A link is an
+    object: send(datagram, send_ns) puts one datagram on it, and
+    deliver_until(ns) returns the (recv_ns, datagram) arrivals due by
     ns. Subframe t starts at start_ns + t * SUBFRAME_NS: the DU and the RU
     emit its messages through _emit, each direction's datagrams back to
     back at link_spec's line rate from the subframe's start or from the
@@ -666,7 +662,8 @@ def _run_loop(
         duration = len(offered)
         dl_meter, ul_meter = _DirMeter(duration), _DirMeter(duration)
         dl_rx, ul_rx = SubframeReceiver(), SubframeReceiver()
-        (dl_msgs, ul_msgs), ((dl_send, dl_deliver), (ul_send, ul_deliver)) = messages, links
+        dl_msgs, ul_msgs = messages
+        (dl_send, dl_deliver), (ul_send, ul_deliver) = [(k.send, k.deliver_until) for k in links]
         dl_free_ns = ul_free_ns = start_ns  # when each direction's link is next idle
         incomplete = False
         try:
@@ -731,9 +728,8 @@ def run_emulation(
     ul = SimulatedChannel(channel, s_ul)
     # Let in-flight datagrams land and pending assemblies expire.
     settle_ns = DEFAULT_TIMEOUT_NS + dl.delay_ns + 2 * SUBFRAME_NS
-    return _run_loop(offered, dropped_bits, messages,
-                     ((dl.send, dl.deliver_until), (ul.send, ul.deliver_until)),
-                     0, settle_ns, seed, profile.goodput_bps, max_datagram, channel)
+    return _run_loop(offered, dropped_bits, messages, (dl, ul), 0, settle_ns,
+                     seed, profile.goodput_bps, max_datagram, channel)
 
 
 def run_socket_emulation(
@@ -770,41 +766,10 @@ def run_socket_emulation(
         # and the doubling reserve_rcvbuf allows for covers the larger
         # charge above one.
         rcvbuf = (chunk_count(largest, max_datagram) + 1) * (max_datagram + 1024)
-        # The RU receives the downlink and the DU the uplink.
-        dl_inbox: List[Tuple[int, bytes]] = []
-        ul_inbox: List[Tuple[int, bytes]] = []
-        for endpoint, inbox in ((ru, dl_inbox), (du, ul_inbox)):
+        for endpoint in (ru, du):
             endpoint.reserve_rcvbuf(rcvbuf)
-            selector.register(endpoint.sock, selectors.EVENT_READ,
-                              (endpoint.sock.recv, inbox))
-
-        def deliver_until(inbox: List, until_ns: int) -> List[Tuple[int, bytes]]:
-            # Read both sockets until until_ns has passed and neither has
-            # more, each ready one until it has nothing queued. Only reads
-            # are non-blocking (MSG_DONTWAIT): a send may still wait for
-            # room in its socket's send buffer, as a real link's burst needs.
-            while True:
-                wait_ns = until_ns - time.monotonic_ns()
-                ready = selector.select(max(wait_ns, 0) / 1e9)
-                if not ready and wait_ns <= 0:
-                    break
-                for key, _ in ready:
-                    recv, box = key.data
-                    try:
-                        while True:
-                            datagram = recv(65_535, socket.MSG_DONTWAIT)
-                            box.append((time.monotonic_ns(), datagram))
-                    except BlockingIOError:
-                        pass
-            arrivals = inbox[:]
-            inbox.clear()
-            return arrivals
-
-        ru_peer, du_peer = parse_addr(ru.address), parse_addr(du.address)
-        links = ((lambda d, _ns: du.send_to(d, ru_peer),
-                  functools.partial(deliver_until, dl_inbox)),
-                 (lambda d, _ns: ru.send_to(d, du_peer),
-                  functools.partial(deliver_until, ul_inbox)))
+        # The RU receives the downlink and the DU the uplink.
+        links = UdpLink(du, ru, selector), UdpLink(ru, du, selector)
         # 50 ms of stragglers is 25 reassembly timeouts.
         return _run_loop(offered, dropped_bits, messages, links,
                          time.monotonic_ns(), 50 * SUBFRAME_NS,

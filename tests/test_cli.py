@@ -417,6 +417,23 @@ class TestEmulate:
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["duration_subframes"] == 50
 
+    def test_socket_run_writes_both_files(self, capsys, tmp_path):
+        # the other socket-mode cases here stop before binding
+        out_dir = tmp_path / "run"
+        code, _, err = run_cli(
+            capsys, "emulate", "--du-addr", "127.0.0.1:0", "--ru-addr", "127.0.0.1:0",
+            "--goodput-mbps", "20", "--subframes", "20", "--out", str(out_dir),
+        )
+        assert (code, err) == (0, "")
+        assert len((out_dir / "report.csv").read_text().splitlines()) == 21
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["incomplete"] is False
+        # under load a message may time out, so timeouts are not asserted
+        for d in (summary["dl"], summary["ul"]):
+            assert d["emitted_messages"] > 0
+            assert d["emitted_messages"] == (
+                d["completed_messages"] + d["timeout_messages"] + d["jumbled_messages"])
+
     def test_deterministic_outputs(self, capsys, tmp_path):
         args = ["emulate", "--preset", "lte10", "--goodput-mbps", "40",
                 "--subframes", "100", "--loss", "0.03", "--reorder", "0.05",
@@ -604,6 +621,8 @@ class TestEmulate:
         (("--seed", "-1"), "seed"),
         (("--line-rate-gbps", "0"), "line_rate_bps"),
         (("--line-rate-gbps", "1.5e-9"), "line_rate_bps"),
+        # used to end in an OverflowError traceback and exit 1
+        (("--delay-us", "1e306"), "delay_us"),
     ])
     def test_bad_numeric_option_exits_2(self, capsys, argv, field):
         code, _, err = run_cli(capsys, "emulate", "--subframes", "3", *argv)

@@ -13,7 +13,9 @@ import sys
 import tracemalloc
 import weakref
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -393,7 +395,8 @@ class TestLinkClock:
         assert (ul.completed_messages, ul.jumbled_messages, ul.timeout_messages) == (18, 0, 6)
         assert report.dl.completed_messages == report.dl.emitted_messages
 
-    @pytest.mark.parametrize("rate", [10**9, 25 * 10**9, 3 * 10**9 + 7])
+    # at 10**14 bit/s every datagram takes 1 ns, the lower edge of the round-up
+    @pytest.mark.parametrize("rate", [10**9, 25 * 10**9, 3 * 10**9 + 7, 10**14])
     def test_consecutive_datagrams_take_their_transmission_time(self, rate):
         spec = ChannelSpec(delay_us=40.0, line_rate_bps=rate)
         channel = SimulatedChannel(spec, seed=0)
@@ -628,11 +631,23 @@ class TestDeterminism:
         b = run_emulation(LTE10, profile, spec, seed=12)
         assert a.csv_text() != b.csv_text()
 
+    # (seed, goodput) and the plain (seed, goodput) whose files it must write;
+    # a numpy or Fraction goodput used to make summary.json unwritable
+    PLAIN_INPUTS = [
+        ((np.int64(3), 2e6), (3, 2e6)),
+        ((3, np.int64(2_000_000)), (3, 2_000_000)),
+        ((3, np.float32(2e6)), (3, 2e6)),
+        ((3, np.float64(2e6)), (3, 2e6)),
+        ((3, Fraction(2_000_000)), (3, 2e6)),
+    ]
+
     def test_numpy_seed_writes_the_plain_int_files(self, tmp_path):
-        profile = TrafficProfile(2e6, 200, 5)
-        files = [run_emulation(LTE10, profile, seed=seed).save(tmp_path / name)
-                 for name, seed in (("numpy", np.int64(3)), ("int", 3))]
-        assert [p.read_bytes() for p in files[0]] == [p.read_bytes() for p in files[1]]
+        for i, pair in enumerate(self.PLAIN_INPUTS):
+            files = [run_emulation(LTE10, TrafficProfile(goodput, 200, 5), seed=seed)
+                     .save(tmp_path / f"{i}-{side}")
+                     for side, (seed, goodput) in enumerate(pair)]
+            assert [p.read_bytes() for p in files[0]] == \
+                [p.read_bytes() for p in files[1]], pair
 
     def test_report_files(self, tmp_path):
         profile = TrafficProfile(goodput_bps=5e6, duration_subframes=30)
@@ -705,7 +720,7 @@ class TestCollectorPause:
             during.append(gc.isenabled())
             raise RuntimeError("link down")
 
-        link = (send, lambda until_ns: [])
+        link = SimpleNamespace(send=send, deliver_until=lambda until_ns: [])
         with collector(enabled):
             with pytest.raises(RuntimeError, match="link down"):
                 _run_loop(offered, dropped_bits, messages, (link, link),
@@ -752,8 +767,9 @@ class TestSimulatedChannel:
         assert chan.in_flight == 0
 
     def test_delivery_follows_time_then_send_order(self):
-        # A long uplink message's tail is stamped after the next subframe's
-        # first sends, so send times need not rise; ties keep send order.
+        # _emit's line-rate clock makes each direction's send times rise,
+        # so only reordering delivers out of send order; the channel
+        # still takes any send order, and ties keep send order.
         chan = SimulatedChannel(ChannelSpec(), seed=0)
         for now_ns, datagram in [(1000, b"a"), (3000, b"b"), (2000, b"c"),
                                  (2000, b"d"), (1000, b"e")]:
@@ -1291,7 +1307,8 @@ class TestLinkFailure:
             return ul.deliver_until(until_ns)
 
         report = _run_loop(offered, dropped_bits, messages,
-                           ((dl.send, dl_deliver), (ul.send, ul_deliver)),
+                           (SimpleNamespace(send=dl.send, deliver_until=dl_deliver),
+                            SimpleNamespace(send=ul.send, deliver_until=ul_deliver)),
                            0, 0, 1, 2e6, DEFAULT_MAX_DATAGRAM)
         assert report.incomplete
         until_ns, count = delivered[-1]

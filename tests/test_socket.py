@@ -5,6 +5,7 @@ the assertions are structural and tolerant: the run must finish, account
 for every emitted message, and deliver the vast majority on loopback.
 """
 
+import selectors
 import socket
 import threading
 import time
@@ -15,7 +16,7 @@ import pytest
 
 from fhsplit import emulation
 from fhsplit.cell import CellConfig, preset
-from fhsplit.channel import UdpEndpoint, parse_addr
+from fhsplit.channel import UdpEndpoint, UdpLink, parse_addr
 from fhsplit.emulation import TrafficProfile, run_emulation, run_socket_emulation
 
 LTE10 = preset("lte10")
@@ -77,6 +78,27 @@ class TestUdpEndpoint:
             assert rcvbuf() >= before + 4096
         finally:
             a.close()
+
+
+class TestUdpLink:
+    def test_links_on_one_selector_read_both_sockets(self):
+        du, ru = UdpEndpoint("127.0.0.1:0"), UdpEndpoint("127.0.0.1:0")
+        try:
+            with selectors.DefaultSelector() as selector:
+                dl, ul = UdpLink(du, ru, selector), UdpLink(ru, du, selector)
+                dl.send(b"down", 0)
+                ul.send(b"up", 0)
+                start = time.monotonic_ns()
+                assert [d for _, d in dl.deliver_until(start + 5_000_000)] == [b"down"]
+                returned = time.monotonic_ns()
+                # read by the downlink's call, so it needs no wait
+                [(stamp, datagram)] = ul.deliver_until(time.monotonic_ns())
+                assert datagram == b"up" and start <= stamp <= returned
+                assert dl.deliver_until(time.monotonic_ns()) == []
+                assert ul.deliver_until(time.monotonic_ns()) == []
+        finally:
+            du.close()
+            ru.close()
 
 
 class TestSocketRun:
